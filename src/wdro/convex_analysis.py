@@ -122,16 +122,13 @@ class NormSpec:
         return NormSpec(kind=kind, blocks=duals, sizes=self.sizes)
 
     def _split(self, x: np.ndarray) -> list[np.ndarray]:
-        if sum(self.sizes) != x.size:
+        """Cut the last axis of x into the blocks."""
+        if sum(self.sizes) != x.shape[-1]:
             raise DimensionMismatch(
-                f"block sizes {self.sizes} do not cover dimension {x.size}"
+                f"block sizes {self.sizes} do not cover dimension {x.shape[-1]}"
             )
-        out = []
-        start = 0
-        for s in self.sizes:
-            out.append(x[start : start + s])
-            start += s
-        return out
+        bounds = np.cumsum((0,) + self.sizes)
+        return [x[..., lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def is_lp_representable(self, dim: int) -> bool:
         """True when {x: ||x|| <= t} is a polyhedron we can emit LP rows for."""
@@ -144,27 +141,38 @@ class NormSpec:
         return all(b.is_lp_representable(s) for b, s in zip(self.blocks, self.sizes))
 
 
-def norm_eval(norm: NormSpec, x) -> float:
-    """Evaluate the (primal) norm."""
-    x = as_vector(x, "x")
-    if norm.kind == "p":
-        if math.isinf(norm.p):
-            return float(np.abs(x).max(initial=0.0))
-        return float(np.sum(np.abs(x) ** norm.p) ** (1.0 / norm.p)) if x.size else 0.0
-    if norm.kind == "scaled":
-        return norm.alpha * norm_eval(NormSpec.p_norm(norm.p), x)
+def _norm_rows(norm: NormSpec, x: np.ndarray) -> np.ndarray:
+    """The norm of every vector along the last axis of x."""
+    if norm.kind in ("blocks", "blocks_max"):
+        vals = np.stack([_norm_rows(b, part) for b, part in zip(norm.blocks, norm._split(x))])
+        return vals.sum(axis=0) if norm.kind == "blocks" else vals.max(axis=0)
     if norm.kind == "weighted":
         A = norm.weight_matrix()
-        if A.shape[1] != x.size:
+        if A.shape[1] != x.shape[-1]:
             raise DimensionMismatch("weight matrix and vector dimensions differ")
-        return norm_eval(NormSpec.p_norm(norm.p), A @ x)
-    parts = norm._split(x)
-    vals = [norm_eval(b, part) for b, part in zip(norm.blocks, parts)]
-    return float(sum(vals)) if norm.kind == "blocks" else float(max(vals))
+        x = x @ A.T
+    if math.isinf(norm.p):
+        vals = np.abs(x).max(axis=-1, initial=0.0)
+    else:
+        vals = np.sum(np.abs(x) ** norm.p, axis=-1) ** (1.0 / norm.p)
+    return norm.alpha * vals if norm.kind == "scaled" else vals
 
 
-def dual_norm_eval(norm: NormSpec, z) -> float:
-    """Evaluate the dual norm ||z||_*."""
+def norm_eval(norm: NormSpec, x) -> float | np.ndarray:
+    """Evaluate the (primal) norm over the last axis of x.
+
+    A vector gives a float; a stack of shape (..., m) gives the array of the
+    norms of its m-vectors.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x contains non-finite entries")
+    vals = _norm_rows(norm, x)
+    return float(vals) if x.ndim == 1 else vals
+
+
+def dual_norm_eval(norm: NormSpec, z) -> float | np.ndarray:
+    """Evaluate the dual norm ||z||_* over the last axis of z, like norm_eval."""
     return norm_eval(norm.dual_spec(), z)
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._validation import as_matrix, as_vector, check_symmetric
+from ._validation import as_matrix, as_samples, as_vector, check_symmetric
 from .convex_analysis import (
     NormSpec,
     SetSpec,
@@ -77,7 +77,7 @@ class BallSpec:
     support: Optional[SetSpec] = None
 
     def __post_init__(self):
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError("ball radius eps must be nonnegative")
         if self.p not in (1.0, 2.0, math.inf):
             raise ValueError("ball order p must be 1, 2 or inf")
@@ -101,6 +101,12 @@ class BallSpec:
         return self.support
 
 
+def _as_points(xi) -> np.ndarray:
+    """One point as a vector, or several as the rows of a matrix."""
+    xi = np.asarray(xi, dtype=float)
+    return as_vector(xi, "xi") if xi.ndim < 2 else as_samples(xi, "xi")
+
+
 class PiecewiseAffineLoss:
     """Loss xi -> max_j (a_j' xi + b_j) given as a list of (a_j, b_j) pieces."""
 
@@ -110,6 +116,8 @@ class PiecewiseAffineLoss:
             raise ValueError("at least one affine piece is required")
         A = np.vstack([np.atleast_1d(np.asarray(a, dtype=float)) for a, _ in pieces])
         b = np.array([float(b) for _, b in pieces])
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("pieces contain non-finite slopes or intercepts")
         self.A = A
         self.b = b
 
@@ -125,11 +133,11 @@ class PiecewiseAffineLoss:
     def pieces(self):
         return [(self.A[j].copy(), float(self.b[j])) for j in range(self.n_pieces)]
 
-    def piece_values(self, xi) -> np.ndarray:
-        return self.A @ as_vector(xi, "xi") + self.b
-
-    def value(self, xi) -> float:
-        return float(np.max(self.piece_values(xi)))
+    def value(self, xi) -> float | np.ndarray:
+        """Loss at a point (a float) or at each row of an (N, m) stack (an array)."""
+        xi = _as_points(xi)
+        vals = self.piece_table(xi).max(axis=-1)
+        return float(vals) if xi.ndim == 1 else vals
 
     def piece_table(self, atoms: np.ndarray) -> np.ndarray:
         """Matrix L with L[i, j] = a_j' atom_i + b_j."""
@@ -152,17 +160,16 @@ class QuadraticLoss:
     def dim(self) -> int:
         return self.q.size
 
-    def value(self, xi) -> float:
-        xi = as_vector(xi, "xi")
-        return float(xi @ self.Q @ xi + 2.0 * self.q @ xi)
+    def value(self, xi) -> float | np.ndarray:
+        """Loss at a point (a float) or at each row of an (N, m) stack (an array)."""
+        xi = _as_points(xi)
+        vals = np.einsum("...j,jk,...k->...", xi, self.Q, xi) + 2.0 * (xi @ self.q)
+        return float(vals) if xi.ndim == 1 else vals
 
 
 def expected_loss(loss, distribution: DiscreteDistribution) -> float:
-    """Expected loss under a discrete distribution, summed in index order."""
-    total = 0.0
-    for x, w in zip(distribution.atoms, distribution.weights):
-        total += float(w) * loss.value(x)
-    return total
+    """Expected loss under a discrete distribution."""
+    return float(distribution.weights @ loss.value(distribution.atoms))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -244,7 +251,7 @@ def _check_inputs(loss_dim: int, samples: DiscreteDistribution, ball: BallSpec) 
 
 def lipschitz_modulus_pwa(loss: PiecewiseAffineLoss, norm: NormSpec) -> float:
     """Lipschitz constant of a max-affine loss: the largest dual piece norm."""
-    return max(dual_norm_eval(norm, a) for a in loss.A)
+    return float(dual_norm_eval(norm, loss.A).max())
 
 
 def lipschitz_upper_bound(
@@ -252,9 +259,7 @@ def lipschitz_upper_bound(
 ) -> float:
     """Nominal risk plus radius times Lipschitz modulus; bounds every ball order."""
     _check_inputs(loss.dim, samples, ball)
-    L = loss.piece_table(samples.atoms)
-    nominal = float(samples.weights @ L.max(axis=1))
-    return nominal + ball.eps * lipschitz_modulus_pwa(loss, ball.norm)
+    return expected_loss(loss, samples) + ball.eps * lipschitz_modulus_pwa(loss, ball.norm)
 
 
 def _wc_pwa_lp(
@@ -346,8 +351,8 @@ def _wc_pwa_p2_whole(
             + sum_i w_i max_j [ l_j(xi_i) + ||a_j||_*^2 / (4 gamma) ].
     """
     L = loss.piece_table(samples.atoms)
-    D = np.array([dual_norm_eval(ball.norm, a) ** 2 for a in loss.A])
-    nominal = float(samples.weights @ L.max(axis=1))
+    D = dual_norm_eval(ball.norm, loss.A) ** 2
+    nominal = expected_loss(loss, samples)
     d_max = float(np.max(D))
     if d_max == 0.0:
         return nominal
@@ -389,8 +394,7 @@ def wc_risk_pwa(
     Returns +inf when the dual LP certifies an infinite worst case.
     """
     support = _check_inputs(loss.dim, samples, ball)
-    L = loss.piece_table(samples.atoms)
-    nominal = float(samples.weights @ L.max(axis=1))
+    nominal = expected_loss(loss, samples)
     if ball.eps == 0.0:
         return nominal
 
@@ -410,8 +414,8 @@ def wc_risk_pwa(
         if ball.p == 1.0:
             return nominal + ball.eps * lipschitz_modulus_pwa(loss, ball.norm)
         if ball.p == math.inf:
-            duals = np.array([dual_norm_eval(ball.norm, a) for a in loss.A])
-            per_sample = (L + ball.eps * duals[None, :]).max(axis=1)
+            duals = dual_norm_eval(ball.norm, loss.A)
+            per_sample = (loss.piece_table(samples.atoms) + ball.eps * duals).max(axis=1)
             return float(samples.weights @ per_sample)
         return _wc_pwa_p2_whole(loss, samples, ball, tol)
 
@@ -453,8 +457,7 @@ def robust_lower_bound(
     support = _check_inputs(loss.dim, samples, ball)
     if not math.isfinite(ball.p):
         raise UnsupportedCombination("the perturbation bound needs a finite ball order")
-    L = loss.piece_table(samples.atoms)
-    nominal = float(samples.weights @ L.max(axis=1))
+    nominal = expected_loss(loss, samples)
     if ball.eps == 0.0:
         return nominal
 
@@ -470,9 +473,7 @@ def robust_lower_bound(
     w = samples.weights
     p, eps = ball.p, ball.eps
     target = eps**p
-    unit_norms = np.array(
-        [max(norm_eval(ball.norm, np.eye(m)[k]), 1e-12) for k in range(m)]
-    )
+    unit_norms = np.maximum(norm_eval(ball.norm, np.eye(m)), 1e-12)
 
     def ascend(gamma: float) -> np.ndarray:
         theta = np.zeros((N, m))
@@ -508,28 +509,27 @@ def robust_lower_bound(
                     theta[i, k] += best_t
         return theta
 
+    def spent(theta: np.ndarray) -> float:
+        return float(w @ norm_eval(ball.norm, theta) ** p)
+
     def evaluate(theta: np.ndarray) -> float:
-        budget = float(sum(w[i] * norm_eval(ball.norm, theta[i]) ** p for i in range(N)))
+        budget = spent(theta)
         scale = 1.0 if budget <= target else (target / budget) ** (1.0 / p)
-        return float(
-            sum(w[i] * loss.value(samples.atoms[i] + scale * theta[i]) for i in range(N))
-        )
+        return float(w @ loss.value(samples.atoms + scale * theta))
 
     lip = lipschitz_modulus_pwa(loss, ball.norm)
     best = nominal
     g_lo, g_hi = 0.0, 2.0 * lip + 1.0
     for _ in range(8):
         theta = ascend(g_hi)
-        budget = float(sum(w[i] * norm_eval(ball.norm, theta[i]) ** p for i in range(N)))
-        if budget <= target:
+        if spent(theta) <= target:
             break
         g_hi *= 4.0
     for _ in range(30):
         g_mid = 0.5 * (g_lo + g_hi)
         theta = ascend(g_mid)
         best = max(best, evaluate(theta))
-        budget = float(sum(w[i] * norm_eval(ball.norm, theta[i]) ** p for i in range(N)))
-        if budget > target:
+        if spent(theta) > target:
             g_lo = g_mid
         else:
             g_hi = g_mid
@@ -544,7 +544,6 @@ class _QuadDual(NamedTuple):
     boundary: bool
     top_value: float
     top_vector: np.ndarray
-    nominal: float
 
 
 def _quad_scalar_dual(
@@ -561,9 +560,7 @@ def _quad_scalar_dual(
     eig = sym_eig(loss.Q, tol=tol)
     lam, V = eig.values, eig.vectors
     atoms, w = samples.atoms, samples.weights
-    nominal = float(
-        np.einsum("ij,jk,ik->i", atoms, loss.Q, atoms) @ w + 2.0 * (atoms @ loss.q) @ w
-    )
+    nominal = expected_loss(loss, samples)
     Cmat = (loss.q[None, :] + atoms @ loss.Q) @ V  # rows c_i
     D = Cmat**2
 
@@ -615,7 +612,6 @@ def _quad_scalar_dual(
         boundary=boundary,
         top_value=float(lam[0]),
         top_vector=V[:, 0].copy(),
-        nominal=nominal,
     )
 
 
@@ -630,7 +626,7 @@ def wc_risk_quadratic(
         raise DimensionMismatch(
             f"loss dimension {loss.dim} does not match sample dimension {samples.dim}"
         )
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if eps == 0.0:
         return expected_loss(loss, samples)
@@ -654,7 +650,7 @@ def extremal_quadratic(
         raise DimensionMismatch(
             f"loss dimension {loss.dim} does not match sample dimension {samples.dim}"
         )
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if eps == 0.0:
         return ExtremalReport(
@@ -815,8 +811,7 @@ def extremal_pwa(
     support = _check_inputs(loss.dim, samples, ball)
     if ball.p != 1.0:
         raise UnsupportedCombination("extremal construction is for type-1 balls only")
-    L = loss.piece_table(samples.atoms)
-    nominal = float(samples.weights @ L.max(axis=1))
+    nominal = expected_loss(loss, samples)
     if ball.eps == 0.0:
         return ExtremalReport(
             kind="attained",
@@ -832,7 +827,7 @@ def extremal_pwa(
             "extremal construction"
         )
 
-    duals = np.array([dual_norm_eval(ball.norm, a) for a in loss.A])
+    duals = dual_norm_eval(ball.norm, loss.A)
     j_star = int(np.argmax(duals))
     lip = float(duals[j_star])
     if lip <= 1e-15:

@@ -41,6 +41,7 @@ __all__ = [
 
 _CLASSIFICATION = ("hinge", "smooth_hinge", "logloss")
 _REGRESSION = ("squared", "huber", "eps_insensitive", "pinball")
+_PIECEWISE = ("hinge", "eps_insensitive", "pinball")
 _NORM_CAP = 1e6
 
 
@@ -51,6 +52,12 @@ class UnivariateLoss:
     smooth_hinge, logloss.  Regression kinds (applied to the residual
     w'x - y): squared, huber(delta > 0), eps_insensitive(delta >= 0),
     pinball(delta in [0, 1]).
+
+    value and subgrad take a float or an array of arguments.  The piecewise
+    affine kinds (hinge, eps_insensitive, pinball) are read off pieces():
+    the value is the largest piece, and the subgradient is the slope of the
+    first piece attaining it, so at a kink the lowest-indexed active piece
+    decides.
     """
 
     def __init__(self, kind: str, delta: float | None = None):
@@ -69,6 +76,7 @@ class UnivariateLoss:
             raise ValueError(f"{kind} takes no parameter")
         self.kind = kind
         self.delta = None if delta is None else float(delta)
+        self._table = np.array(self.pieces()) if kind in _PIECEWISE else None
 
     @property
     def is_classification(self) -> bool:
@@ -93,59 +101,45 @@ class UnivariateLoss:
             return max(self.delta, 1.0 - self.delta)
         raise UnsupportedLoss("the squared loss has no global Lipschitz modulus")
 
-    def value(self, z: float) -> float:
-        z = float(z)
-        if self.kind == "hinge":
-            return max(0.0, 1.0 - z)
-        if self.kind == "smooth_hinge":
-            if z <= 0.0:
-                return 0.5 - z
-            if z < 1.0:
-                return 0.5 * (1.0 - z) ** 2
-            return 0.0
-        if self.kind == "logloss":
-            if z < -35.0:
-                return -z
-            return math.log1p(math.exp(-z))
-        if self.kind == "squared":
-            return z * z
-        if self.kind == "huber":
-            if abs(z) <= self.delta:
-                return 0.5 * z * z
-            return self.delta * (abs(z) - 0.5 * self.delta)
-        if self.kind == "eps_insensitive":
-            return max(0.0, abs(z) - self.delta)
-        return max(-self.delta * z, (1.0 - self.delta) * z)
+    def value(self, z) -> float | np.ndarray:
+        """L(z) for a float, or elementwise for an array of arguments."""
+        z = np.asarray(z, dtype=float)
+        if self.kind in _PIECEWISE:
+            v = self._pieces_at(z)[1].max(axis=0)
+        elif self.kind == "smooth_hinge":
+            v = np.where(z <= 0.0, 0.5 - z, 0.5 * np.clip(1.0 - z, 0.0, None) ** 2)
+        elif self.kind == "logloss":
+            # exp(-z) rounds to zero for large margins; the branch not taken
+            # is evaluated at a clipped argument so it cannot overflow
+            with np.errstate(under="ignore"):
+                v = np.where(z < -35.0, -z, np.log1p(np.exp(-np.maximum(z, -35.0))))
+        elif self.kind == "squared":
+            v = z * z
+        else:
+            a = np.abs(z)
+            v = np.where(a <= self.delta, 0.5 * z * z, self.delta * (a - 0.5 * self.delta))
+        return float(v) if v.ndim == 0 else v
 
-    def subgrad(self, z: float) -> float:
-        z = float(z)
-        if self.kind == "hinge":
-            return -1.0 if z < 1.0 else 0.0
-        if self.kind == "smooth_hinge":
-            if z <= 0.0:
-                return -1.0
-            if z < 1.0:
-                return z - 1.0
-            return 0.0
-        if self.kind == "logloss":
-            if z > 35.0:
-                return -math.exp(-z)
-            return -1.0 / (1.0 + math.exp(z))
-        if self.kind == "squared":
-            return 2.0 * z
-        if self.kind == "huber":
-            if abs(z) <= self.delta:
-                return z
-            return self.delta * math.copysign(1.0, z)
-        if self.kind == "eps_insensitive":
-            if abs(z) <= self.delta:
-                return 0.0
-            return math.copysign(1.0, z)
-        if z > 0.0:
-            return 1.0 - self.delta
-        if z < 0.0:
-            return -self.delta
-        return 0.0
+    def subgrad(self, z) -> float | np.ndarray:
+        """A subgradient of L at z, elementwise like value."""
+        z = np.asarray(z, dtype=float)
+        if self.kind in _PIECEWISE:
+            slopes, table = self._pieces_at(z)
+            g = slopes[table.argmax(axis=0)]
+        elif self.kind == "smooth_hinge":
+            g = np.clip(z - 1.0, -1.0, 0.0)
+        elif self.kind == "logloss":
+            with np.errstate(under="ignore"):
+                g = np.where(
+                    z > 35.0,
+                    -np.exp(-np.maximum(z, 35.0)),
+                    -1.0 / (1.0 + np.exp(np.minimum(z, 35.0))),
+                )
+        elif self.kind == "squared":
+            g = 2.0 * z
+        else:
+            g = np.clip(z, -self.delta, self.delta)
+        return float(g) if g.ndim == 0 else g
 
     def pieces(self) -> list:
         """Slope/intercept pairs with L(z) = max_j (slope_j z + intercept_j)."""
@@ -156,6 +150,11 @@ class UnivariateLoss:
         if self.kind == "pinball":
             return [(-self.delta, 0.0), (1.0 - self.delta, 0.0)]
         raise UnsupportedLoss(f"{self.kind} is not piecewise affine")
+
+    def _pieces_at(self, z: np.ndarray):
+        """The piece slopes, and the piece values at z stacked on a new first axis."""
+        slopes, intercepts = self._table.T
+        return slopes, np.multiply.outer(slopes, z) + intercepts.reshape((-1,) + (1,) * z.ndim)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -174,6 +173,12 @@ def _dual(input_norm: NormSpec | None) -> NormSpec:
     return (input_norm or NormSpec.p_norm(2.0)).dual_spec()
 
 
+def _check_kind(loss: UnivariateLoss, classification: bool) -> None:
+    if loss.is_classification != classification:
+        task = "classification" if classification else "regression"
+        raise UnsupportedLoss(f"{loss.kind} is not a {task} loss")
+
+
 def _check_labeled(X, y, classification: bool):
     X = as_samples(X, "X")
     y = as_vector(y, "y")
@@ -186,15 +191,54 @@ def _check_labeled(X, y, classification: bool):
     return X, y
 
 
+def _objective(X: np.ndarray, y: np.ndarray, loss: UnivariateLoss, eps: float, dual: NormSpec):
+    """The regularized training objective and a subgradient map, as (fun, grad).
+
+    Classification kinds average L over the margins y * Xw, regression kinds
+    over the residuals Xw - y, plus eps * Lip(L) * ||w||_*.  The squared
+    loss instead gives (root mean squared residual + eps * ||w||_*)^2.
+    """
+    n = X.shape[0]
+    if loss.kind == "squared":
+
+        def fun(w):
+            r = X @ w - y
+            return float((math.sqrt(np.mean(r**2)) + eps * norm_eval(dual, w)) ** 2)
+
+        def grad(w):
+            r = X @ w - y
+            rmse = math.sqrt(np.mean(r**2))
+            reg = eps * norm_eval(dual, w)
+            d_rmse = X.T @ r / (n * rmse) if rmse > 0 else np.zeros_like(w)
+            return 2.0 * (rmse + reg) * (d_rmse + eps * norm_subgradient(dual, w))
+
+        return fun, grad
+
+    penalty = eps * loss.lipschitz
+
+    def args(w):
+        return y * (X @ w) if loss.is_classification else X @ w - y
+
+    def fun(w):
+        return float(loss.value(args(w)).sum() / n + penalty * norm_eval(dual, w))
+
+    def grad(w):
+        slopes = loss.subgrad(args(w))
+        if loss.is_classification:
+            slopes = slopes * y
+        return slopes @ X / n + penalty * norm_subgradient(dual, w)
+
+    return fun, grad
+
+
 def classification_objective(
     weights, X, y, loss: UnivariateLoss, eps: float, input_norm: NormSpec | None = None
 ) -> float:
     """Average margin loss plus eps times the dual norm of the weights."""
+    _check_kind(loss, classification=True)
     w = as_vector(weights, "weights")
     X, y = _check_labeled(X, y, classification=True)
-    dual = _dual(input_norm)
-    margins = y * (X @ w)
-    return float(np.mean([loss.value(z) for z in margins]) + eps * norm_eval(dual, w))
+    return _objective(X, y, loss, eps, _dual(input_norm))[0](w)
 
 
 def regression_objective(
@@ -207,14 +251,10 @@ def regression_objective(
     input_norm: NormSpec | None = None,
 ) -> float:
     """Regularized residual loss; the squared kind composes the square."""
+    _check_kind(loss, classification=False)
     w = as_vector(weights, "weights")
     X, y = _check_labeled(X, y, classification=False)
-    dual = _dual(input_norm)
-    residuals = X @ w - y
-    reg = eps * norm_eval(dual, w)
-    if loss.kind == "squared":
-        return float((math.sqrt(np.mean(residuals**2)) + reg) ** 2)
-    return float(np.mean([loss.value(z) for z in residuals]) + loss.lipschitz * reg)
+    return _objective(X, y, loss, eps, _dual(input_norm))[0](w)
 
 
 def _ray_probe(fun, w: np.ndarray, value: float):
@@ -243,24 +283,12 @@ def dro_train_classifier(
     tol: Tolerance = DEFAULT_TOL,
 ) -> TrainedModel:
     """Train a linear scorer against input perturbations within radius eps."""
-    if not loss.is_classification:
-        raise UnsupportedLoss(f"{loss.kind} is not a classification loss")
-    if eps < 0:
+    _check_kind(loss, classification=True)
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     X, y = _check_labeled(X, y, classification=True)
     degenerate = bool(np.unique(y).size == 1)
-    dual = _dual(input_norm)
-
-    def fun(w):
-        margins = y * (X @ w)
-        return float(np.mean([loss.value(z) for z in margins]) + eps * norm_eval(dual, w))
-
-    def grad(w):
-        margins = y * (X @ w)
-        slopes = np.array([loss.subgrad(z) for z in margins])
-        g = (slopes * y) @ X / X.shape[0]
-        return g + eps * norm_subgradient(dual, w)
-
+    fun, grad = _objective(X, y, loss, eps, _dual(input_norm))
     res = subgradient_minimize(fun, grad, np.zeros(X.shape[1]), tol=tol)
     w, value, unattained = _ray_probe(fun, res.x, res.value)
     # a strictly positive loss evaluating to numerical zero can only mean
@@ -291,44 +319,16 @@ def dro_train_regressor(
     The ball order must match the loss: squared requires p = 2, the
     Lipschitz kinds require p = 1.
     """
-    if loss.is_classification:
-        raise UnsupportedLoss(f"{loss.kind} is not a regression loss")
+    _check_kind(loss, classification=False)
     if loss.kind == "squared":
         if p != 2:
             raise PairingMismatch("the squared loss needs a type-2 ball")
     elif p != 1:
         raise PairingMismatch("Lipschitz losses need a type-1 ball")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     X, y = _check_labeled(X, y, classification=False)
-    dual = _dual(input_norm)
-    n = X.shape[0]
-
-    if loss.kind == "squared":
-
-        def fun(w):
-            r = X @ w - y
-            return float((math.sqrt(np.mean(r**2)) + eps * norm_eval(dual, w)) ** 2)
-
-        def grad(w):
-            r = X @ w - y
-            rmse = math.sqrt(np.mean(r**2))
-            reg = eps * norm_eval(dual, w)
-            d_rmse = X.T @ r / (n * rmse) if rmse > 0 else np.zeros_like(w)
-            return 2.0 * (rmse + reg) * (d_rmse + eps * norm_subgradient(dual, w))
-
-    else:
-        lip = loss.lipschitz
-
-        def fun(w):
-            r = X @ w - y
-            return float(np.mean([loss.value(z) for z in r]) + eps * lip * norm_eval(dual, w))
-
-        def grad(w):
-            r = X @ w - y
-            slopes = np.array([loss.subgrad(z) for z in r])
-            return slopes @ X / n + eps * lip * norm_subgradient(dual, w)
-
+    fun, grad = _objective(X, y, loss, eps, _dual(input_norm))
     res = subgradient_minimize(fun, grad, np.zeros(X.shape[1]), tol=tol)
     w, value, unattained = _ray_probe(fun, res.x, res.value)
     return TrainedModel(
@@ -371,12 +371,11 @@ def dro_objective_crosscheck(
         regularized = regression_objective(w, X, y, loss, eps, 1.0, input_norm)
         wn = float(w @ w)
         if wn <= 1e-24:
-            nominal = float(np.mean([loss.value(-yi) for yi in y]))
+            nominal = float(np.mean(loss.value(-y)))
             return regularized, nominal, regularized - nominal
         atoms = X - np.outer(y, w) / wn
-    A = np.array([slope * w for slope, _ in pieces])
-    b = np.array([intercept for _, intercept in pieces])
-    pwa = PiecewiseAffineLoss(list(zip(A, b)))
+    slopes, intercepts = np.array(pieces).T
+    pwa = PiecewiseAffineLoss(zip(np.outer(slopes, w), intercepts))
     wc = wc_risk_pwa(pwa, DiscreteDistribution(atoms), ball, tol=tol)
     return regularized, wc, regularized - wc
 

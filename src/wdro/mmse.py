@@ -233,7 +233,7 @@ def fw_solve(
     extracts the affine estimator from the best iterate seen.  Per-step
     linearization gaps certify f* - f(S_k) <= gap_k.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if iters < 1:
         raise ValueError("need at least one iteration")

@@ -53,7 +53,7 @@ class GelbrichBall:
     eps: float
 
     def __post_init__(self):
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError("ball radius eps must be nonnegative")
         object.__setattr__(self, "eps", float(self.eps))
 

@@ -18,7 +18,7 @@ equals the primal optimum at an optimal basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -89,7 +89,6 @@ class LPSolution:
     reduced_costs: np.ndarray | None = None
     dual_objective: float | None = None
     iterations: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 class LPBuilder:
@@ -101,10 +100,6 @@ class LPBuilder:
         self._rows: list[dict[int, float]] = []
         self._senses: list[str] = []
         self._rhs: list[float] = []
-
-    @property
-    def num_vars(self) -> int:
-        return len(self._costs)
 
     def add_var(self, lo: float | None = 0.0, hi: float | None = None, cost: float = 0.0) -> int:
         self._costs.append(float(cost))
@@ -194,17 +189,10 @@ class _Simplex:
                     bland = True
             else:
                 degen_streak = 0
-            # rank-one basis inverse update
-            piv = d[leave_pos]
-            eta = -d / piv
-            eta[leave_pos] = 1.0 / piv
-            row = self.B_inv[leave_pos, :].copy()
-            self.B_inv += np.outer(eta, row)
-            self.B_inv[leave_pos, :] = row / piv
+            self._pivot(leave_pos, j, d)
             self.x_B = self.x_B - theta * d
             self.x_B[leave_pos] = theta
             np.clip(self.x_B, 0.0, None, out=self.x_B)
-            self.basis[leave_pos] = j
             since_refactor += 1
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactor()
@@ -212,6 +200,20 @@ class _Simplex:
                 np.clip(self.x_B, 0.0, None, out=self.x_B)
                 since_refactor = 0
         raise MaxIterExceeded("simplex exceeded its iteration budget")
+
+    def _pivot(self, pos: int, j: int, d: np.ndarray) -> None:
+        """Put column j into the basis at position pos, given d = B_inv @ W[:, j].
+
+        The basis inverse gets the rank-one (eta) update; x_B is left to the
+        caller.
+        """
+        piv = d[pos]
+        eta = -d / piv
+        eta[pos] = 1.0 / piv
+        row = self.B_inv[pos, :].copy()
+        self.B_inv += np.outer(eta, row)
+        self.B_inv[pos, :] = row / piv
+        self.basis[pos] = j
 
     def duals(self, cost: np.ndarray) -> np.ndarray:
         return cost[self.basis] @ self.B_inv
@@ -350,14 +352,7 @@ def solve_lp(lp: LinearProgram, tol: Tolerance = DEFAULT_TOL) -> LPSolution:
             pivots = np.flatnonzero(np.abs(row_coefs) > _PIVOT_TOL)
             if pivots.size > 0:
                 j = int(pivots[0])
-                d = core.B_inv @ core.W[:, j]
-                piv = d[pos]
-                eta = -d / piv
-                eta[pos] = 1.0 / piv
-                row = core.B_inv[pos, :].copy()
-                core.B_inv += np.outer(eta, row)
-                core.B_inv[pos, :] = row / piv
-                core.basis[pos] = j
+                core._pivot(pos, j, core.B_inv @ core.W[:, j])
                 core.x_B = core.B_inv @ core.b
                 np.clip(core.x_B, 0.0, None, out=core.x_B)
                 pos += 1

@@ -166,12 +166,7 @@ class MomentPair:
 def _pairwise_costs(
     Q: DiscreteDistribution, Qp: DiscreteDistribution, p: float, norm: NormSpec
 ) -> np.ndarray:
-    diffs = Q.atoms[:, None, :] - Qp.atoms[None, :, :]
-    C = np.empty((Q.n_atoms, Qp.n_atoms))
-    for i in range(Q.n_atoms):
-        for j in range(Qp.n_atoms):
-            C[i, j] = norm_eval(norm, diffs[i, j]) ** p
-    return C
+    return norm_eval(norm, Q.atoms[:, None, :] - Qp.atoms[None, :, :]) ** p
 
 
 def wasserstein_p(

@@ -83,6 +83,21 @@ def test_norm_subgradients_support_identity():
                 assert dual_norm_eval(norm, g) <= 1.0 + 1e-9
 
 
+def test_stacked_norms_match_row_loop():
+    # a (..., m) stack gives the norms of its m-vectors, a vector a float
+    rng = np.random.RandomState(4)
+    for dim in (1, 2, 4):
+        for norm in random_norms(rng, dim):
+            for shape in ((7, dim), (3, 5, dim)):
+                X = rng.randn(*shape)
+                for f in (norm_eval, dual_norm_eval):
+                    stacked = f(norm, X)
+                    rows = [f(norm, x) for x in X.reshape(-1, dim)]
+                    assert all(isinstance(r, float) for r in rows)
+                    assert stacked.shape == shape[:-1]
+                    assert np.allclose(stacked.ravel(), rows, rtol=1e-13, atol=0.0)
+
+
 def test_conjugate_affine():
     f = ConjugableFunction.affine([1.0, 0.0], 2.0)
     assert conjugate_eval(f, [1.0, 0.0]) == -2.0

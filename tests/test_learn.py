@@ -70,6 +70,28 @@ def test_loss_table_values_and_subgradients():
             for _ in range(40):
                 z1, z2 = rng.uniform(-4.0, 4.0, size=2)
                 assert abs(loss.value(z1) - loss.value(z2)) <= lip * abs(z1 - z2) + 1e-12
+    # the same points passed as one array give the scalar answers elementwise
+    for loss, cases in table:
+        kinks = [-1.0, 0.0, 0.5, 1.0]
+        zs = np.concatenate([[z for z, _ in cases], rng.uniform(-3.0, 3.0, 40), kinks])
+        assert np.allclose(loss.value(zs), [loss.value(z) for z in zs], rtol=1e-14, atol=0.0)
+        assert np.allclose(loss.subgrad(zs), [loss.subgrad(z) for z in zs], rtol=1e-14, atol=0.0)
+        grid = np.stack([zs, -zs])
+        assert np.array_equal(loss.value(grid), [loss.value(zs), loss.value(-zs)])
+        assert np.array_equal(loss.subgrad(grid), [loss.subgrad(zs), loss.subgrad(-zs)])
+    # at a kink the first maximal piece decides: pinball's slope at 0 is -delta
+    assert UnivariateLoss("pinball", 0.3).subgrad(0.0) == -0.3
+
+
+def test_logloss_far_margins_raise_no_floating_point_warning():
+    loss = UnivariateLoss("logloss")
+    z = np.array([-1e3, -36.0, 0.0, 36.0, 1e3])
+    with np.errstate(all="raise"):
+        values, slopes = loss.value(z), loss.subgrad(z)
+        scalars = [(loss.value(zi), loss.subgrad(zi)) for zi in z]
+    assert values[0] == 1e3 and values[-1] == 0.0
+    assert slopes[0] == -1.0 and slopes[-1] == 0.0
+    assert np.allclose(np.column_stack([values, slopes]), scalars, rtol=1e-14, atol=0.0)
 
 
 def test_loss_parameter_validation():
