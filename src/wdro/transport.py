@@ -1,15 +1,20 @@
 """Exact type-p Wasserstein distances between discrete distributions.
 
-The distance is computed by solving the transport linear program over
-couplings of the two atom sets.  Optimal dual variables are returned as
-Kantorovich potentials (phi, psi) normalized so that
+The distance is the optimal value of the transportation problem over
+couplings of the two atom sets.  It is solved by the transportation (u-v)
+simplex on the N x M cost matrix: the basis is a spanning tree of N + M - 1
+cells of the bipartite row/column graph, started by the northwest-corner
+rule, and the tree's potentials are the Kantorovich potentials (phi, psi),
+normalized so that psi[M-1] = 0 and
 
-    psi_j - phi_i <= ||xi_i - xi'_j||^p   for every atom pair,
+    psi_j - phi_i <= ||xi_i - xi'_j||^p   for every atom pair.
 
-and the dual objective  psi . w' - phi . w  matches the primal optimum up
-to the solver gap.  The module also provides the Gelbrich lower bound on
-the type-2 distance, which depends on the two distributions only through
-their means and covariance matrices.
+Every answer is checked against its own cost matrix before it is returned:
+the plan's marginals, dual feasibility of the potentials and the gap
+between the primal value and the dual value  psi . w' - phi . w, all
+relative to the largest cost.  The module also provides the Gelbrich lower
+bound on the type-2 distance, which depends on the two distributions only
+through their means and covariance matrices.
 """
 
 from __future__ import annotations
@@ -22,9 +27,8 @@ import numpy as np
 
 from ._validation import as_matrix, as_samples, as_vector, check_psd, check_symmetric, check_weights
 from .convex_analysis import NormSpec, norm_eval
-from .errors import DimensionMismatch, NumericalFailure
+from .errors import DimensionMismatch, MaxIterExceeded, NumericalFailure
 from .numerics import DEFAULT_TOL, Tolerance, psd_sqrt
-from .simplex import LinearProgram, solve_lp
 
 __all__ = [
     "DiscreteDistribution",
@@ -81,18 +85,23 @@ class DiscreteDistribution:
         return cls(as_samples(samples, "samples"))
 
     def merged(self, tol: float = 1e-10) -> "DiscreteDistribution":
-        """Collapse atoms closer than ``tol`` in Euclidean distance."""
-        reps = []
-        wts = []
+        """Collapse atoms closer than ``tol`` in Euclidean distance.
+
+        Atoms are visited in order; each joins the first earlier
+        representative within ``tol`` or becomes a representative itself.
+        """
+        reps = np.empty_like(self.atoms)
+        wts = np.empty(self.n_atoms)
+        n = 0
         for x, w in zip(self.atoms, self.weights):
-            for k, r in enumerate(reps):
-                if np.linalg.norm(x - r) <= tol:
-                    wts[k] += w
-                    break
+            near = np.flatnonzero(np.linalg.norm(reps[:n] - x, axis=1) <= tol)
+            if near.size:
+                wts[near[0]] += w
             else:
-                reps.append(x.copy())
-                wts.append(float(w))
-        return DiscreteDistribution(np.array(reps), np.array(wts))
+                reps[n] = x
+                wts[n] = w
+                n += 1
+        return DiscreteDistribution(reps[:n].copy(), wts[:n].copy())
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -169,6 +178,155 @@ def _pairwise_costs(
     return norm_eval(norm, Q.atoms[:, None, :] - Qp.atoms[None, :, :]) ** p
 
 
+# Reduced costs above -_PRICE_TOL * max C count as nonnegative: a hundredth
+# of the default certificate tolerance, and far above the roundoff of
+# potentials summed along tree paths.
+_PRICE_TOL = 1e-12
+# Consecutive degenerate pivots after which pricing switches to Bland's rule.
+_DEGENERATE_STREAK = 50
+
+
+def _transport_simplex(
+    C: np.ndarray, a: np.ndarray, b: np.ndarray, root: int, max_iter: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transportation simplex: min <C, X> over couplings X of a and b.
+
+    Nodes 0..N-1 are the rows and N..N+M-1 the columns; a basic cell (i, j)
+    is the tree edge between nodes i and N + j.  The tree hangs from column
+    ``root``, whose potential is 0, and every other node's potential follows
+    from its parent edge through u_i + v_j = C_ij.  A pivot brings in the
+    cell of most negative reduced cost (lowest flat index on ties), pushes
+    mass around the cycle it closes, drops the blocking cell of lowest flat
+    index, and rehangs only the subtree that the dropped cell cut off.
+    After a streak of degenerate pivots, and until a pivot moves mass again,
+    the entering cell is the lowest flat index with a negative reduced cost
+    (Bland's rule); a cycle consists of degenerate pivots only, so the
+    method cannot cycle.  Returns the plan and the row and column potentials.
+    """
+    N, M = C.shape
+    cost = C.tolist()
+    adj = [set() for _ in range(N + M)]
+    flow = {}
+
+    # Northwest corner: each cell exhausts its row or its column (on a tie,
+    # the row) and moves one step, so N + M - 1 cells form a spanning tree.
+    i = j = 0
+    ra, rb = float(a[0]), float(b[0])
+    while True:
+        t = min(ra, rb)
+        flow[i, j] = t
+        adj[i].add(N + j)
+        adj[N + j].add(i)
+        if i == N - 1 and j == M - 1:
+            break
+        ra -= t
+        rb -= t
+        if j == M - 1 or (i < N - 1 and ra <= rb):
+            i += 1
+            ra = float(a[i])
+        else:
+            j += 1
+            rb = float(b[j])
+
+    parent = [-1] * (N + M)
+    depth = [0] * (N + M)
+    pot = [0.0] * (N + M)
+
+    def cell(n: int) -> Tuple[int, int]:
+        """The basic cell joining node n to its parent."""
+        return (n, parent[n] - N) if n < N else (parent[n], n - N)
+
+    def hang(node: int, par: int) -> list:
+        """Hang the component of ``node`` below ``par``; returns its nodes."""
+        parent[node] = par
+        if par >= 0:
+            depth[node] = depth[par] + 1
+            r, c = cell(node)
+            pot[node] = cost[r][c] - pot[par]
+        members = [node]
+        for n in members:  # grows while it is walked: breadth first
+            pn, dn, pot_n = parent[n], depth[n] + 1, pot[n]
+            for w in adj[n]:
+                if w != pn:
+                    parent[w] = n
+                    depth[w] = dn
+                    pot[w] = (cost[n][w - N] if n < N else cost[w][n - N]) - pot_n
+                    members.append(w)
+        return members
+
+    root = N + root
+    hang(root, -1)
+    P = np.array(pot)
+    u, v = P[:N], P[N:]
+    thr = _PRICE_TOL * float(C.max())
+    pivots = 0
+    streak = 0
+    while True:
+        R = C - u[:, None]
+        R -= v
+        k = int(np.argmax(R < -thr) if streak > _DEGENERATE_STREAK else np.argmin(R))
+        if not R.flat[k] < -thr:
+            break
+        if pivots == max_iter:
+            raise MaxIterExceeded("transport simplex exceeded its pivot budget")
+        pivots += 1
+        i, j = divmod(k, M)
+
+        # the cycle: both endpoints climb to their common ancestor; the edges
+        # met on each side alternate between losing and gaining mass
+        x, y = i, N + j
+        side_x, side_y = [], []
+        while depth[x] > depth[y]:
+            side_x.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            side_y.append(y)
+            y = parent[y]
+        while x != y:
+            side_x.append(x)
+            x = parent[x]
+            side_y.append(y)
+            y = parent[y]
+
+        losing = [(cell(n), n) for n in side_x[0::2] + side_y[0::2]]
+        theta, leave, q = min((flow[c], c, n) for c, n in losing)
+        for c, _ in losing:
+            flow[c] = max(flow[c] - theta, 0.0)
+        for n in side_x[1::2] + side_y[1::2]:
+            flow[cell(n)] += theta
+        del flow[leave]
+        flow[i, j] = theta
+        streak = streak + 1 if theta == 0.0 else 0
+
+        # dropping q's parent edge cuts q's subtree loose; it holds the
+        # entering endpoint on q's side of the cycle and rehangs from it
+        e, other = (i, N + j) if q in side_x else (N + j, i)
+        adj[q].discard(parent[q])
+        adj[parent[q]].discard(q)
+        adj[e].add(other)
+        adj[other].add(e)
+        moved = hang(e, other)
+        P[moved] = [pot[n] for n in moved]
+
+    plan = np.zeros((N, M))
+    rows, cols = zip(*flow)
+    plan[rows, cols] = list(flow.values())
+    return plan, u, v
+
+
+def _dual_check(
+    C: np.ndarray, a: np.ndarray, b: np.ndarray, duals: DualPotentials, rel_tol: float
+) -> KRResult:
+    """Pairwise feasibility psi_j - phi_i <= C_ij, within rel_tol * max C."""
+    slack = duals.psi[None, :] - duals.phi[:, None] - C
+    i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
+    worst = float(slack[i, j])
+    dual_value = float(duals.psi @ b - duals.phi @ a)
+    if worst > rel_tol * float(np.max(C)):
+        return KRResult(False, dual_value, (int(i), int(j)), worst)
+    return KRResult(True, dual_value, None, max(worst, 0.0))
+
+
 def wasserstein_p(
     Q: DiscreteDistribution,
     Qp: DiscreteDistribution,
@@ -178,10 +336,22 @@ def wasserstein_p(
 ) -> TransportResult:
     """Type-p Wasserstein distance with optimal plan and dual potentials.
 
-    Solves the dense transport LP over all couplings.  One column
-    constraint is redundant given the row constraints and is dropped, so
-    the remaining equality system has full rank; the corresponding
-    potential entry is pinned to zero.
+    Solves the transportation problem on the N x M cost matrix with the
+    transportation simplex (see ``_transport_simplex``); more than
+    ``tol.max_iter`` pivots raise ``MaxIterExceeded``.  Both atom sets are
+    sorted by their first coordinate before the northwest-corner start.  On
+    the line (m = 1) that start is the quantile coupling, which is already
+    optimal; in higher dimension it begins nearer the optimum than the input
+    order does and saves pivots.  A reduced cost counts as negative below
+    -1e-12 * max C, a threshold relative to the costs so that the answer
+    does not depend on the scale of the atoms.  The potentials are pinned by
+    psi[M-1] = 0.
+
+    Before returning, the plan's marginals (within rel plus the weights'
+    own imbalance), dual feasibility of the potentials and the gap between
+    primal and dual value (both within rel * max C) are checked on the cost
+    matrix, with rel = max(tol.rel_tol, 1e-12); a failed check raises
+    ``NumericalFailure``.
     """
     if not isinstance(Q, DiscreteDistribution) or not isinstance(Qp, DiscreteDistribution):
         raise TypeError("wasserstein_p expects DiscreteDistribution inputs")
@@ -193,41 +363,43 @@ def wasserstein_p(
         norm = NormSpec.p_norm(2)
 
     N, M = Q.n_atoms, Qp.n_atoms
+    a, b = Q.weights, Qp.weights
     C = _pairwise_costs(Q, Qp, p, norm)
 
-    n_vars = N * M
-    n_rows = N + (M - 1)
-    A = np.zeros((n_rows, n_vars))
-    b = np.zeros(n_rows)
-    for i in range(N):
-        A[i, i * M : (i + 1) * M] = 1.0
-        b[i] = Q.weights[i]
-    for j in range(M - 1):
-        A[N + j, j::M] = 1.0
-        b[N + j] = Qp.weights[j]
+    rows = np.argsort(Q.atoms[:, 0], kind="stable")
+    cols = np.argsort(Qp.atoms[:, 0], kind="stable")
+    x_s, u_s, v_s = _transport_simplex(
+        C[np.ix_(rows, cols)], a[rows], b[cols], int(np.argmax(cols == M - 1)), tol.max_iter
+    )
+    x = np.empty((N, M))
+    x[np.ix_(rows, cols)] = x_s
+    u, v = np.empty(N), np.empty(M)
+    u[rows], v[cols] = u_s, v_s
 
-    lp = LinearProgram(c=C.ravel(), A=A, senses=["="] * n_rows, b=b)
-    sol = solve_lp(lp, tol=tol)
-    if sol.status != "optimal":
-        raise NumericalFailure(f"transport LP terminated with status {sol.status}")
-
-    # Basis solves leave entries around 1e-17 in the vertex solution; summed
-    # against nonzero costs they lift the value of a zero-cost instance to
-    # ~1e-16, which the p-th root amplifies.  Genuine plan entries are masses
-    # and sit many orders above this floor.
-    x = sol.x.copy()
+    # Rounding leaves masses around 1e-17 on cells that should carry none;
+    # summed against nonzero costs they lift the value of a zero-cost
+    # instance to ~1e-16, which the p-th root amplifies.  Genuine plan
+    # entries are masses and sit many orders above this floor.
     x[x < 1e-13 * max(float(x.max(initial=0.0)), 1e-300)] = 0.0
-    value = max(float(C.ravel() @ x), 0.0)
-    plan = TransportPlan(x.reshape(N, M), Q.weights, Qp.weights)
-
-    u = sol.duals[:N]
-    v = np.append(sol.duals[N:], 0.0)
+    value = max(float(np.sum(C * x)), 0.0)
+    plan = TransportPlan(x, a, b)
     duals = DualPotentials(phi=-u, psi=v)
 
-    dual_value = float(duals.psi @ Qp.weights - duals.phi @ Q.weights)
-    gap = value - dual_value
-    scale = 1.0 + abs(value)
-    if abs(gap) > max(tol.abs_tol, 1e-8 * scale):
+    # No check can ask for less than the threshold the solver stops at.
+    # Weights sum to one only within check_weights' slack, and the plan
+    # cannot match marginals whose totals differ.
+    rel = max(tol.rel_tol, _PRICE_TOL)
+    marginal_error = plan.max_marginal_error()
+    if marginal_error > rel + abs(float(a.sum() - b.sum())):
+        raise NumericalFailure(f"transport plan misses its marginals by {marginal_error:.3e}")
+    check = _dual_check(C, a, b, duals, rel)
+    if not check.is_feasible:
+        raise NumericalFailure(
+            f"potentials violate psi_j - phi_i <= C_ij at {check.violating_pair} "
+            f"by {check.violation:.3e} (max C {float(np.max(C)):.3e})"
+        )
+    gap = value - check.dual_value
+    if abs(gap) > rel * float(np.max(C)):
         raise NumericalFailure(f"transport duality gap {gap:.3e} exceeds tolerance")
 
     return TransportResult(distance=value ** (1.0 / p), plan=plan, duals=duals)
@@ -239,28 +411,25 @@ def kr_verify(
     norm: NormSpec,
     duals: DualPotentials,
     tol: Tolerance = DEFAULT_TOL,
+    p: float = 1.0,
 ) -> KRResult:
-    """Check type-1 dual feasibility on the atom set and report the value.
+    """Check type-p dual feasibility on the atom set and report the value.
 
-    Feasibility requires ``psi_j - phi_i <= ||xi_i - xi'_j||`` for every
-    pair; the returned value ``psi . w' - phi . w`` is then a certified
-    lower bound on the type-1 distance.  On violation the worst pair and
-    its slack excess are reported instead of raising.
+    Feasibility requires ``psi_j - phi_i <= ||xi_i - xi'_j||^p`` for every
+    pair, within ``tol.rel_tol`` times the largest cost; the returned value
+    ``psi . w' - phi . w`` is then a certified lower bound on the p-th power
+    of the type-p distance.  The check uses only the atoms and the
+    potentials, never the solver that produced them.  On violation the
+    worst pair and its slack excess are reported instead of raising.
     """
     if Q.dim != Qp.dim:
         raise DimensionMismatch(f"atom dimensions differ: {Q.dim} vs {Qp.dim}")
     if duals.phi.size != Q.n_atoms or duals.psi.size != Qp.n_atoms:
         raise DimensionMismatch("potential lengths do not match the atom counts")
-
-    C = _pairwise_costs(Q, Qp, 1.0, norm)
-    slack = duals.psi[None, :] - duals.phi[:, None] - C
-    i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
-    worst = float(slack[i, j])
-    feas_tol = max(tol.abs_tol, tol.rel_tol * (1.0 + float(np.max(np.abs(C)))))
-    dual_value = float(duals.psi @ Qp.weights - duals.phi @ Q.weights)
-    if worst > feas_tol:
-        return KRResult(False, dual_value, (int(i), int(j)), worst)
-    return KRResult(True, dual_value, None, max(worst, 0.0))
+    if not (p >= 1.0 and math.isfinite(p)):
+        raise ValueError("order p must be finite and >= 1")
+    C = _pairwise_costs(Q, Qp, p, norm)
+    return _dual_check(C, Q.weights, Qp.weights, duals, tol.rel_tol)
 
 
 def gelbrich_distance(m1: MomentPair, m2: MomentPair, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -6,6 +6,7 @@ import pytest
 
 from wdro.convex_analysis import NormSpec, norm_eval
 from wdro.errors import DimensionMismatch, NotPSD
+from wdro.numerics import Tolerance
 from wdro.transport import (
     DiscreteDistribution,
     DualPotentials,
@@ -256,6 +257,36 @@ def test_kr_verify_detects_violation():
     assert checked.violation > 0.5
 
 
+def test_kr_verify_flags_one_percent_violation_at_small_scale():
+    # at atom scale 1e-6 the type-2 costs are ~1e-12, so a tolerance with an
+    # absolute floor would accept any violation of this size
+    rng = np.random.RandomState(13)
+    Q = DiscreteDistribution(rng.randn(5, 2) * 1e-6, np.full(5, 0.2))
+    Qp = DiscreteDistribution(rng.randn(4, 2) * 1e-6, np.full(4, 0.25))
+    for p in (1.0, 2.0):
+        res = wasserstein_p(Q, Qp, p)
+        assert kr_verify(Q, Qp, EUCLID, res.duals, p=p).is_feasible
+        max_cost = max(norm_eval(EUCLID, x - y) ** p for x in Q.atoms for y in Qp.atoms)
+        # every column holds a basic cell, where the constraint is tight
+        bump = 0.01 * max_cost * np.eye(4)[2]
+        bumped = DualPotentials(res.duals.phi, res.duals.psi + bump)
+        checked = kr_verify(Q, Qp, EUCLID, bumped, p=p)
+        assert not checked.is_feasible
+        assert checked.violating_pair[1] == 2
+        assert abs(checked.violation - 0.01 * max_cost) <= 1e-6 * max_cost
+
+
+def test_zero_tolerance_is_held_to_the_pricing_threshold():
+    rng = np.random.RandomState(15)
+    exact = Tolerance(abs_tol=0.0, rel_tol=0.0)
+    for _ in range(5):
+        Q = random_distribution(rng, 12, 2)
+        Qp = random_distribution(rng, 9, 2)
+        for p in (1.0, 2.0):
+            ref = wasserstein_p(Q, Qp, p).distance
+            assert abs(wasserstein_p(Q, Qp, p, tol=exact).distance - ref) <= 1e-12 * ref
+
+
 def test_gelbrich_scalar_example():
     assert scalar_gelbrich(0.0, 2.0, 3.0, 1.0) == pytest.approx(SCALAR_GELBRICH_EXAMPLE, abs=1e-12)
     g = gelbrich_distance(MomentPair([0.0], [[4.0]]), MomentPair([3.0], [[1.0]]))
@@ -325,3 +356,29 @@ def test_merged_collapses_duplicates():
     M = Q.merged()
     assert M.n_atoms == 2
     assert sorted(M.weights.tolist()) == [0.5, 0.5]
+
+
+def test_merged_matches_first_representative_loop():
+    def loop_merged(Q, tol):
+        reps, wts = [], []
+        for x, w in zip(Q.atoms, Q.weights):
+            for k, r in enumerate(reps):
+                if np.linalg.norm(x - r) <= tol:
+                    wts[k] += w
+                    break
+            else:
+                reps.append(x.copy())
+                wts.append(float(w))
+        return np.array(reps), np.array(wts)
+
+    rng = np.random.RandomState(14)
+    for tol in (1e-10, 1e-3, 0.6):
+        for _ in range(20):
+            n, m = rng.randint(1, 25), rng.randint(1, 4)
+            # lattice points with jitter on both sides of the tolerance
+            atoms = rng.randint(-1, 2, size=(n, m)) + rng.randn(n, m) * 10.0 ** rng.randint(-13, -1)
+            Q = DiscreteDistribution(atoms, rng.dirichlet(np.ones(n)))
+            reps, wts = loop_merged(Q, tol)
+            M = Q.merged(tol)
+            assert np.array_equal(M.atoms, reps)
+            assert np.array_equal(M.weights, wts)
