@@ -11,8 +11,9 @@ normalized so that psi[M-1] = 0 and
 
 Every answer is checked against its own cost matrix before it is returned:
 the plan's marginals, dual feasibility of the potentials and the gap
-between the primal value and the dual value  psi . w' - phi . w, all
-relative to the largest cost.  The module also provides the Gelbrich lower
+between the primal value and the dual value  psi . w' - phi . w, each
+within the rounding that the compared numbers carry, so the checks scale
+with the atoms.  The module also provides the Gelbrich lower
 bound on the type-2 distance, which depends on the two distributions only
 through their means and covariance matrices.
 """
@@ -178,10 +179,18 @@ def _pairwise_costs(
     return norm_eval(norm, Q.atoms[:, None, :] - Qp.atoms[None, :, :]) ** p
 
 
-# Reduced costs above -_PRICE_TOL * max C count as nonnegative: a hundredth
-# of the default certificate tolerance, and far above the roundoff of
-# potentials summed along tree paths.
-_PRICE_TOL = 1e-12
+# Pricing runs in two passes, because tree potentials can be far larger
+# than the costs of the cells that decide optimality (a near cluster next to
+# far atoms), and there C_ij - u_i - v_j cancels almost all of their digits.
+# The fast pass prices with the rounded potentials and lets a cell enter only
+# where its reduced cost is negative beyond any rounding they can carry:
+# below -_ROUNDOFF * C_ij - 2 (_ROUNDOFF + (N + M) eps) max |u, v|.  When it
+# finds no cell, the exact pass recovers each potential's rounding error lo
+# (TwoSum along the tree), forms (C_ij - (u_i + v_j)) - (lo_i + lo_j), whose
+# first sum is exact where u_i and v_j cancel, and lets a cell enter below
+# -_ROUNDOFF * C_ij less eps^2-sized terms.  Both rules scale with the data,
+# and the exact one is relative to the cell's own cost.
+_ROUNDOFF = 16 * np.finfo(float).eps
 # Consecutive degenerate pivots after which pricing switches to Bland's rule.
 _DEGENERATE_STREAK = 50
 
@@ -195,13 +204,14 @@ def _transport_simplex(
     is the tree edge between nodes i and N + j.  The tree hangs from column
     ``root``, whose potential is 0, and every other node's potential follows
     from its parent edge through u_i + v_j = C_ij.  A pivot brings in the
-    cell of most negative reduced cost (lowest flat index on ties), pushes
-    mass around the cycle it closes, drops the blocking cell of lowest flat
-    index, and rehangs only the subtree that the dropped cell cut off.
-    After a streak of degenerate pivots, and until a pivot moves mass again,
-    the entering cell is the lowest flat index with a negative reduced cost
-    (Bland's rule); a cycle consists of degenerate pivots only, so the
-    method cannot cycle.  Returns the plan and the row and column potentials.
+    cell of most negative reduced cost (net of the allowances described at
+    ``_ROUNDOFF``; lowest flat index on ties), pushes mass around the cycle
+    it closes, drops the blocking cell of lowest flat index, and rehangs only
+    the subtree that the dropped cell cut off.  After a streak of degenerate
+    pivots, and until a pivot moves mass again, the entering cell is the
+    lowest flat index that may enter (Bland's rule); a cycle consists of
+    degenerate pivots only, so the method cannot cycle.  Returns the plan
+    and the row and column potentials.
     """
     N, M = C.shape
     cost = C.tolist()
@@ -254,19 +264,49 @@ def _transport_simplex(
                     members.append(w)
         return members
 
+    def rounding_errors() -> np.ndarray:
+        """lo such that pot + lo is each node's alternating path sum of costs.
+
+        pot[n] is the rounded cost minus pot[parent]; TwoSum recovers that
+        subtraction's error exactly, and lo subtracts the parent's lo, so
+        pot + lo is exact up to eps^2-sized terms per tree edge.
+        """
+        lo = [0.0] * (N + M)
+        for n in sorted(range(N + M), key=depth.__getitem__)[1:]:  # root first
+            r, c = cell(n)
+            pn, cij, s = parent[n], cost[r][c], pot[n]
+            z = s - cij
+            lo[n] = (cij - (s - z)) - (pot[pn] + z) - lo[pn]
+        return np.array(lo)
+
     root = N + root
     hang(root, -1)
     P = np.array(pot)
-    u, v = P[:N], P[N:]
-    thr = _PRICE_TOL * float(C.max())
+    big = float(np.abs(P).max())  # an upper bound on |u|, |v| from here on
+    eps = np.finfo(float).eps
+    C_up = C * (1.0 + _ROUNDOFF)
+    S = np.empty((N, M))
+
+    def price(rows: np.ndarray, cols: np.ndarray) -> int:
+        """A cell where S = C_up - rows - cols < 0 (see above), else -1."""
+        np.subtract(C_up, rows, out=S)
+        np.subtract(S, cols, out=S)
+        k = int(np.argmax(S < 0.0) if streak > _DEGENERATE_STREAK else np.argmin(S))
+        return k if S.flat[k] < 0.0 else -1
+
     pivots = 0
     streak = 0
     while True:
-        R = C - u[:, None]
-        R -= v
-        k = int(np.argmax(R < -thr) if streak > _DEGENERATE_STREAK else np.argmin(R))
-        if not R.flat[k] < -thr:
-            break
+        k = -1
+        if streak <= _DEGENERATE_STREAK:  # Bland's rule needs every cell that may enter
+            W = P - (_ROUNDOFF + (N + M) * eps) * big
+            k = price(W[:N, None], W[N:])
+        if k < 0:
+            lo = rounding_errors()
+            W = lo - _ROUNDOFF * ((N + M) * eps) ** 2 * big
+            k = price(P[:N, None] + P[N:] + W[:N, None], W[N:])
+            if k < 0:
+                break
         if pivots == max_iter:
             raise MaxIterExceeded("transport simplex exceeded its pivot budget")
         pivots += 1
@@ -306,25 +346,27 @@ def _transport_simplex(
         adj[e].add(other)
         adj[other].add(e)
         moved = hang(e, other)
-        P[moved] = [pot[n] for n in moved]
+        P[moved] = changed = [pot[n] for n in moved]
+        big = max(big, max(changed), -min(changed))
 
     plan = np.zeros((N, M))
     rows, cols = zip(*flow)
     plan[rows, cols] = list(flow.values())
-    return plan, u, v
+    P += lo
+    return plan, P[:N], P[N:]
 
 
 def _dual_check(
-    C: np.ndarray, a: np.ndarray, b: np.ndarray, duals: DualPotentials, rel_tol: float
+    C: np.ndarray, a: np.ndarray, b: np.ndarray, duals: DualPotentials, allowed
 ) -> KRResult:
-    """Pairwise feasibility psi_j - phi_i <= C_ij, within rel_tol * max C."""
+    """Pairwise feasibility psi_j - phi_i <= C_ij + allowed (scalar or per cell)."""
     slack = duals.psi[None, :] - duals.phi[:, None] - C
-    i, j = np.unravel_index(int(np.argmax(slack)), slack.shape)
-    worst = float(slack[i, j])
+    excess = slack - allowed
+    i, j = divmod(int(np.argmax(excess)), C.shape[1])
     dual_value = float(duals.psi @ b - duals.phi @ a)
-    if worst > rel_tol * float(np.max(C)):
-        return KRResult(False, dual_value, (int(i), int(j)), worst)
-    return KRResult(True, dual_value, None, max(worst, 0.0))
+    if excess[i, j] > 0.0:
+        return KRResult(False, dual_value, (i, j), float(slack[i, j]))
+    return KRResult(True, dual_value, None, max(float(slack.max()), 0.0))
 
 
 def wasserstein_p(
@@ -342,16 +384,21 @@ def wasserstein_p(
     sorted by their first coordinate before the northwest-corner start.  On
     the line (m = 1) that start is the quantile coupling, which is already
     optimal; in higher dimension it begins nearer the optimum than the input
-    order does and saves pivots.  A reduced cost counts as negative below
-    -1e-12 * max C, a threshold relative to the costs so that the answer
-    does not depend on the scale of the atoms.  The potentials are pinned by
-    psi[M-1] = 0.
+    order does and saves pivots.  Optimality is decided with the potentials'
+    rounding errors recovered exactly, so a reduced cost counts as negative
+    below -16 eps * C_ij, relative to the cell's own cost: the answer does
+    not depend on the scale of the atoms, and cells whose costs lie many
+    orders below max C are still priced right.  The potentials are pinned
+    by psi[M-1] = 0.
 
-    Before returning, the plan's marginals (within rel plus the weights'
-    own imbalance), dual feasibility of the potentials and the gap between
-    primal and dual value (both within rel * max C) are checked on the cost
-    matrix, with rel = max(tol.rel_tol, 1e-12); a failed check raises
-    ``NumericalFailure``.
+    Before returning, three checks run on the cost matrix, and a failed one
+    raises ``NumericalFailure``: the plan's marginals (within
+    max(tol.rel_tol, 1e-12) plus the weights' own imbalance); dual
+    feasibility psi_j - phi_i <= C_ij of the returned potentials, cell by
+    cell within 32 eps * (C_ij + |phi_i| + |psi_j|), the rounding those
+    numbers carry; and the gap between primal and dual value, within the
+    rounding of the two sums and never more than
+    max(tol.abs_tol, 1e-8 * (1 + value)).
     """
     if not isinstance(Q, DiscreteDistribution) or not isinstance(Qp, DiscreteDistribution):
         raise TypeError("wasserstein_p expects DiscreteDistribution inputs")
@@ -385,21 +432,29 @@ def wasserstein_p(
     plan = TransportPlan(x, a, b)
     duals = DualPotentials(phi=-u, psi=v)
 
-    # No check can ask for less than the threshold the solver stops at.
     # Weights sum to one only within check_weights' slack, and the plan
     # cannot match marginals whose totals differ.
-    rel = max(tol.rel_tol, _PRICE_TOL)
-    marginal_error = plan.max_marginal_error()
-    if marginal_error > rel + abs(float(a.sum() - b.sum())):
+    row_err = np.abs(x.sum(axis=1) - a)
+    col_err = np.abs(x.sum(axis=0) - b)
+    marginal_error = float(max(row_err.max(), col_err.max()))
+    if marginal_error > max(tol.rel_tol, 1e-12) + abs(float(a.sum() - b.sum())):
         raise NumericalFailure(f"transport plan misses its marginals by {marginal_error:.3e}")
-    check = _dual_check(C, a, b, duals, rel)
+    abs_u, abs_v = np.abs(u), np.abs(v)
+    # The exact pass leaves slack below 16 eps * C_ij; rounding the
+    # potentials and recomputing the slack add a few ulps of each term.
+    check = _dual_check(C, a, b, duals, 2.0 * _ROUNDOFF * (C + abs_u[:, None] + abs_v))
     if not check.is_feasible:
         raise NumericalFailure(
             f"potentials violate psi_j - phi_i <= C_ij at {check.violating_pair} "
-            f"by {check.violation:.3e} (max C {float(np.max(C)):.3e})"
+            f"by {check.violation:.3e}"
         )
+    # On basic cells C_ij = u_i + v_j up to one rounding, so the primal and
+    # dual sums differ by their rounding plus the potentials times the
+    # plan's marginal errors.
+    roundoff = (N + M + 4) * np.finfo(float).eps * (value + abs_u @ a + abs_v @ b)
+    roundoff += abs_u @ row_err + abs_v @ col_err
     gap = value - check.dual_value
-    if abs(gap) > rel * float(np.max(C)):
+    if abs(gap) > min(roundoff, max(tol.abs_tol, 1e-8 * (1.0 + value))):
         raise NumericalFailure(f"transport duality gap {gap:.3e} exceeds tolerance")
 
     return TransportResult(distance=value ** (1.0 / p), plan=plan, duals=duals)
@@ -429,7 +484,7 @@ def kr_verify(
     if not (p >= 1.0 and math.isfinite(p)):
         raise ValueError("order p must be finite and >= 1")
     C = _pairwise_costs(Q, Qp, p, norm)
-    return _dual_check(C, Q.weights, Qp.weights, duals, tol.rel_tol)
+    return _dual_check(C, Q.weights, Qp.weights, duals, tol.rel_tol * float(np.max(C)))
 
 
 def gelbrich_distance(m1: MomentPair, m2: MomentPair, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from wdro.convex_analysis import NormSpec, norm_eval
-from wdro.errors import DimensionMismatch, NotPSD
+from wdro import transport
+from wdro.errors import DimensionMismatch, NotPSD, NumericalFailure
 from wdro.numerics import Tolerance
 from wdro.transport import (
     DiscreteDistribution,
@@ -285,6 +286,25 @@ def test_zero_tolerance_is_held_to_the_pricing_threshold():
         for p in (1.0, 2.0):
             ref = wasserstein_p(Q, Qp, p).distance
             assert abs(wasserstein_p(Q, Qp, p, tol=exact).distance - ref) <= 1e-12 * ref
+
+
+def test_wasserstein_p_rejects_potentials_off_far_below_max_cost(monkeypatch):
+    # A near cluster beside a shared far atom: max C ~1e6, potentials ~1e6.
+    # A solver fault that moves the two cluster columns' potentials by
+    # +-1e-7 keeps the dual value (uniform weights) and stays within any
+    # tolerance relative to max C, but the cell-by-cell check must see it.
+    Q = DiscreteDistribution.from_samples([[0.0, 0.0], [1e-5, 1e-4], [1000.0, 0.0]])
+    Qp = DiscreteDistribution.from_samples([[5e-6, 1e-4], [6e-6, 0.0], [1000.0, 0.0]])
+    wasserstein_p(Q, Qp, 2.0)
+    solve = transport._transport_simplex
+
+    def faulty(*args):
+        plan, u, v = solve(*args)
+        return plan, u, v + np.array([1e-7, -1e-7, 0.0])
+
+    monkeypatch.setattr(transport, "_transport_simplex", faulty)
+    with pytest.raises(NumericalFailure, match="violate"):
+        wasserstein_p(Q, Qp, 2.0)
 
 
 def test_gelbrich_scalar_example():

@@ -49,6 +49,18 @@ def normalized(w):
     return w / w.sum()
 
 
+def assert_matches(X, a, Y, b, p, ref):
+    """The solver's value, plan cost, marginals and potentials against ref."""
+    Q, Qp = DiscreteDistribution(X, a), DiscreteDistribution(Y, b)
+    res = wasserstein_p(Q, Qp, p)
+    C = costs(Q.atoms, Qp.atoms, p, 2)
+    assert abs(res.distance**p - ref) <= REL * ref
+    assert abs(float(np.sum(C * res.plan.matrix)) - ref) <= REL * ref
+    assert res.plan.max_marginal_error() <= 1e-12
+    assert kr_verify(Q, Qp, NormSpec.p_norm(2), res.duals, p=p).is_feasible
+    assert res.duals.psi[-1] == 0.0
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_instances_match_highs(seed):
     rng = np.random.default_rng([seed, 17])
@@ -135,3 +147,42 @@ def test_large_degenerate_lattice_matches_assignment():
         res = wasserstein_p(Q, Qp, 1.0, NormSpec.p_norm(q))
         assert abs(res.distance - ref) <= REL * ref
         assert kr_verify(Q, Qp, NormSpec.p_norm(q), res.duals).is_feasible
+
+
+def test_near_cluster_beside_a_shared_far_atom():
+    # Both sets share an atom at distance 1000, so max C is ~1e6 at p = 2 and
+    # the tree potentials are ~1e6, while the improving swap inside the near
+    # cluster is worth ~2e-8.  Sorted by first coordinate, the northwest
+    # corner couples x1-y1 and x2-y2, which costs ~330 times the optimum.
+    X = np.array([[0.0, 0.0], [1e-5, 1e-4], [1000.0, 0.0]])
+    Y = np.array([[5e-6, 1e-4], [6e-6, 0.0], [1000.0, 0.0]])
+    w = np.full(3, 1.0 / 3.0)
+    for p in (1.0, 2.0):
+        C = costs(X, Y, p, 2)
+        ref = highs_value(C, w, w)
+        r, c = linear_sum_assignment(C)
+        assert abs(float(C[r, c].sum()) / 3 - ref) <= REL * ref
+        assert_matches(X, w, Y, w, p, ref)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_near_clusters_beside_far_atoms_match_the_cluster_alone(seed):
+    # Two far atoms carry the same mass on both sides, so an optimal plan
+    # leaves them in place and W_p^p is the optimum of the cluster block:
+    # 1e-7 to 1e-19 of max C here.  HiGHS's absolute tolerances cannot
+    # resolve the whole problem at such ratios, so the reference solves the
+    # block alone with its costs rescaled to a maximum of 1.
+    rng = np.random.default_rng([seed, 29])
+    n = 9
+    scale = 10.0 ** rng.uniform(-6, -3)
+    Z = rng.normal(size=(n, 2)) * scale
+    far = 1000.0 * rng.normal(size=(2, 2))
+    X = np.vstack([Z, far])
+    Y = np.vstack([Z + 0.5 * scale * rng.normal(size=(n, 2)), far])
+    wa, wb, wf = rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, 2)
+    wb *= wa.sum() / wb.sum()
+    a, b = normalized(np.concatenate([wa, wf])), normalized(np.concatenate([wb, wf]))
+    for p in (1.0, 2.0):
+        block = costs(X[:n], Y[:n], p, 2)
+        ref = highs_value(block / block.max(), a[:n], b[:n]) * block.max()
+        assert_matches(X, a, Y, b, p, ref)
