@@ -40,7 +40,7 @@ from .mmse import JointMoments, fw_solve, mmse_objective
 from .moment_risk import gelbrich_risk_quadratic
 from .numerics import DEFAULT_TOL, Tolerance
 from .shrinkage import _eq51_residual, sample_moments, wasserstein_shrinkage
-from .transport import DiscreteDistribution, MomentPair, gelbrich_distance, wasserstein_p
+from .transport import DiscreteDistribution, MomentPair, gelbrich_distance, kr_verify, wasserstein_p
 from .convex_analysis import NormSpec, SetSpec
 
 COMMANDS = ("transport", "wc-risk", "gelbrich", "shrink", "mmse", "train", "calibrate")
@@ -439,10 +439,12 @@ def parse_config(argv=None) -> RunConfig:
 
 def _run_transport(cfg: RunConfig):
     p = float(cfg.options["p"])
-    res = wasserstein_p(cfg.payload["q"], cfg.payload["qp"], p, cfg.payload["norm"], cfg.tol)
     q, qp = cfg.payload["q"], cfg.payload["qp"]
+    norm = cfg.payload["norm"] or NormSpec.p_norm(2)
+    res = wasserstein_p(q, qp, p, norm, cfg.tol)
     dual_value = float(res.duals.psi @ qp.weights - res.duals.phi @ q.weights)
     gap = abs(res.distance**p - dual_value)
+    feasibility = kr_verify(q, qp, norm, res.duals, cfg.tol, p).violation
     return (
         {
             "distance": res.distance,
@@ -450,7 +452,11 @@ def _run_transport(cfg: RunConfig):
             "phi": res.duals.phi,
             "psi": res.duals.psi,
         },
-        {"duality_gap": gap, "marginal_error": res.plan.max_marginal_error()},
+        {
+            "duality_gap": gap,
+            "marginal_error": res.plan.max_marginal_error(),
+            "dual_feasibility": feasibility,
+        },
     )
 
 

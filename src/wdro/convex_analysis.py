@@ -335,14 +335,15 @@ class SetSpec:
         return np.asarray(self.d, dtype=float)
 
     def contains(self, x, tol: float = 1e-9) -> bool:
+        """Membership; polyhedron rows hold within tol * (|C| |x| + |d|) each."""
         x = as_vector(x, "x")
         if self.kind == "whole":
             return True
         if self.kind == "ball":
             return norm_eval(self.norm, x) <= self.radius + tol
         if self.kind == "polyhedron":
-            resid = self.C_matrix() @ x - self.d_vector()
-            return bool(resid.max(initial=0.0) <= tol * (1.0 + np.abs(self.d_vector()).max(initial=0.0)))
+            C, d = self.C_matrix(), self.d_vector()
+            return bool(np.all(C @ x - d <= tol * (np.abs(C) @ np.abs(x) + np.abs(d))))
         return all(m.contains(x, tol) for m in self.members)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -262,81 +261,86 @@ def lipschitz_upper_bound(
     return expected_loss(loss, samples) + ball.eps * lipschitz_modulus_pwa(loss, ball.norm)
 
 
-def _wc_pwa_lp(
+class _MassSplit(NamedTuple):
+    value: float  # the worst-case risk, in the data's unit
+    alpha: np.ndarray  # (N, J) share of sample i's mass routed to piece j
+    theta: np.ndarray  # (N, J, m) aggregate shift of that mass, over unit
+    unit: float
+
+
+def _mass_split_lp(
     loss: PiecewiseAffineLoss,
     samples: DiscreteDistribution,
     ball: BallSpec,
     support: SetSpec,
     tol: Tolerance,
-) -> float:
-    """Dual LP for type-1 / type-inf balls over polyhedral (or whole) support.
+) -> _MassSplit:
+    """Primal mass-splitting LP for type-1 and type-inf balls.
 
-    Per sample i and piece j the inner conjugate reduces to
+    Variables alpha_ij (mass of sample i routed to piece j) and theta_ij
+    (aggregate shift of that mass), maximizing
+    sum_ij w_i [alpha_ij l_j(xi_i) + a_j' theta_ij] subject to the mixture
+    rows sum_j alpha_ij = 1, the support rows in perspective form
+    C(xi_i alpha_ij + theta_ij) <= d alpha_ij, and the transport rows: for
+    type 1 one shared budget sum_ij w_i t_ij <= eps with ||theta_ij|| <= t_ij,
+    for type inf ||theta_ij|| <= eps alpha_ij in each cell.  Its LP dual
+    holds one conjugate per piece (Mohajerin Esfahani and Kuhn 2018,
+    Thm 4.2), so the optimum is the worst-case risk.  In type 1, pairs with
+    alpha = 0 but theta != 0 are recession directions realized by escaping
+    atoms.
 
-        s_i >= l_j(xi_i) + (d - C xi_i)' lam_ij            (+ eps*t_ij if p=inf)
-        u_ij = a_j - C' lam_ij,   lam_ij >= 0,
-        ||u_ij||_* <= gamma (p=1)   or   ||u_ij||_* <= t_ij (p=inf),
-
-    minimizing gamma*eps + sum_i w_i s_i (p=1) or sum_i w_i s_i (p=inf).
+    The problem is positively homogeneous in the atoms, the offsets d, eps
+    and the intercepts b, so the LP is stated in the data's own length
+    unit: all four are divided by unit = max(max|xi|, max|d|, eps) (1 if
+    that is 0), so the simplex's absolute tolerances see the same numbers at
+    every input scale.  The value is scaled back; alpha and theta are left
+    in the normalized unit.
     """
-    dual = ball.norm.dual_spec()
-    m = samples.dim
-    if not dual.is_lp_representable(m):
-        raise UnsupportedCombination(
-            "the dual ground norm is not polyhedral; this ball/support "
-            "combination has no LP reformulation"
-        )
+    N, J, m = samples.n_atoms, loss.n_pieces, samples.dim
     if support.kind == "polyhedron":
-        C = support.C_matrix()
-        d = support.d_vector()
+        C, d = support.C_matrix(), support.d_vector()
     else:
-        C = np.zeros((0, m))
-        d = np.zeros(0)
-    n_rows = C.shape[0]
-    L = loss.piece_table(samples.atoms)
-    N, J = samples.n_atoms, loss.n_pieces
+        C, d = np.zeros((0, m)), np.zeros(0)
+    unit = max(float(np.abs(samples.atoms).max()), float(np.abs(d).max(initial=0.0)), ball.eps)
+    unit = unit or 1.0
+    atoms, d, eps = samples.atoms / unit, d / unit, ball.eps / unit
+    w = samples.weights
+    L = atoms @ loss.A.T + loss.b / unit
 
     builder = LPBuilder()
-    s_idx = builder.add_vars(N, lo=None)
-    for i in range(N):
-        builder.set_cost(s_idx[i], float(samples.weights[i]))
-    if ball.p == 1.0:
-        gamma = builder.add_var(lo=0.0, cost=ball.eps)
-    slack = d[None, :] - samples.atoms @ C.T  # (N, n_rows), nonnegative
-
+    alpha_idx = np.empty((N, J), dtype=int)
+    theta_idx = np.empty((N, J, m), dtype=int)
     for i in range(N):
         for j in range(J):
-            lam = builder.add_vars(n_rows, lo=0.0)
-            u = builder.add_vars(m, lo=None)
+            alpha_idx[i, j] = builder.add_var(lo=0.0, cost=-float(w[i] * L[i, j]))
+            th = builder.add_vars(m, lo=None)
+            theta_idx[i, j] = th
             for k in range(m):
-                coeffs = {int(u[k]): 1.0}
-                for r in range(n_rows):
-                    coeffs[int(lam[r])] = coeffs.get(int(lam[r]), 0.0) + C[r, k]
-                builder.add_row(coeffs, "=", float(loss.A[j, k]))
-            epi = {int(s_idx[i]): 1.0}
-            for r in range(n_rows):
-                epi[int(lam[r])] = -float(slack[i, r])
+                builder.set_cost(int(th[k]), -float(w[i] * loss.A[j, k]))
+        builder.add_row({int(alpha_idx[i, j]): 1.0 for j in range(J)}, "=", 1.0)
+
+    budget = {}
+    for i in range(N):
+        for j in range(J):
             if ball.p == 1.0:
-                builder.add_row(epi, ">=", float(L[i, j]))
-                add_norm_le_rows(builder, dual, u, gamma)
-            else:
                 t = builder.add_var(lo=0.0)
-                epi[int(t)] = -ball.eps
-                builder.add_row(epi, ">=", float(L[i, j]))
-                add_norm_le_rows(builder, dual, u, t)
+                budget[t] = float(w[i])
+                add_norm_le_rows(builder, ball.norm, theta_idx[i, j], t)
+            else:
+                add_norm_le_rows(builder, ball.norm, theta_idx[i, j], int(alpha_idx[i, j]), eps)
+            for r in range(C.shape[0]):
+                coeffs = {int(theta_idx[i, j, k]): float(C[r, k]) for k in range(m)}
+                coeffs[int(alpha_idx[i, j])] = float(C[r] @ atoms[i] - d[r])
+                builder.add_row(coeffs, "<=", 0.0)
+    if ball.p == 1.0:
+        builder.add_row(budget, "<=", eps)
 
     sol = solve_lp(builder.build(), tol=tol)
-    if sol.status == "infeasible":
-        return math.inf
     if sol.status == "unbounded":
-        warnings.warn(
-            "worst-case risk LP is unbounded; reporting an infinite risk",
-            RuntimeWarning,
-        )
-        return math.inf
+        raise Unbounded("worst-case risk is infinite; no extremal construction exists")
     if sol.status != "optimal":
         raise NumericalFailure(f"worst-case LP terminated with status {sol.status}")
-    return float(sol.objective)
+    return _MassSplit(-unit * float(sol.objective), sol.x[alpha_idx], sol.x[theta_idx], unit)
 
 
 def _wc_pwa_p2_whole(
@@ -387,11 +391,12 @@ def wc_risk_pwa(
 
     Whole-space supports use closed forms (type-1: nominal plus eps times
     the Lipschitz modulus; type-inf: per-sample sup; type-2: scalar dual).
-    Polyhedral supports use the dual LP, which requires p in {1, inf} and a
-    polyhedral dual ground norm.  ``method`` is one of "auto",
-    "closed_form", "lp"; forcing "lp" on a whole-space instance runs the
-    same LP with zero support rows, which is useful for cross-checks.
-    Returns +inf when the dual LP certifies an infinite worst case.
+    Polyhedral supports use the mass-splitting LP (``_mass_split_lp``, the
+    same LP ``extremal_pwa`` reads its distribution from), which requires
+    p in {1, inf} and a polyhedral ground norm.  ``method`` is one of
+    "auto", "closed_form", "lp"; forcing "lp" on a whole-space instance
+    runs the same LP with zero support rows, which is useful for
+    cross-checks.
     """
     support = _check_inputs(loss.dim, samples, ball)
     nominal = expected_loss(loss, samples)
@@ -421,7 +426,12 @@ def wc_risk_pwa(
 
     if ball.p == 2.0:
         raise UnsupportedCombination("the type-2 case has no LP path")
-    return _wc_pwa_lp(loss, samples, ball, support, tol)
+    if not ball.norm.is_lp_representable(samples.dim):
+        raise UnsupportedCombination(
+            "the ground norm is not polyhedral; this ball/support "
+            "combination has no LP reformulation"
+        )
+    return _mass_split_lp(loss, samples, ball, support, tol).value
 
 
 def _coordinate_intervals(C, d, xi, k, cap):
@@ -694,59 +704,18 @@ def _extremal_pwa_lp(
     support: SetSpec,
     tol: Tolerance,
 ) -> ExtremalReport:
-    """Primal mass-splitting LP for type-1 extremal distributions.
+    """Type-1 extremal distribution read off the mass-splitting LP's vertex.
 
-    Variables alpha_ij (mass of sample i routed to piece j) and theta_ij
-    (aggregate shift of that mass), maximizing
-    sum_ij w_i [alpha_ij l_j(xi_i) + a_j' theta_ij] subject to the mixture,
-    support (perspective form C(xi_i alpha + theta) <= d alpha) and budget
-    sum_ij w_i ||theta_ij|| <= eps rows.  Pairs with alpha = 0 but theta != 0
-    are recession directions realized by escaping atoms.
+    Pairs with alpha_ij > 0 become attained atoms xi_i + theta_ij/alpha_ij;
+    pairs with alpha_ij = 0 but theta_ij != 0 become escaping atoms.  Both
+    thresholds act on the normalized alpha and theta of ``_mass_split_lp``,
+    so the kind does not depend on the input scale; atoms and escape
+    budgets are scaled back by its unit afterwards.
     """
-    N, J, m = samples.n_atoms, loss.n_pieces, samples.dim
-    L = loss.piece_table(samples.atoms)
-    if support.kind == "polyhedron":
-        C, d = support.C_matrix(), support.d_vector()
-    else:
-        C, d = np.zeros((0, m)), np.zeros(0)
-
-    builder = LPBuilder()
-    alpha_idx = np.empty((N, J), dtype=int)
-    theta_idx = np.empty((N, J, m), dtype=int)
-    for i in range(N):
-        for j in range(J):
-            a_var = builder.add_var(lo=0.0, cost=-float(samples.weights[i] * L[i, j]))
-            alpha_idx[i, j] = a_var
-            th = builder.add_vars(m, lo=None)
-            theta_idx[i, j] = th
-            for k in range(m):
-                builder.set_cost(int(th[k]), -float(samples.weights[i] * loss.A[j, k]))
-        builder.add_row({int(alpha_idx[i, j]): 1.0 for j in range(J)}, "=", 1.0)
-
-    t_idx = np.empty((N, J), dtype=int)
-    for i in range(N):
-        for j in range(J):
-            t_idx[i, j] = builder.add_var(lo=0.0)
-            add_norm_le_rows(builder, ball.norm, theta_idx[i, j], int(t_idx[i, j]))
-            for r in range(C.shape[0]):
-                coeffs = {int(theta_idx[i, j, k]): float(C[r, k]) for k in range(m)}
-                coeffs[int(alpha_idx[i, j])] = float(C[r] @ samples.atoms[i] - d[r])
-                builder.add_row(coeffs, "<=", 0.0)
-    budget = {
-        int(t_idx[i, j]): float(samples.weights[i]) for i in range(N) for j in range(J)
-    }
-    builder.add_row(budget, "<=", ball.eps)
-
-    sol = solve_lp(builder.build(), tol=tol)
-    if sol.status == "unbounded":
-        raise Unbounded("worst-case risk is infinite; no extremal construction exists")
-    if sol.status != "optimal":
-        raise NumericalFailure(f"extremal LP terminated with status {sol.status}")
-    value = -float(sol.objective)
-
-    alpha = sol.x[alpha_idx]
-    theta = sol.x[theta_idx]
-    scale = 1.0 + float(np.max(np.abs(theta))) + ball.eps
+    split = _mass_split_lp(loss, samples, ball, support, tol)
+    alpha, theta, unit = split.alpha, split.theta, split.unit
+    N, J = alpha.shape
+    scale = 1.0 + float(np.max(np.abs(theta))) + ball.eps / unit
     a_tol = 1e-9
     th_tol = 1e-9 * scale
 
@@ -756,7 +725,7 @@ def _extremal_pwa_lp(
     for i in range(N):
         for j in range(J):
             if alpha[i, j] > a_tol:
-                atoms.append(samples.atoms[i] + theta[i, j] / alpha[i, j])
+                atoms.append(samples.atoms[i] + unit * theta[i, j] / alpha[i, j])
                 weights.append(float(samples.weights[i] * alpha[i, j]))
                 prev = donor_of_row.get(i)
                 if prev is None or weights[prev] < weights[-1]:
@@ -770,16 +739,16 @@ def _extremal_pwa_lp(
                     # at every n.  Capping the escaping mass at that budget
                     # shrinks the risk deficit (mass times the donor's gap
                     # to the escape piece) to O(budget/n).
-                    budget = float(samples.weights[i]) * r
-                    unit = min(float(samples.weights[i]), budget)
+                    budget = float(samples.weights[i]) * r * unit
+                    mass = min(float(samples.weights[i]), budget)
                     escapes.append(
                         EscapingAtom(
                             origin=samples.atoms[i].copy(),
                             direction=theta[i, j] / r,
                             donor=donor_of_row[i],
-                            donor_unit=unit,
+                            donor_unit=mass,
                             rate_kind="linear",
-                            coef=budget / unit,
+                            coef=budget / mass,
                         )
                     )
 
@@ -788,9 +757,9 @@ def _extremal_pwa_lp(
     base_weights = base_weights / base_weights.sum()
     if escapes:
         family = AsymptoticFamily(base_atoms, base_weights, tuple(escapes))
-        return ExtremalReport(kind="asymptotic", certified_value=value, family=family)
-    dist = DiscreteDistribution(base_atoms, base_weights).merged(1e-10)
-    return ExtremalReport(kind="attained", certified_value=value, distribution=dist)
+        return ExtremalReport(kind="asymptotic", certified_value=split.value, family=family)
+    dist = DiscreteDistribution(base_atoms, base_weights).merged(1e-10 * unit)
+    return ExtremalReport(kind="attained", certified_value=split.value, distribution=dist)
 
 
 def extremal_pwa(

@@ -113,6 +113,7 @@ def test_transport_run_matches_library(tmp_path):
     assert abs(report["results"]["distance"] - direct.distance) < 1e-12
     assert report["certificates"]["duality_gap"] <= 1e-8
     assert report["certificates"]["marginal_error"] <= 1e-10
+    assert report["certificates"]["dual_feasibility"] <= 1e-10
 
 
 def test_wc_risk_pwa_run(tmp_path):
