@@ -440,7 +440,7 @@ def parse_config(argv=None) -> RunConfig:
 def _run_transport(cfg: RunConfig):
     p = float(cfg.options["p"])
     q, qp = cfg.payload["q"], cfg.payload["qp"]
-    norm = cfg.payload["norm"] or NormSpec.p_norm(2)
+    norm = cfg.payload["norm"]
     res = wasserstein_p(q, qp, p, norm, cfg.tol)
     dual_value = float(res.duals.psi @ qp.weights - res.duals.phi @ q.weights)
     gap = abs(res.distance**p - dual_value)

@@ -289,35 +289,53 @@ def _mass_split_lp(
     alpha = 0 but theta != 0 are recession directions realized by escaping
     atoms.
 
-    The problem is positively homogeneous in the atoms, the offsets d, eps
-    and the intercepts b, so the LP is stated in the data's own length
-    unit: all four are divided by unit = max(max|xi|, max|d|, eps) (1 if
-    that is 0), so the simplex's absolute tolerances see the same numbers at
-    every input scale.  The value is scaled back; alpha and theta are left
-    in the normalized unit.
+    The LP is stated relative to the samples.  Each cost is the gap
+    l_j(xi_i) - l(xi_i) <= 0 to the sample's loss, so the value is the
+    nominal risk plus the optimum, and each support row reads
+    C theta_ij <= (d - C xi_i) alpha_ij.  The mixture rows are relaxed to
+    sum_j alpha_ij <= 1: mass left unrouted stays on the sample's active
+    piece, at gap 0 and with the loosest rows, so the optimum is unchanged,
+    the all-slack start is the nominal distribution and no phase 1 runs.
+    The returned alpha puts that mass back.  Gaps, slacks and eps scale
+    with lengths (a gap is a slope times a length) and are divided by a
+    length unit of the data, so translating or scaling the data leaves the
+    LP's numbers unchanged.  theta is left in that unit.
     """
     N, J, m = samples.n_atoms, loss.n_pieces, samples.dim
     if support.kind == "polyhedron":
         C, d = support.C_matrix(), support.d_vector()
     else:
         C, d = np.zeros((0, m)), np.zeros(0)
-    unit = max(float(np.abs(samples.atoms).max()), float(np.abs(d).max(initial=0.0)), ball.eps)
-    unit = unit or 1.0
-    atoms, d, eps = samples.atoms / unit, d / unit, ball.eps / unit
     w = samples.weights
-    L = atoms @ loss.A.T + loss.b / unit
+    L = loss.piece_table(samples.atoms)
+    nominal = L.max(axis=1)
+    # atoms accepted by the support's membership tolerance sit on its faces
+    slack = np.maximum(d[None, :] - samples.atoms @ C.T, 0.0)
+    # a type-inf cell moves at most eps: rows of faces beyond that are redundant
+    far = ball.eps * dual_norm_eval(ball.norm, C) if ball.p != 1.0 and C.size else math.inf
+    reachable = slack <= far
+    # The simplex's tolerances are absolute: lengths far below the unit vanish
+    # and lengths far above it swamp the pivots.  So the unit is the radius,
+    # capped at the largest sample-to-face distance (a huge radius in a small
+    # support), raised to half the samples' spread (a tiny radius among spread
+    # samples) and kept above 1e-6 eps (a sample next to a face).
+    norms = np.linalg.norm(C, axis=1)
+    reach = float((slack[:, norms > 0] / norms[norms > 0]).max()) if np.any(norms > 0) else math.inf
+    spread = 0.5 * float(np.ptp(samples.atoms, axis=0).max())
+    unit = max(spread, min(ball.eps, reach), 1e-6 * ball.eps)
+    gaps, slack, eps = (L - nominal[:, None]) / unit, slack / unit, ball.eps / unit
 
     builder = LPBuilder()
     alpha_idx = np.empty((N, J), dtype=int)
     theta_idx = np.empty((N, J, m), dtype=int)
     for i in range(N):
         for j in range(J):
-            alpha_idx[i, j] = builder.add_var(lo=0.0, cost=-float(w[i] * L[i, j]))
+            alpha_idx[i, j] = builder.add_var(lo=0.0, cost=-float(w[i] * gaps[i, j]))
             th = builder.add_vars(m, lo=None)
             theta_idx[i, j] = th
             for k in range(m):
                 builder.set_cost(int(th[k]), -float(w[i] * loss.A[j, k]))
-        builder.add_row({int(alpha_idx[i, j]): 1.0 for j in range(J)}, "=", 1.0)
+        builder.add_row({int(alpha_idx[i, j]): 1.0 for j in range(J)}, "<=", 1.0)
 
     budget = {}
     for i in range(N):
@@ -328,9 +346,9 @@ def _mass_split_lp(
                 add_norm_le_rows(builder, ball.norm, theta_idx[i, j], t)
             else:
                 add_norm_le_rows(builder, ball.norm, theta_idx[i, j], int(alpha_idx[i, j]), eps)
-            for r in range(C.shape[0]):
+            for r in np.flatnonzero(reachable[i]):
                 coeffs = {int(theta_idx[i, j, k]): float(C[r, k]) for k in range(m)}
-                coeffs[int(alpha_idx[i, j])] = float(C[r] @ atoms[i] - d[r])
+                coeffs[int(alpha_idx[i, j])] = -float(slack[i, r])
                 builder.add_row(coeffs, "<=", 0.0)
     if ball.p == 1.0:
         builder.add_row(budget, "<=", eps)
@@ -340,7 +358,10 @@ def _mass_split_lp(
         raise Unbounded("worst-case risk is infinite; no extremal construction exists")
     if sol.status != "optimal":
         raise NumericalFailure(f"worst-case LP terminated with status {sol.status}")
-    return _MassSplit(-unit * float(sol.objective), sol.x[alpha_idx], sol.x[theta_idx], unit)
+    value = float(w @ nominal) - unit * float(sol.objective)
+    alpha = sol.x[alpha_idx]
+    alpha[np.arange(N), L.argmax(axis=1)] += np.maximum(1.0 - alpha.sum(axis=1), 0.0)
+    return _MassSplit(value, alpha, sol.x[theta_idx], unit)
 
 
 def _wc_pwa_p2_whole(
@@ -708,7 +729,7 @@ def _extremal_pwa_lp(
 
     Pairs with alpha_ij > 0 become attained atoms xi_i + theta_ij/alpha_ij;
     pairs with alpha_ij = 0 but theta_ij != 0 become escaping atoms.  Both
-    thresholds act on the normalized alpha and theta of ``_mass_split_lp``,
+    thresholds act on alpha and the normalized theta of ``_mass_split_lp``,
     so the kind does not depend on the input scale; atoms and escape
     budgets are scaled back by its unit afterwards.
     """

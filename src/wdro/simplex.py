@@ -161,6 +161,7 @@ class _Simplex:
         bland = False
         degen_streak = 0
         since_refactor = 0
+        confirmed = 0
         for _ in range(max_iter):
             self.iterations += 1
             c_B = cost[self.basis]
@@ -169,7 +170,16 @@ class _Simplex:
             r[self.basis] = 0.0
             candidates = np.flatnonzero((r < -_PIVOT_TOL) & allowed)
             if candidates.size == 0:
-                return "optimal"
+                if since_refactor == 0 or confirmed >= 2:
+                    return "optimal"
+                # confirm optimality on a fresh inverse, at most twice: the
+                # rank-one updates drift, and a drifted inverse can price a
+                # wrong vertex optimal
+                self._refactor()
+                np.clip(self.x_B, 0.0, None, out=self.x_B)
+                since_refactor = 0
+                confirmed += 1
+                continue
             if bland:
                 j = int(candidates[0])
             else:
@@ -181,6 +191,10 @@ class _Simplex:
             ratios = self.x_B[pos] / d[pos]
             theta = ratios.min()
             ties = pos[np.flatnonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))]
+            if not bland:
+                # of the tied rows, pivot on the largest element: a small
+                # one can be rounding noise and leaves the basis near singular
+                ties = ties[d[ties] >= d[ties].max()]
             # lowest leaving-variable index on ties keeps pivoting deterministic
             leave_pos = int(ties[np.argmin(np.asarray(self.basis)[ties])])
             if theta <= _PIVOT_TOL:

@@ -174,8 +174,11 @@ class MomentPair:
 
 
 def _pairwise_costs(
-    Q: DiscreteDistribution, Qp: DiscreteDistribution, p: float, norm: NormSpec
+    Q: DiscreteDistribution, Qp: DiscreteDistribution, p: float, norm: Optional[NormSpec]
 ) -> np.ndarray:
+    """Costs ||xi_i - xi'_j||^p; the ground norm defaults to the 2-norm."""
+    if norm is None:
+        norm = NormSpec.p_norm(2)
     return norm_eval(norm, Q.atoms[:, None, :] - Qp.atoms[None, :, :]) ** p
 
 
@@ -406,8 +409,6 @@ def wasserstein_p(
         raise DimensionMismatch(f"atom dimensions differ: {Q.dim} vs {Qp.dim}")
     if not (p >= 1.0 and math.isfinite(p)):
         raise ValueError("order p must be finite and >= 1")
-    if norm is None:
-        norm = NormSpec.p_norm(2)
 
     N, M = Q.n_atoms, Qp.n_atoms
     a, b = Q.weights, Qp.weights
@@ -463,7 +464,7 @@ def wasserstein_p(
 def kr_verify(
     Q: DiscreteDistribution,
     Qp: DiscreteDistribution,
-    norm: NormSpec,
+    norm: Optional[NormSpec],
     duals: DualPotentials,
     tol: Tolerance = DEFAULT_TOL,
     p: float = 1.0,
@@ -476,6 +477,7 @@ def kr_verify(
     of the type-p distance.  The check uses only the atoms and the
     potentials, never the solver that produced them.  On violation the
     worst pair and its slack excess are reported instead of raising.
+    ``norm=None`` is the 2-norm, as in ``wasserstein_p``.
     """
     if Q.dim != Qp.dim:
         raise DimensionMismatch(f"atom dimensions differ: {Q.dim} vs {Qp.dim}")

@@ -71,3 +71,29 @@ def test_atom_outside_a_small_box_is_rejected_at_every_scale(s):
     samples = DiscreteDistribution.dirac([5.0 * s])
     with pytest.raises(ValueError, match="outside the support"):
         wc_risk_pwa(loss, samples, BallSpec(s, 1.0, NormSpec.p_norm(1.0), box))
+
+
+@pytest.mark.parametrize("half", [1e8, 1e10])
+@pytest.mark.parametrize("p", [1.0, math.inf], ids=["type1", "typeinf"])
+def test_far_box_gives_the_whole_space_value(p, half):
+    """A box far beyond the data changes the worst case by at most eps * gap / half.
+
+    A type-inf ball never reaches its faces, so the value is the whole-space
+    one.  In a type-1 ball an escaping mass must stop at a face, so it needs
+    at least eps / half of the mass, which it takes from pieces that lie at
+    most ``gap`` below the sample's loss.
+    """
+    for seed in SEEDS:
+        loss, samples, ball = instance(seed, 1.0, p, box=False)
+        whole = wc_risk_pwa(loss, samples, ball)
+        m = samples.dim
+        far = SetSpec.polyhedron(np.vstack([np.eye(m), -np.eye(m)]), np.full(2 * m, half))
+        far_ball = BallSpec(ball.eps, p, ball.norm, far)
+        L = loss.piece_table(samples.atoms)
+        slop = 0.0 if p != 1.0 else ball.eps * float(np.ptp(L, axis=1).max()) / (half - 1.0)
+        got = wc_risk_pwa(loss, samples, far_ball)
+        tol = REL * (1.0 + abs(whole))
+        assert whole - slop - tol <= got <= whole + tol, (seed, got, whole)
+        if p == 1.0:
+            rep = extremal_pwa(loss, samples, far_ball)
+            assert abs(rep.certified_value - got) <= REL * (1.0 + abs(got)), (seed, rep.kind)

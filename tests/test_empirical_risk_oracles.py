@@ -119,3 +119,37 @@ def test_lp_values_match_an_independent_dual(support, norm):
             if p == 1.0:
                 rep = extremal_pwa(loss, samples, ball)
                 assert abs(rep.certified_value - ref) <= REL * (1.0 + abs(ref)), (seed, rep.kind)
+
+
+@pytest.mark.parametrize("support", ["box", "polyhedron", "halfline", "whole"])
+def test_translated_data_with_a_small_radius_match_the_dual(support):
+    """Atoms moved by 1e7, with the loss and the support moved along.
+
+    The loss values and the problem are those of the untranslated instance,
+    whose dual is solved at its own scale; only the offset differs.
+    """
+    shift = 1e7
+    for seed in range(4):
+        rng = np.random.default_rng([seed, 29, len(support)])
+        m = 1 if support == "halfline" else 2
+        N, J = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        atoms = rng.uniform(-1.0, 1.0, size=(N, m))
+        w = rng.uniform(0.2, 1.0, N)
+        w /= w.sum()
+        A, b = rng.normal(size=(J, m)), rng.normal(size=J)
+        spec, C, d = support_rows(support, atoms, rng)
+        normspec, V = ground("one" if seed % 2 == 0 else "inf", m)
+        offset = np.full(m, shift)
+        moved_loss = PiecewiseAffineLoss(list(zip(A, b - A @ offset)))
+        moved = DiscreteDistribution(atoms + offset, w)
+        moved_spec = None if spec is None else SetSpec.polyhedron(C, d + C @ offset)
+        for eps in (1e-2, 1e-6):
+            for p in (1.0, math.inf):
+                ref = dual_lp_value(A, b, atoms, w, eps, p, C, d, V)
+                ball = BallSpec(eps, p, normspec, moved_spec)
+                got = wc_risk_pwa(moved_loss, moved, ball, method="lp")
+                # the moved data carry rounding of about 1e-16 * shift, 1e-9 here
+                assert abs(got - ref) <= REL * (1.0 + abs(ref)), (seed, eps, p, got, ref)
+                if p == 1.0:
+                    rep = extremal_pwa(moved_loss, moved, ball)
+                    assert abs(rep.certified_value - ref) <= REL * (1.0 + abs(ref)), (seed, eps)

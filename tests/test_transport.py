@@ -234,6 +234,16 @@ def test_kr_verify_roundtrip():
     assert abs(checked.dual_value - res.distance) <= 1e-8 * (1 + res.distance)
 
 
+def test_kr_verify_defaults_to_the_ground_norm_of_wasserstein_p():
+    rng = np.random.RandomState(9)
+    Q = random_distribution(rng, 5, 2)
+    Qp = random_distribution(rng, 4, 2)
+    res = wasserstein_p(Q, Qp, 2.0)
+    default = kr_verify(Q, Qp, None, res.duals, p=2.0)
+    assert default == kr_verify(Q, Qp, EUCLID, res.duals, p=2.0)
+    assert default.is_feasible
+
+
 def test_kr_verify_zero_potentials():
     rng = np.random.RandomState(8)
     Q = random_distribution(rng, 3, 2)
