@@ -3,8 +3,9 @@
 These are the closed-form ingredients the worst-case-risk reformulations are
 assembled from: the dual-norm table (p-norms, scalings, positive-definite
 weightings, separable block composites), the conjugate table (affine,
-quadratic, norms and their powers, logloss, exp), and support functions of
-whole space, norm balls, polyhedra, and their intersections.
+quadratic, norms and their powers, logloss, exp), the epigraph rows of
+polyhedral norms as numpy blocks for the LPs, and scale-normalized support
+functions of whole space, norm balls, polyhedra, and their intersections.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     UnsupportedCombination,
 )
 from .numerics import DEFAULT_TOL, Tolerance, sym_eig
-from .simplex import LPBuilder, solve_lp
+from .simplex import LinearProgram, solve_lp
 
 __all__ = [
     "NormSpec",
@@ -212,73 +213,62 @@ def norm_subgradient(norm: NormSpec, x) -> np.ndarray:
     return g
 
 
-def add_norm_le_rows(
-    builder: LPBuilder,
-    norm: NormSpec,
-    x_idx: np.ndarray,
-    t_idx: int,
-    t_scale: float = 1.0,
-) -> None:
-    """Append LP rows enforcing norm(x) <= t_scale * t.
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    """The matrices of blocks placed along the diagonal of one zero matrix."""
+    out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)))
+    r = c = 0
+    for B in blocks:
+        out[r : r + B.shape[0], c : c + B.shape[1]] = B
+        r, c = r + B.shape[0], c + B.shape[1]
+    return out
+
+
+def norm_epigraph_rows(norm: NormSpec, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (G, H, g) with norm(x) <= t  iff  G x + H u + g t <= 0 for some u >= 0.
 
     Only polyhedral cases are supported: p in {1, inf} (possibly scaled,
-    weighted, or in blocks) and any norm in one dimension.
+    weighted, or in blocks) and any norm in one dimension.  The auxiliaries u
+    bound the coordinates of a 1-norm and the blocks of a block sum; a
+    weighted norm ||W x|| takes the rows of ||.|| times W.
     """
-    x_idx = np.asarray(x_idx, dtype=int)
-    dim = x_idx.size
     if dim == 1 and norm.kind in ("p", "scaled", "weighted"):
         s = norm_eval(norm, np.ones(1))
-        builder.add_row({int(x_idx[0]): s, t_idx: -t_scale}, "<=", 0.0)
-        builder.add_row({int(x_idx[0]): -s, t_idx: -t_scale}, "<=", 0.0)
-        return
+        return np.array([[s], [-s]]), np.zeros((2, 0)), np.full(2, -1.0)
     if norm.kind == "scaled":
-        add_norm_le_rows(builder, NormSpec.p_norm(norm.p), x_idx, t_idx, t_scale / norm.alpha)
-        return
+        G, H, g = norm_epigraph_rows(NormSpec.p_norm(norm.p), dim)
+        return G, H, g / norm.alpha
     if norm.kind == "weighted":
-        A = norm.weight_matrix()
-        if A.shape[1] != dim:
+        W = norm.weight_matrix()
+        if W.shape[1] != dim:
             raise DimensionMismatch("weight matrix and variable block differ")
-        y_idx = builder.add_vars(dim, lo=None, hi=None)
-        for r in range(dim):
-            coeffs = {int(y_idx[r]): -1.0}
-            for cidx, xj in enumerate(x_idx):
-                if A[r, cidx] != 0.0:
-                    coeffs[int(xj)] = A[r, cidx]
-            builder.add_row(coeffs, "=", 0.0)
-        add_norm_le_rows(builder, NormSpec.p_norm(norm.p), y_idx, t_idx, t_scale)
-        return
+        G, H, g = norm_epigraph_rows(NormSpec.p_norm(norm.p), dim)
+        return G @ W, H, g
     if norm.kind == "p":
+        signs = np.kron(np.eye(dim), [[1.0], [-1.0]])  # rows +x_k, -x_k
         if math.isinf(norm.p):
-            for xj in x_idx:
-                builder.add_row({int(xj): 1.0, t_idx: -t_scale}, "<=", 0.0)
-                builder.add_row({int(xj): -1.0, t_idx: -t_scale}, "<=", 0.0)
-            return
+            return signs, np.zeros((2 * dim, 0)), np.full(2 * dim, -1.0)
         if norm.p == 1.0:
-            w_idx = builder.add_vars(dim, lo=0.0)
-            for xj, wj in zip(x_idx, w_idx):
-                builder.add_row({int(xj): 1.0, int(wj): -1.0}, "<=", 0.0)
-                builder.add_row({int(xj): -1.0, int(wj): -1.0}, "<=", 0.0)
-            row = {int(wj): 1.0 for wj in w_idx}
-            row[t_idx] = -t_scale
-            builder.add_row(row, "<=", 0.0)
-            return
+            # +-x_k <= u_k and sum_k u_k <= t
+            G = np.vstack([signs, np.zeros((1, dim))])
+            H = np.vstack([-np.abs(signs), np.ones((1, dim))])
+            return G, H, np.append(np.zeros(2 * dim), -1.0)
         raise UnsupportedCombination(
             f"p={norm.p} norm in dimension {dim} has no polyhedral unit ball"
         )
-    # block composites
-    start = 0
+    if sum(norm.sizes) != dim:
+        raise DimensionMismatch(f"block sizes {norm.sizes} do not cover dimension {dim}")
+    parts = [norm_epigraph_rows(b, s) for b, s in zip(norm.blocks, norm.sizes)]
+    G = _block_diag([P[0] for P in parts])
+    H = _block_diag([P[1] for P in parts])
+    g = np.concatenate([P[2] for P in parts])
     if norm.kind == "blocks_max":
-        for b, s in zip(norm.blocks, norm.sizes):
-            add_norm_le_rows(builder, b, x_idx[start : start + s], t_idx, t_scale)
-            start += s
-        return
-    t_blocks = builder.add_vars(len(norm.blocks), lo=0.0)
-    for b, s, tb in zip(norm.blocks, norm.sizes, t_blocks):
-        add_norm_le_rows(builder, b, x_idx[start : start + s], int(tb), 1.0)
-        start += s
-    row = {int(tb): 1.0 for tb in t_blocks}
-    row[t_idx] = -t_scale
-    builder.add_row(row, "<=", 0.0)
+        return G, H, g
+    # block sum: block b's norm is bounded by its own auxiliary v_b, listed
+    # before the blocks' auxiliaries, and sum_b v_b <= t
+    V = _block_diag([P[2][:, None] for P in parts])
+    G = np.vstack([G, np.zeros((1, dim))])
+    H = np.block([[V, H], [np.ones((1, V.shape[1])), np.zeros((1, H.shape[1]))]])
+    return G, H, np.append(np.zeros(g.size), -1.0)
 
 
 @dataclass(frozen=True)
@@ -347,24 +337,59 @@ class SetSpec:
         return all(m.contains(x, tol) for m in self.members)
 
 
-def _support_polyhedron(C: np.ndarray, d: np.ndarray, z: np.ndarray, tol: Tolerance) -> float:
-    builder = LPBuilder()
-    lam = builder.add_vars(C.shape[0], lo=0.0)
-    for j, lj in enumerate(lam):
-        builder.set_cost(int(lj), float(d[j]))
-    for col in range(C.shape[1]):
-        coeffs = {int(lam[i]): C[i, col] for i in range(C.shape[0]) if C[i, col] != 0.0}
-        builder.add_row(coeffs, "=", float(z[col]))
-    sol = solve_lp(builder.build(), tol)
-    if sol.status == "infeasible":
-        return math.inf
-    if sol.status == "unbounded":
-        raise InfeasibleSet("polyhedron is empty (support-function LP unbounded below)")
-    return float(sol.objective)
+def _intersection_lp(members: list[SetSpec], z: np.ndarray, length: float) -> LinearProgram:
+    """min sum_k sigma_k(z_k) over z = sum_k z_k, each sigma_k in LP dual form.
+
+    Variables: the parts z_k (free), then per member its multipliers lam >= 0
+    with C' lam = z_k at cost d' lam (polyhedron), or t >= 0 with
+    ||z_k||_* <= t at cost radius * t and the norm rows' auxiliaries (ball).
+    Offsets and radii are divided by length.
+    """
+    n = z.size
+    costs, on_z, own, senses = [], [], [], []
+    for m in members:
+        if m.kind == "polyhedron":
+            costs.append(m.d_vector() / length)
+            on_z.append(-np.eye(n))
+            own.append(m.C_matrix().T)
+            senses += ["="] * n
+        elif m.kind == "ball":
+            dual = m.norm.dual_spec()
+            if not dual.is_lp_representable(n):
+                raise UnsupportedCombination(
+                    "intersection support values need polyhedral dual norms "
+                    f"(got p={m.norm.p} in dimension {n})"
+                )
+            G, H, g = norm_epigraph_rows(dual, n)
+            costs.append(np.append(m.radius / length, np.zeros(H.shape[1])))
+            on_z.append(G)
+            own.append(np.column_stack([g, H]))
+            senses += ["<="] * g.size
+        else:
+            raise UnsupportedCombination(
+                "intersection members must be polyhedra or norm balls"
+            )
+    n_parts = len(members) * n
+    c = np.concatenate([np.zeros(n_parts)] + costs)
+    A = np.block(
+        [
+            [np.tile(np.eye(n), len(members)), np.zeros((n, c.size - n_parts))],
+            [_block_diag(on_z), _block_diag(own)],
+        ]
+    )
+    b = np.append(z, np.zeros(len(senses)))
+    bounds = ((None, None),) * n_parts + ((0.0, None),) * (c.size - n_parts)
+    return LinearProgram(c, A, ["="] * n + senses, b, bounds)
 
 
 def support_function_eval(S: SetSpec, z, tol: Tolerance = DEFAULT_TOL) -> float:
-    """sup_{x in S} z'x as an extended real (+inf allowed)."""
+    """sup_{x in S} z'x as an extended real (+inf allowed).
+
+    Polyhedra and intersections are solved as the dual LP of the sup.  The
+    simplex's tolerances are absolute, so that LP sees the offsets d and the
+    radii divided by their largest magnitude and z divided by its own, and
+    the value is scaled back.
+    """
     z = as_vector(z, "z")
     if z.size != S.dim:
         raise DimensionMismatch(f"z has dimension {z.size}, set has {S.dim}")
@@ -372,50 +397,25 @@ def support_function_eval(S: SetSpec, z, tol: Tolerance = DEFAULT_TOL) -> float:
         return 0.0 if float(np.abs(z).max(initial=0.0)) <= tol.abs_tol else math.inf
     if S.kind == "ball":
         return S.radius * dual_norm_eval(S.norm, z)
-    if S.kind == "polyhedron":
-        return _support_polyhedron(S.C_matrix(), S.d_vector(), z, tol)
     # intersection: inf over decompositions z = sum z_k of sum sigma_k(z_k)
-    members = [m for m in S.members if m.kind != "whole"]
-    if not members:
-        return support_function_eval(SetSpec.whole(S.dim), z, tol)
-    if len(members) == 1:
-        return support_function_eval(members[0], z, tol)
-    builder = LPBuilder()
-    z_parts = []
-    for m in members:
-        z_parts.append(builder.add_vars(S.dim, lo=None, hi=None))
-    for col in range(S.dim):
-        coeffs = {int(zp[col]): 1.0 for zp in z_parts}
-        builder.add_row(coeffs, "=", float(z[col]))
-    for m, zp in zip(members, z_parts):
-        if m.kind == "polyhedron":
-            C, d = m.C_matrix(), m.d_vector()
-            lam = builder.add_vars(C.shape[0], lo=0.0)
-            for j, lj in enumerate(lam):
-                builder.set_cost(int(lj), float(d[j]))
-            for col in range(S.dim):
-                coeffs = {int(lam[i]): C[i, col] for i in range(C.shape[0]) if C[i, col] != 0.0}
-                coeffs[int(zp[col])] = -1.0
-                builder.add_row(coeffs, "=", 0.0)
-        elif m.kind == "ball":
-            dual = m.norm.dual_spec()
-            if not dual.is_lp_representable(S.dim):
-                raise UnsupportedCombination(
-                    "intersection support values need polyhedral dual norms "
-                    f"(got p={m.norm.p} in dimension {S.dim})"
-                )
-            t = builder.add_var(lo=0.0, cost=m.radius)
-            add_norm_le_rows(builder, dual, zp, t)
-        else:
-            raise UnsupportedCombination(
-                "intersection members must be polyhedra or norm balls"
-            )
-    sol = solve_lp(builder.build(), tol)
+    members = [S] if S.kind == "polyhedron" else [m for m in S.members if m.kind != "whole"]
+    if S.kind == "intersection" and len(members) < 2:
+        return support_function_eval(members[0] if members else SetSpec.whole(S.dim), z, tol)
+    length = max(
+        float(np.abs(m.d_vector()).max(initial=0.0)) if m.kind == "polyhedron" else m.radius
+        for m in members
+    ) or 1.0
+    size = float(np.abs(z).max(initial=0.0)) or 1.0
+    if S.kind == "polyhedron":
+        lp = LinearProgram(S.d_vector() / length, S.C_matrix().T, ["="] * S.dim, z / size)
+    else:
+        lp = _intersection_lp(members, z / size, length)
+    sol = solve_lp(lp, tol)
     if sol.status == "infeasible":
         return math.inf
     if sol.status == "unbounded":
-        raise InfeasibleSet("intersection is empty (support LP unbounded below)")
-    return float(sol.objective)
+        raise InfeasibleSet(f"{S.kind} is empty (support-function LP unbounded below)")
+    return length * size * float(sol.objective)
 
 
 @dataclass(frozen=True)

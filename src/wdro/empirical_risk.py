@@ -3,8 +3,9 @@
 Two loss families are covered exactly at desk scale:
 
 * piecewise-affine (max of affine pieces) losses, for type-1 and type-inf
-  balls with whole-space or polyhedral support, plus the type-2 whole-space
-  case through a scalar dual;
+  balls with whole-space or polyhedral support through one mass-splitting
+  LP tiled from a per-cell numpy block, plus the type-2 whole-space case
+  through a scalar dual;
 * indefinite quadratic losses ``xi' Q xi + 2 q' xi`` for type-2 balls with
   Euclidean norm and whole-space support, through an eigenvalue-based
   scalar dual.
@@ -28,10 +29,11 @@ from ._validation import as_matrix, as_samples, as_vector, check_symmetric
 from .convex_analysis import (
     NormSpec,
     SetSpec,
-    add_norm_le_rows,
     dual_norm_eval,
+    norm_epigraph_rows,
     norm_eval,
     norm_subgradient,
+    support_function_eval,
 )
 from .errors import (
     DimensionMismatch,
@@ -41,7 +43,7 @@ from .errors import (
     UnsupportedSupport,
 )
 from .numerics import DEFAULT_TOL, Tolerance, bisect_root, sym_eig
-from .simplex import LPBuilder, solve_lp
+from .simplex import LinearProgram, solve_lp
 from .transport import DiscreteDistribution
 
 __all__ = [
@@ -268,6 +270,27 @@ class _MassSplit(NamedTuple):
     unit: float
 
 
+def _travel_bound(support: SetSpec, atoms: np.ndarray, norm: NormSpec, tol: Tolerance) -> float:
+    """Bound on norm(x - xi) over x in the support and every atom xi.
+
+    From the support's bounding box lo <= x <= hi, infinite where it is
+    unbounded: norm(x - xi) <= sum_k max(hi_k - xi_k, xi_k - lo_k) norm(e_k).
+    """
+    E = np.eye(atoms.shape[1])
+    hi = np.array([support_function_eval(support, e, tol) for e in E])
+    lo = -np.array([support_function_eval(support, -e, tol) for e in E])
+    room = np.maximum(hi - atoms, atoms - lo)
+    return float((room @ norm_eval(norm, E)).max())
+
+
+def _tile_diag(blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of the K equal-shaped blocks[0], ..., blocks[K-1]."""
+    K, r, c = blocks.shape
+    out = np.zeros((K, r, K, c))
+    out[np.arange(K), :, np.arange(K), :] = blocks
+    return out.reshape(K * r, K * c)
+
+
 def _mass_split_lp(
     loss: PiecewiseAffineLoss,
     samples: DiscreteDistribution,
@@ -311,57 +334,66 @@ def _mass_split_lp(
     nominal = L.max(axis=1)
     # atoms accepted by the support's membership tolerance sit on its faces
     slack = np.maximum(d[None, :] - samples.atoms @ C.T, 0.0)
+    norms = np.linalg.norm(C, axis=1)
+    reach = float((slack[:, norms > 0] / norms[norms > 0]).max()) if np.any(norms > 0) else math.inf
+    eps = ball.eps
+    if ball.p != 1.0 and eps > reach:
+        # no cell moves further than the support reaches, and a radius far
+        # beyond that only puts huge coefficients into the type-inf rows
+        eps = min(eps, _travel_bound(support, samples.atoms, ball.norm, tol))
     # a type-inf cell moves at most eps: rows of faces beyond that are redundant
-    far = ball.eps * dual_norm_eval(ball.norm, C) if ball.p != 1.0 and C.size else math.inf
+    far = eps * dual_norm_eval(ball.norm, C) if ball.p != 1.0 and C.size else math.inf
     reachable = slack <= far
     # The simplex's tolerances are absolute: lengths far below the unit vanish
     # and lengths far above it swamp the pivots.  So the unit is the radius,
     # capped at the largest sample-to-face distance (a huge radius in a small
     # support), raised to half the samples' spread (a tiny radius among spread
     # samples) and kept above 1e-6 eps (a sample next to a face).
-    norms = np.linalg.norm(C, axis=1)
-    reach = float((slack[:, norms > 0] / norms[norms > 0]).max()) if np.any(norms > 0) else math.inf
     spread = 0.5 * float(np.ptp(samples.atoms, axis=0).max())
-    unit = max(spread, min(ball.eps, reach), 1e-6 * ball.eps)
-    gaps, slack, eps = (L - nominal[:, None]) / unit, slack / unit, ball.eps / unit
+    unit = max(spread, min(eps, reach), 1e-6 * eps)
+    gaps, slack, eps = (L - nominal[:, None]) / unit, slack / unit, eps / unit
 
-    builder = LPBuilder()
-    alpha_idx = np.empty((N, J), dtype=int)
-    theta_idx = np.empty((N, J, m), dtype=int)
-    for i in range(N):
-        for j in range(J):
-            alpha_idx[i, j] = builder.add_var(lo=0.0, cost=-float(w[i] * gaps[i, j]))
-            th = builder.add_vars(m, lo=None)
-            theta_idx[i, j] = th
-            for k in range(m):
-                builder.set_cost(int(th[k]), -float(w[i] * loss.A[j, k]))
-        builder.add_row({int(alpha_idx[i, j]): 1.0 for j in range(J)}, "<=", 1.0)
-
-    budget = {}
-    for i in range(N):
-        for j in range(J):
-            if ball.p == 1.0:
-                t = builder.add_var(lo=0.0)
-                budget[t] = float(w[i])
-                add_norm_le_rows(builder, ball.norm, theta_idx[i, j], t)
-            else:
-                add_norm_le_rows(builder, ball.norm, theta_idx[i, j], int(alpha_idx[i, j]), eps)
-            for r in np.flatnonzero(reachable[i]):
-                coeffs = {int(theta_idx[i, j, k]): float(C[r, k]) for k in range(m)}
-                coeffs[int(alpha_idx[i, j])] = -float(slack[i, r])
-                builder.add_row(coeffs, "<=", 0.0)
+    # Cell (i, j) owns the columns alpha_ij, theta_ij, among the first
+    # N J (1 + m), and its norm rows' auxiliaries, led by t_ij in type 1,
+    # after all of those.  Its rows are the norm rows, then the support rows
+    # of the faces it can reach.
+    G, H, g = norm_epigraph_rows(ball.norm, m)
+    R, K = g.size, N * J
+    lead = np.zeros((N, J, R + C.shape[0], 1 + m))
+    lead[:, :, :R, 1:] = G
+    lead[:, :, R:, 1:] = C
+    lead[:, :, R:, 0] = -slack[:, None, :]
+    own = np.zeros((R + C.shape[0], H.shape[1] + (ball.p == 1.0)))
     if ball.p == 1.0:
-        builder.add_row(budget, "<=", eps)
+        own[:R] = np.column_stack([g, H])
+    else:
+        own[:R] = H
+        lead[:, :, :R, 0] = eps * g
+    keep = np.repeat(np.column_stack([np.ones((N, R), dtype=bool), reachable]), J, axis=0)
+    cells = np.hstack([_tile_diag(lead.reshape(K, *lead.shape[2:])), np.kron(np.eye(K), own)])
+    cells = cells[keep.ravel()]
+    n_lead, n_own = K * (1 + m), K * own.shape[1]
+    mixture = np.kron(np.eye(N), np.tile(np.eye(1, 1 + m), J))
+    A = np.vstack([np.pad(mixture, ((0, 0), (0, n_own))), cells])
+    b = np.append(np.ones(N), np.zeros(len(cells)))
+    if ball.p == 1.0:
+        budget = np.kron(np.repeat(w, J), np.eye(1, own.shape[1]))
+        A = np.vstack([A, np.pad(budget, ((0, 0), (n_lead, 0)))])
+        b = np.append(b, eps)
+    cost = np.concatenate([-(w[:, None] * gaps)[:, :, None], -(w[:, None, None] * loss.A)], axis=2)
+    bounds = (((0.0, None),) + ((None, None),) * m) * K + ((0.0, None),) * n_own
+    lp = LinearProgram(np.append(cost, np.zeros(n_own)), A, ["<="] * b.size, b, bounds)
 
-    sol = solve_lp(builder.build(), tol=tol)
+    sol = solve_lp(lp, tol=tol)
     if sol.status == "unbounded":
         raise Unbounded("worst-case risk is infinite; no extremal construction exists")
     if sol.status != "optimal":
         raise NumericalFailure(f"worst-case LP terminated with status {sol.status}")
     value = float(w @ nominal) - unit * float(sol.objective)
-    alpha = sol.x[alpha_idx]
+    x = sol.x[:n_lead].reshape(N, J, 1 + m)
+    alpha = x[:, :, 0].copy()
     alpha[np.arange(N), L.argmax(axis=1)] += np.maximum(1.0 - alpha.sum(axis=1), 0.0)
-    return _MassSplit(value, alpha, sol.x[theta_idx], unit)
+    return _MassSplit(value, alpha, x[:, :, 1:], unit)
 
 
 def _wc_pwa_p2_whole(

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch, MaxIterExceeded, NumericalFailure
 from .numerics import DEFAULT_TOL, Tolerance
 
-__all__ = ["LinearProgram", "LPSolution", "solve_lp", "LPBuilder"]
+__all__ = ["LinearProgram", "LPSolution", "solve_lp"]
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-8
@@ -91,62 +91,20 @@ class LPSolution:
     iterations: int = 0
 
 
-class LPBuilder:
-    """Incremental construction of a LinearProgram from sparse row dicts."""
-
-    def __init__(self) -> None:
-        self._costs: list[float] = []
-        self._bounds: list[tuple[float | None, float | None]] = []
-        self._rows: list[dict[int, float]] = []
-        self._senses: list[str] = []
-        self._rhs: list[float] = []
-
-    def add_var(self, lo: float | None = 0.0, hi: float | None = None, cost: float = 0.0) -> int:
-        self._costs.append(float(cost))
-        self._bounds.append((lo, hi))
-        return len(self._costs) - 1
-
-    def add_vars(self, k: int, lo: float | None = 0.0, hi: float | None = None, cost: float = 0.0) -> np.ndarray:
-        return np.array([self.add_var(lo, hi, cost) for _ in range(k)], dtype=int)
-
-    def add_row(self, coeffs: dict[int, float], sense: str, rhs: float) -> None:
-        self._rows.append(dict(coeffs))
-        self._senses.append(sense)
-        self._rhs.append(float(rhs))
-
-    def set_cost(self, var: int, cost: float) -> None:
-        self._costs[var] = float(cost)
-
-    def build(self) -> LinearProgram:
-        n = len(self._costs)
-        k = len(self._rows)
-        A = np.zeros((k, n))
-        for i, row in enumerate(self._rows):
-            for j, v in row.items():
-                A[i, j] = v
-        return LinearProgram(
-            np.asarray(self._costs), A, self._senses, np.asarray(self._rhs), bounds=self._bounds
-        )
-
-
 class _Simplex:
     """Equality-form revised simplex core: min c'z, W z = b, z >= 0."""
 
-    def __init__(self, W: np.ndarray, b: np.ndarray, tol: Tolerance):
+    def __init__(self, W: np.ndarray, b: np.ndarray, basis: list[int]):
+        """Start at basis, whose columns of W form the identity: B_inv = I, x_B = b."""
         self.W = W
         self.b = b
         self.k = W.shape[0]
         self.n = W.shape[1]
-        self.tol = tol
-        self.basis: list[int] = []
+        self.basis = list(basis)
         self.B_inv = np.eye(self.k)
         self.x_B = b.copy()
         self.rows = list(range(self.k))
         self.iterations = 0
-
-    def set_basis(self, basis: list[int]) -> None:
-        self.basis = list(basis)
-        self._refactor()
 
     def _refactor(self) -> None:
         B = self.W[:, self.basis]
@@ -337,11 +295,9 @@ def solve_lp(lp: LinearProgram, tol: Tolerance = DEFAULT_TOL) -> LPSolution:
     W = np.hstack(blocks) if len(blocks) > 1 else A_f
     n_tot = W.shape[1]
 
-    core = _Simplex(W, b_f, tol)
-    basis = []
-    for i in range(k):
-        basis.append(art_of_row[i] if i in art_of_row else slack_of_row[i])
-    core.set_basis(basis)
+    # +1 slacks and artificials: the starting basis is the identity
+    basis = [art_of_row[i] if i in art_of_row else slack_of_row[i] for i in range(k)]
+    core = _Simplex(W, b_f, basis)
 
     max_iter = max(tol.max_iter, 50 * (k + n_tot))
 

@@ -240,6 +240,47 @@ def test_support_homogeneous():
         assert abs(s3 - 3.0 * s1) <= 1e-9 * (1 + abs(s1))
 
 
+SUPPORT_SCALES = (1e-10, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e8)
+
+
+def test_support_polyhedron_is_scale_equivariant():
+    # sup z'x over {C x <= s d} is s times the value at s = 1
+    z = np.array([1.0, 0.3])
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 53])
+        C = rng.normal(size=(6, 2))
+        d = rng.uniform(0.1, 1.0, 6)
+        base = support_function_eval(SetSpec.polyhedron(C, d), z)
+        for s in SUPPORT_SCALES:
+            got = support_function_eval(SetSpec.polyhedron(C, s * d), z)
+            assert abs(got / s - base) <= 1e-9 * (1 + abs(base)), (seed, s, got / s, base)
+
+
+def test_support_intersection_is_scale_equivariant():
+    # box, half-plane and polyhedral ball, every offset and radius scaled by s
+    box_rows = np.vstack([np.eye(2), -np.eye(2)])
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 59])
+        half, a, c = rng.uniform(0.5, 2.0, 4), rng.normal(size=(1, 2)), rng.uniform(0.1, 1.0)
+        norm, radius = NormSpec.p_norm(1 if seed % 2 else math.inf), rng.uniform(0.5, 2.0)
+        z = rng.normal(size=2)
+
+        def support(s):
+            S = SetSpec.intersection(
+                [
+                    SetSpec.polyhedron(box_rows, s * half),
+                    SetSpec.polyhedron(a, [s * c]),
+                    SetSpec.ball(norm, s * radius, 2),
+                ]
+            )
+            return support_function_eval(S, z)
+
+        base = support(1.0)
+        for s in SUPPORT_SCALES:
+            got = support(s)
+            assert abs(got / s - base) <= 1e-9 * (1 + abs(base)), (seed, s, got / s, base)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         support_function_eval(SetSpec.whole(2), [1.0, 2.0, 3.0])
@@ -259,51 +300,45 @@ def lp_representable_norms(dim):
         )
 
 
-def test_norm_rows_reproduce_dual_norm_via_lp():
-    # maximize z'x over ||x|| <= 1 written with add_norm_le_rows equals
-    # the dual norm of z
-    from wdro.convex_analysis import add_norm_le_rows
-    from wdro.simplex import LPBuilder, solve_lp
+def _max_over_unit_ball(norm, dim, z):
+    """max z'x over norm(x) <= 1 as an LP on the norm's epigraph rows.
 
+    Variables (x free, t >= 0, u >= 0): t <= 1 and G x + g t + H u <= 0.
+    """
+    from wdro.convex_analysis import norm_epigraph_rows
+    from wdro.simplex import LinearProgram, solve_lp
+
+    G, H, g = norm_epigraph_rows(norm, dim)
+    k = H.shape[1]
+    A = np.vstack([np.eye(1, dim + 1 + k, dim), np.column_stack([G, g, H])])
+    b = np.append(1.0, np.zeros(g.size))
+    cost = np.concatenate([-np.asarray(z, dtype=float), np.zeros(1 + k)])
+    bounds = [(None, None)] * dim + [(0.0, None)] * (1 + k)
+    return solve_lp(LinearProgram(cost, A, ["<="] * b.size, b, bounds))
+
+
+def test_norm_rows_reproduce_dual_norm_via_lp():
+    # maximize z'x over ||x|| <= 1 written with norm_epigraph_rows equals
+    # the dual norm of z
     rng = np.random.RandomState(7)
     for dim in (1, 2, 4):
         for norm in lp_representable_norms(dim):
             assert norm.is_lp_representable(dim)
             z = rng.randn(dim)
-            builder = LPBuilder()
-            x_idx = builder.add_vars(dim, lo=None)
-            t_idx = builder.add_var(lo=0.0)
-            builder.add_row({t_idx: 1.0}, "<=", 1.0)
-            add_norm_le_rows(builder, norm, x_idx, t_idx)
-            for i, v in enumerate(x_idx):
-                builder.set_cost(v, -z[i])
-            sol = solve_lp(builder.build())
+            sol = _max_over_unit_ball(norm, dim, z)
             assert sol.status == "optimal"
             ref = dual_norm_eval(norm, z)
             assert abs(-sol.objective - ref) <= 1e-8 * (1 + ref)
 
 
 def test_norm_rows_reject_euclidean_in_dim_two():
-    from wdro.convex_analysis import add_norm_le_rows
-    from wdro.simplex import LPBuilder
+    from wdro.convex_analysis import norm_epigraph_rows
 
-    builder = LPBuilder()
-    x_idx = builder.add_vars(2, lo=None)
-    t_idx = builder.add_var(lo=0.0)
     with pytest.raises(UnsupportedCombination):
-        add_norm_le_rows(builder, NormSpec.p_norm(2), x_idx, t_idx)
+        norm_epigraph_rows(NormSpec.p_norm(2), 2)
 
 
 def test_norm_rows_scalar_euclidean_allowed():
     # any norm on the line is a multiple of |.|, so the LP path accepts it
-    from wdro.convex_analysis import add_norm_le_rows
-    from wdro.simplex import LPBuilder, solve_lp
-
-    builder = LPBuilder()
-    x_idx = builder.add_vars(1, lo=None)
-    t_idx = builder.add_var(lo=0.0)
-    builder.add_row({t_idx: 1.0}, "<=", 1.0)
-    add_norm_le_rows(builder, NormSpec.scaled(3.0, 2), x_idx, t_idx)
-    builder.set_cost(x_idx[0], -1.0)
-    sol = solve_lp(builder.build())
+    sol = _max_over_unit_ball(NormSpec.scaled(3.0, 2), 1, [1.0])
     assert abs(-sol.objective - 1.0 / 3.0) <= 1e-9

@@ -7,6 +7,7 @@ solved at s = 1 and at scales from 1e-10 to 1e8; value/s must match the
 s = 1 value to 1e-8 relative.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -97,3 +98,21 @@ def test_far_box_gives_the_whole_space_value(p, half):
         if p == 1.0:
             rep = extremal_pwa(loss, samples, far_ball)
             assert abs(rep.certified_value - got) <= REL * (1.0 + abs(got)), (seed, rep.kind)
+
+
+@pytest.mark.parametrize("ground", [1.0, math.inf], ids=["one", "inf"])
+def test_huge_type_inf_radius_reaches_the_corner_maximum(ground):
+    """A type-inf radius of 1e10 in a box of half-width 2 lets every sample
+    reach every corner, so the worst case is the loss's largest corner value."""
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 61])
+        N, m, J = 6, 2, 3
+        atoms = rng.uniform(-2.0, 2.0, size=(N, m))
+        w = rng.uniform(0.2, 1.0, N)
+        loss = PiecewiseAffineLoss(list(zip(rng.normal(size=(J, m)), rng.normal(size=J))))
+        box = SetSpec.polyhedron(np.vstack([np.eye(m), -np.eye(m)]), np.full(2 * m, 2.0))
+        corners = 2.0 * np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+        top = float(loss.value(corners).max())
+        ball = BallSpec(1e10, math.inf, NormSpec.p_norm(ground), box)
+        got = wc_risk_pwa(loss, DiscreteDistribution(atoms, w / w.sum()), ball)
+        assert abs(got - top) <= REL * (1.0 + abs(top)), (seed, got, top)

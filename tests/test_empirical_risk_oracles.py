@@ -31,16 +31,39 @@ REL = 1e-8
 WEIGHT = np.array([[2.0, 0.5], [0.5, 1.0]])
 
 
+def cube_corners(m):
+    return np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+
+
 def ground(kind, m):
     """The ground norm and the extreme points of its unit ball (as rows)."""
     if kind == "one":
         return NormSpec.p_norm(1), np.vstack([np.eye(m), -np.eye(m)])
-    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
     if kind == "inf":
-        return NormSpec.p_norm(math.inf), corners
-    # x -> ||W x||_inf: its unit ball is W^{-1} times the cube
-    W = WEIGHT[:m, :m]
-    return NormSpec.weighted(W, math.inf), corners @ np.linalg.inv(W).T
+        return NormSpec.p_norm(math.inf), cube_corners(m)
+    if kind == "weighted":
+        # x -> ||W x||_inf: its unit ball is W^{-1} times the cube
+        W = WEIGHT[:m, :m]
+        return NormSpec.weighted(W, math.inf), cube_corners(m) @ np.linalg.inv(W).T
+    if kind == "scaled":
+        # alpha ||x||_inf: its unit ball is the cube over alpha
+        return NormSpec.scaled(2.5, math.inf), cube_corners(m) / 2.5
+    # a 1-norm on the first coordinate and 0.5 ||.||_inf on the rest
+    norms, Vs = [NormSpec.p_norm(1)], [np.array([[1.0], [-1.0]])]
+    if m > 1:
+        norms.append(NormSpec.scaled(0.5, math.inf))
+        Vs.append(cube_corners(m - 1) / 0.5)
+    sizes = [V.shape[1] for V in Vs]
+    if kind == "block_sum":
+        # the unit ball is the hull of the blocks' unit balls, each embedded
+        starts = np.cumsum([0] + sizes)
+        embedded = [np.zeros((V.shape[0], m)) for V in Vs]
+        for E, V, lo in zip(embedded, Vs, starts):
+            E[:, lo : lo + V.shape[1]] = V
+        return NormSpec.block_sum(norms, sizes), np.vstack(embedded)
+    # block_max: the unit ball is the product of the blocks' unit balls
+    corners = [np.concatenate(rows) for rows in itertools.product(*Vs)]
+    return NormSpec.block_max(norms, sizes), np.array(corners)
 
 
 def dual_lp_value(A, b, atoms, w, eps, p, C, d, V):
@@ -92,7 +115,7 @@ def support_rows(kind, atoms, rng):
 CASES = [
     (support, norm)
     for support in ("box", "polyhedron", "halfline", "whole")
-    for norm in ("one", "inf", "weighted")
+    for norm in ("one", "inf", "weighted", "scaled", "block_sum", "block_max")
 ]
 
 
@@ -153,3 +176,24 @@ def test_translated_data_with_a_small_radius_match_the_dual(support):
                 if p == 1.0:
                     rep = extremal_pwa(moved_loss, moved, ball)
                     assert abs(rep.certified_value - ref) <= REL * (1.0 + abs(ref)), (seed, eps)
+
+
+def test_weighted_ground_norm_lp_has_only_inequality_rows(monkeypatch):
+    """||W x|| takes the rows of ||.|| times W: no equality rows, no phase 1."""
+    import wdro.empirical_risk as er
+
+    seen, solve_lp = [], er.solve_lp
+
+    def recording_solve_lp(lp, **kwargs):
+        seen.append(lp.senses)
+        return solve_lp(lp, **kwargs)
+
+    monkeypatch.setattr(er, "solve_lp", recording_solve_lp)
+    rng = np.random.default_rng(31)
+    atoms = rng.uniform(-1.0, 1.0, size=(4, 2))
+    spec, _, _ = support_rows("box", atoms, rng)
+    loss = PiecewiseAffineLoss(list(zip(rng.normal(size=(3, 2)), rng.normal(size=3))))
+    samples = DiscreteDistribution(atoms, np.full(4, 0.25))
+    for p in (1.0, math.inf):
+        wc_risk_pwa(loss, samples, BallSpec(0.5, p, ground("weighted", 2)[0], spec))
+    assert len(seen) == 2 and all(set(senses) == {"<="} for senses in seen)
