@@ -213,13 +213,21 @@ def norm_subgradient(norm: NormSpec, x) -> np.ndarray:
     return g
 
 
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    """The matrices of blocks placed along the diagonal of one zero matrix."""
-    out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)))
-    r = c = 0
-    for B in blocks:
+def _block_diag(blocks) -> np.ndarray:
+    """The blocks placed along the diagonal of one zero matrix.
+
+    blocks is a list of matrices, or a (K, r, c) array of K equal-shaped
+    ones, which is placed without a Python loop.
+    """
+    if isinstance(blocks, np.ndarray):
+        K, r, c = blocks.shape
+        out = np.zeros((K, r, K, c))
+        out[np.arange(K), :, np.arange(K), :] = blocks
+        return out.reshape(K * r, K * c)
+    rows, cols = np.cumsum([(0, 0)] + [B.shape for B in blocks], axis=0).T
+    out = np.zeros((rows[-1], cols[-1]))
+    for B, r, c in zip(blocks, rows, cols):
         out[r : r + B.shape[0], c : c + B.shape[1]] = B
-        r, c = r + B.shape[0], c + B.shape[1]
     return out
 
 
@@ -244,7 +252,7 @@ def norm_epigraph_rows(norm: NormSpec, dim: int) -> tuple[np.ndarray, np.ndarray
         G, H, g = norm_epigraph_rows(NormSpec.p_norm(norm.p), dim)
         return G @ W, H, g
     if norm.kind == "p":
-        signs = np.kron(np.eye(dim), [[1.0], [-1.0]])  # rows +x_k, -x_k
+        signs = _block_diag(np.broadcast_to([[1.0], [-1.0]], (dim, 2, 1)))  # +x_k, -x_k
         if math.isinf(norm.p):
             return signs, np.zeros((2 * dim, 0)), np.full(2 * dim, -1.0)
         if norm.p == 1.0:
@@ -337,46 +345,54 @@ class SetSpec:
         return all(m.contains(x, tol) for m in self.members)
 
 
-def _intersection_lp(members: list[SetSpec], z: np.ndarray, length: float) -> LinearProgram:
+def _face_sizes(members: list[SetSpec]) -> tuple[float, list[np.ndarray]]:
+    """The length r that x is measured in and, per member, its faces' sizes.
+
+    Face j of C x <= d has size max(|d_j|, r ||C_j||_inf), and a ball is one
+    face of offset its radius and ||C_j|| = 1.  r is the geometric middle of
+    the positive distances |d_j| / ||C_j||_inf, so that neither a far face's
+    column nor a near face's reduced cost falls below the pivot tolerance.
+    """
+    faces = [
+        (np.abs(m.d_vector()), np.abs(m.C_matrix()).max(axis=1, initial=0.0))
+        if m.kind == "polyhedron"
+        else (np.array([m.radius]), np.ones(1))
+        for m in members
+    ]
+    dist = np.concatenate([o[(o > 0) & (s > 0)] / s[(o > 0) & (s > 0)] for o, s in faces])
+    r = math.sqrt(dist.min() * dist.max()) if dist.size else 1.0
+    rhos = [np.maximum(o, r * s) for o, s in faces]
+    return r, [np.where(rho > 0, rho, 1.0) for rho in rhos]
+
+
+def _intersection_lp(members: list, z: np.ndarray, r: float, rhos: list) -> LinearProgram:
     """min sum_k sigma_k(z_k) over z = sum_k z_k, each sigma_k in LP dual form.
 
     Variables: the parts z_k (free), then per member its multipliers lam >= 0
     with C' lam = z_k at cost d' lam (polyhedron), or t >= 0 with
-    ||z_k||_* <= t at cost radius * t and the norm rows' auxiliaries (ball).
-    Offsets and radii are divided by length.
+    ||z_k||_* <= t at cost radius * t and the norm rows' auxiliaries (ball),
+    each face divided by its size in rhos and x measured in r.
     """
     n = z.size
     costs, on_z, own, senses = [], [], [], []
-    for m in members:
+    for m, rho in zip(members, rhos):
         if m.kind == "polyhedron":
-            costs.append(m.d_vector() / length)
+            costs.append(m.d_vector() / rho)
             on_z.append(-np.eye(n))
-            own.append(m.C_matrix().T)
+            own.append((r * m.C_matrix() / rho[:, None]).T)
             senses += ["="] * n
         elif m.kind == "ball":
-            dual = m.norm.dual_spec()
-            if not dual.is_lp_representable(n):
-                raise UnsupportedCombination(
-                    "intersection support values need polyhedral dual norms "
-                    f"(got p={m.norm.p} in dimension {n})"
-                )
-            G, H, g = norm_epigraph_rows(dual, n)
-            costs.append(np.append(m.radius / length, np.zeros(H.shape[1])))
+            G, H, g = norm_epigraph_rows(m.norm.dual_spec(), n)
+            costs.append(np.append(m.radius / rho, np.zeros(H.shape[1])))
             on_z.append(G)
-            own.append(np.column_stack([g, H]))
+            own.append(np.column_stack([r / rho * g, H]))
             senses += ["<="] * g.size
         else:
-            raise UnsupportedCombination(
-                "intersection members must be polyhedra or norm balls"
-            )
+            raise UnsupportedCombination("intersection members must be polyhedra or norm balls")
     n_parts = len(members) * n
     c = np.concatenate([np.zeros(n_parts)] + costs)
-    A = np.block(
-        [
-            [np.tile(np.eye(n), len(members)), np.zeros((n, c.size - n_parts))],
-            [_block_diag(on_z), _block_diag(own)],
-        ]
-    )
+    coupling = np.hstack([np.tile(np.eye(n), len(members)), np.zeros((n, c.size - n_parts))])
+    A = np.vstack([coupling, np.hstack([_block_diag(on_z), _block_diag(own)])])
     b = np.append(z, np.zeros(len(senses)))
     bounds = ((None, None),) * n_parts + ((0.0, None),) * (c.size - n_parts)
     return LinearProgram(c, A, ["="] * n + senses, b, bounds)
@@ -386,9 +402,10 @@ def support_function_eval(S: SetSpec, z, tol: Tolerance = DEFAULT_TOL) -> float:
     """sup_{x in S} z'x as an extended real (+inf allowed).
 
     Polyhedra and intersections are solved as the dual LP of the sup.  The
-    simplex's tolerances are absolute, so that LP sees the offsets d and the
-    radii divided by their largest magnitude and z divided by its own, and
-    the value is scaled back.
+    simplex's tolerances are absolute, so each face of that LP is divided by
+    its own size (see _face_sizes) and z by its largest magnitude: a reduced
+    cost is then the relative slack of its face, whatever the other faces'
+    scale.  The value is scaled back.
     """
     z = as_vector(z, "z")
     if z.size != S.dim:
@@ -401,21 +418,19 @@ def support_function_eval(S: SetSpec, z, tol: Tolerance = DEFAULT_TOL) -> float:
     members = [S] if S.kind == "polyhedron" else [m for m in S.members if m.kind != "whole"]
     if S.kind == "intersection" and len(members) < 2:
         return support_function_eval(members[0] if members else SetSpec.whole(S.dim), z, tol)
-    length = max(
-        float(np.abs(m.d_vector()).max(initial=0.0)) if m.kind == "polyhedron" else m.radius
-        for m in members
-    ) or 1.0
+    r, rhos = _face_sizes(members)
     size = float(np.abs(z).max(initial=0.0)) or 1.0
     if S.kind == "polyhedron":
-        lp = LinearProgram(S.d_vector() / length, S.C_matrix().T, ["="] * S.dim, z / size)
+        C = r * S.C_matrix() / rhos[0][:, None]
+        lp = LinearProgram(S.d_vector() / rhos[0], C.T, ["="] * S.dim, z / size)
     else:
-        lp = _intersection_lp(members, z / size, length)
+        lp = _intersection_lp(members, z / size, r, rhos)
     sol = solve_lp(lp, tol)
     if sol.status == "infeasible":
         return math.inf
     if sol.status == "unbounded":
         raise InfeasibleSet(f"{S.kind} is empty (support-function LP unbounded below)")
-    return length * size * float(sol.objective)
+    return r * size * float(sol.objective)
 
 
 @dataclass(frozen=True)

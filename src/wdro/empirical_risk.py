@@ -29,6 +29,7 @@ from ._validation import as_matrix, as_samples, as_vector, check_symmetric
 from .convex_analysis import (
     NormSpec,
     SetSpec,
+    _block_diag,
     dual_norm_eval,
     norm_epigraph_rows,
     norm_eval,
@@ -283,14 +284,6 @@ def _travel_bound(support: SetSpec, atoms: np.ndarray, norm: NormSpec, tol: Tole
     return float((room @ norm_eval(norm, E)).max())
 
 
-def _tile_diag(blocks: np.ndarray) -> np.ndarray:
-    """The block-diagonal matrix of the K equal-shaped blocks[0], ..., blocks[K-1]."""
-    K, r, c = blocks.shape
-    out = np.zeros((K, r, K, c))
-    out[np.arange(K), :, np.arange(K), :] = blocks
-    return out.reshape(K * r, K * c)
-
-
 def _mass_split_lp(
     loss: PiecewiseAffineLoss,
     samples: DiscreteDistribution,
@@ -370,10 +363,10 @@ def _mass_split_lp(
         own[:R] = H
         lead[:, :, :R, 0] = eps * g
     keep = np.repeat(np.column_stack([np.ones((N, R), dtype=bool), reachable]), J, axis=0)
-    cells = np.hstack([_tile_diag(lead.reshape(K, *lead.shape[2:])), np.kron(np.eye(K), own)])
-    cells = cells[keep.ravel()]
+    tiled = (lead.reshape(K, *lead.shape[2:]), np.broadcast_to(own, (K, *own.shape)))
+    cells = np.hstack([_block_diag(T) for T in tiled])[keep.ravel()]
     n_lead, n_own = K * (1 + m), K * own.shape[1]
-    mixture = np.kron(np.eye(N), np.tile(np.eye(1, 1 + m), J))
+    mixture = _block_diag(np.broadcast_to(np.tile(np.eye(1, 1 + m), J), (N, 1, J * (1 + m))))
     A = np.vstack([np.pad(mixture, ((0, 0), (0, n_own))), cells])
     b = np.append(np.ones(N), np.zeros(len(cells)))
     if ball.p == 1.0:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from wdro.convex_analysis import (
     ConjugableFunction,
@@ -279,6 +280,41 @@ def test_support_intersection_is_scale_equivariant():
         for s in SUPPORT_SCALES:
             got = support(s)
             assert abs(got / s - base) <= 1e-9 * (1 + abs(base)), (seed, s, got / s, base)
+
+
+def highs_support(C, d, z):
+    """sup z'x over {C x <= d} by scipy's HiGHS, +inf when unbounded."""
+    res = linprog(-z, A_ub=C, b_ub=d, bounds=[(None, None)] * z.size, method="highs")
+    assert res.status in (0, 3), res.message
+    return math.inf if res.status == 3 else -res.fun
+
+
+@pytest.mark.parametrize("far", [1e8, 1e10, 1e12])
+def test_support_polyhedron_ignores_a_far_face(far):
+    # one face far beyond the others must not set the scale the others are solved in
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 53])
+        C = np.vstack([rng.normal(size=(6, 2)), rng.normal(size=(1, 2))])
+        d = np.append(rng.uniform(0.1, 1.0, 6), far)
+        for z in (np.array([1.0, 0.3]), rng.normal(size=2)):
+            ref = highs_support(C, d, z)
+            got = support_function_eval(SetSpec.polyhedron(C, d), z)
+            assert got == ref or abs(got - ref) <= 1e-9 * (1 + abs(ref)), (seed, got, ref)
+
+
+@pytest.mark.parametrize("radius", [1e8, 1e10, 1e12])
+def test_support_intersection_ignores_a_huge_ball(radius):
+    # a ball far larger than the box must not set the scale the box is solved in
+    box_rows = np.vstack([np.eye(2), -np.eye(2)])
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 61])
+        half, a, c = rng.uniform(0.5, 2.0, 4), rng.normal(size=(1, 2)), rng.uniform(0.1, 1.0)
+        ball = SetSpec.ball(NormSpec.p_norm(1 if seed % 2 else math.inf), radius, 2)
+        z = rng.normal(size=2)
+        for C, d in ((box_rows, half), (np.vstack([box_rows, a]), np.append(half, c))):
+            ref = highs_support(C, d, z)
+            got = support_function_eval(SetSpec.intersection([SetSpec.polyhedron(C, d), ball]), z)
+            assert got == ref or abs(got - ref) <= 1e-9 * (1 + abs(ref)), (seed, got, ref)
 
 
 def test_dimension_mismatch():
