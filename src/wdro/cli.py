@@ -30,8 +30,9 @@ from .empirical_risk import (
     BallSpec,
     PiecewiseAffineLoss,
     QuadraticLoss,
+    _type1_extremal,
+    _wc_pwa,
     expected_loss,
-    wc_risk_pwa,
     wc_risk_quadratic,
 )
 from .errors import ToolkitError, UsageError
@@ -463,16 +464,24 @@ def _run_transport(cfg: RunConfig):
 def _run_wc_risk(cfg: RunConfig):
     loss, samples = cfg.payload["loss"], cfg.payload["samples"]
     eps = float(cfg.options["eps"])
+    certificates = {}
     if isinstance(loss, QuadraticLoss):
         value = wc_risk_quadratic(loss, samples, eps, cfg.tol)
+        path = "scalar_dual" if eps > 0.0 else "closed_form"
     else:
-        method = cfg.options["method"] or "auto"
-        value = wc_risk_pwa(loss, samples, cfg.payload["ball"], cfg.tol, method)
+        ball = cfg.payload["ball"]
+        value, path, cells = _wc_pwa(loss, samples, ball, cfg.tol, cfg.options["method"] or "auto")
+        if cells is not None:
+            # the extremal's expected loss and F at the multiplier bracket the value
+            certificates["upper_bound"] = cells.upper
+            rep = _type1_extremal(loss, samples, ball, cells)
+            if rep.kind == "attained":
+                spent = wasserstein_p(rep.distribution, samples, 1.0, ball.norm, cfg.tol).distance
+                certificates["lower_bound"] = expected_loss(loss, rep.distribution)
+                certificates["budget_residual"] = spent - eps
     nominal = expected_loss(loss, samples)
-    return (
-        {"value": value, "nominal_risk": nominal},
-        {"robustness_margin": value - nominal},
-    )
+    certificates["robustness_margin"] = value - nominal
+    return {"value": value, "nominal_risk": nominal, "path": path}, certificates
 
 
 def _run_gelbrich(cfg: RunConfig):

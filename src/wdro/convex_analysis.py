@@ -411,7 +411,7 @@ def support_function_eval(S: SetSpec, z, tol: Tolerance = DEFAULT_TOL) -> float:
     if z.size != S.dim:
         raise DimensionMismatch(f"z has dimension {z.size}, set has {S.dim}")
     if S.kind == "whole":
-        return 0.0 if float(np.abs(z).max(initial=0.0)) <= tol.abs_tol else math.inf
+        return 0.0 if not np.any(z) else math.inf
     if S.kind == "ball":
         return S.radius * dual_norm_eval(S.norm, z)
     # intersection: inf over decompositions z = sum z_k of sum sigma_k(z_k)

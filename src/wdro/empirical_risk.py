@@ -3,9 +3,9 @@
 Two loss families are covered exactly at desk scale:
 
 * piecewise-affine (max of affine pieces) losses, for type-1 and type-inf
-  balls with whole-space or polyhedral support through one mass-splitting
-  LP tiled from a per-cell numpy block, plus the type-2 whole-space case
-  through a scalar dual;
+  balls with whole-space or polyhedral support through one small LP per
+  (sample, piece) cell, all solved as one stack that shares its rows, plus
+  the type-2 whole-space case through a scalar dual;
 * indefinite quadratic losses ``xi' Q xi + 2 q' xi`` for type-2 balls with
   Euclidean norm and whole-space support, through an eigenvalue-based
   scalar dual.
@@ -29,22 +29,19 @@ from ._validation import as_matrix, as_samples, as_vector, check_symmetric
 from .convex_analysis import (
     NormSpec,
     SetSpec,
-    _block_diag,
     dual_norm_eval,
     norm_epigraph_rows,
     norm_eval,
     norm_subgradient,
-    support_function_eval,
 )
 from .errors import (
     DimensionMismatch,
     NumericalFailure,
-    Unbounded,
     UnsupportedCombination,
     UnsupportedSupport,
 )
 from .numerics import DEFAULT_TOL, Tolerance, bisect_root, sym_eig
-from .simplex import LinearProgram, solve_lp
+from .simplex import LPStack
 from .transport import DiscreteDistribution
 
 __all__ = [
@@ -264,129 +261,126 @@ def lipschitz_upper_bound(
     return expected_loss(loss, samples) + ball.eps * lipschitz_modulus_pwa(loss, ball.norm)
 
 
-class _MassSplit(NamedTuple):
-    value: float  # the worst-case risk, in the data's unit
-    alpha: np.ndarray  # (N, J) share of sample i's mass routed to piece j
-    theta: np.ndarray  # (N, J, m) aggregate shift of that mass, over unit
-    unit: float
-
-
-def _travel_bound(support: SetSpec, atoms: np.ndarray, norm: NormSpec, tol: Tolerance) -> float:
-    """Bound on norm(x - xi) over x in the support and every atom xi.
-
-    From the support's bounding box lo <= x <= hi, infinite where it is
-    unbounded: norm(x - xi) <= sum_k max(hi_k - xi_k, xi_k - lo_k) norm(e_k).
-    """
-    E = np.eye(atoms.shape[1])
-    hi = np.array([support_function_eval(support, e, tol) for e in E])
-    lo = -np.array([support_function_eval(support, -e, tol) for e in E])
-    room = np.maximum(hi - atoms, atoms - lo)
-    return float((room @ norm_eval(norm, E)).max())
-
-
-def _mass_split_lp(
-    loss: PiecewiseAffineLoss,
-    samples: DiscreteDistribution,
-    ball: BallSpec,
-    support: SetSpec,
-    tol: Tolerance,
-) -> _MassSplit:
-    """Primal mass-splitting LP for type-1 and type-inf balls.
-
-    Variables alpha_ij (mass of sample i routed to piece j) and theta_ij
-    (aggregate shift of that mass), maximizing
-    sum_ij w_i [alpha_ij l_j(xi_i) + a_j' theta_ij] subject to the mixture
-    rows sum_j alpha_ij = 1, the support rows in perspective form
-    C(xi_i alpha_ij + theta_ij) <= d alpha_ij, and the transport rows: for
-    type 1 one shared budget sum_ij w_i t_ij <= eps with ||theta_ij|| <= t_ij,
-    for type inf ||theta_ij|| <= eps alpha_ij in each cell.  Its LP dual
-    holds one conjugate per piece (Mohajerin Esfahani and Kuhn 2018,
-    Thm 4.2), so the optimum is the worst-case risk.  In type 1, pairs with
-    alpha = 0 but theta != 0 are recession directions realized by escaping
-    atoms.
-
-    The LP is stated relative to the samples.  Each cost is the gap
-    l_j(xi_i) - l(xi_i) <= 0 to the sample's loss, so the value is the
-    nominal risk plus the optimum, and each support row reads
-    C theta_ij <= (d - C xi_i) alpha_ij.  The mixture rows are relaxed to
-    sum_j alpha_ij <= 1: mass left unrouted stays on the sample's active
-    piece, at gap 0 and with the loosest rows, so the optimum is unchanged,
-    the all-slack start is the nominal distribution and no phase 1 runs.
-    The returned alpha puts that mass back.  Gaps, slacks and eps scale
-    with lengths (a gap is a slope times a length) and are divided by a
-    length unit of the data, so translating or scaling the data leaves the
-    LP's numbers unchanged.  theta is left in that unit.
-    """
-    N, J, m = samples.n_atoms, loss.n_pieces, samples.dim
-    if support.kind == "polyhedron":
-        C, d = support.C_matrix(), support.d_vector()
-    else:
-        C, d = np.zeros((0, m)), np.zeros(0)
-    w = samples.weights
-    L = loss.piece_table(samples.atoms)
-    nominal = L.max(axis=1)
+def _faces(support: SetSpec, atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The support's faces C_r / ||C_r|| and each sample's distance to them,
+    (d_r - C_r xi_i) / ||C_r||: cells are stated relative to their sample."""
+    if support.kind != "polyhedron":
+        return np.zeros((0, atoms.shape[1])), np.zeros((atoms.shape[0], 0))
+    C, d = support.C_matrix(), support.d_vector()
+    size = np.linalg.norm(C, axis=1)
+    C, d, size = C[size > 0], d[size > 0], size[size > 0]
     # atoms accepted by the support's membership tolerance sit on its faces
-    slack = np.maximum(d[None, :] - samples.atoms @ C.T, 0.0)
-    norms = np.linalg.norm(C, axis=1)
-    reach = float((slack[:, norms > 0] / norms[norms > 0]).max()) if np.any(norms > 0) else math.inf
-    eps = ball.eps
-    if ball.p != 1.0 and eps > reach:
-        # no cell moves further than the support reaches, and a radius far
-        # beyond that only puts huge coefficients into the type-inf rows
-        eps = min(eps, _travel_bound(support, samples.atoms, ball.norm, tol))
-    # a type-inf cell moves at most eps: rows of faces beyond that are redundant
-    far = eps * dual_norm_eval(ball.norm, C) if ball.p != 1.0 and C.size else math.inf
-    reachable = slack <= far
-    # The simplex's tolerances are absolute: lengths far below the unit vanish
-    # and lengths far above it swamp the pivots.  So the unit is the radius,
-    # capped at the largest sample-to-face distance (a huge radius in a small
-    # support), raised to half the samples' spread (a tiny radius among spread
-    # samples) and kept above 1e-6 eps (a sample next to a face).
-    spread = 0.5 * float(np.ptp(samples.atoms, axis=0).max())
-    unit = max(spread, min(eps, reach), 1e-6 * eps)
-    gaps, slack, eps = (L - nominal[:, None]) / unit, slack / unit, eps / unit
+    return C / size[:, None], np.maximum((d - atoms @ C.T) / size, 0.0)
 
-    # Cell (i, j) owns the columns alpha_ij, theta_ij, among the first
-    # N J (1 + m), and its norm rows' auxiliaries, led by t_ij in type 1,
-    # after all of those.  Its rows are the norm rows, then the support rows
-    # of the faces it can reach.
-    G, H, g = norm_epigraph_rows(ball.norm, m)
-    R, K = g.size, N * J
-    lead = np.zeros((N, J, R + C.shape[0], 1 + m))
-    lead[:, :, :R, 1:] = G
-    lead[:, :, R:, 1:] = C
-    lead[:, :, R:, 0] = -slack[:, None, :]
-    own = np.zeros((R + C.shape[0], H.shape[1] + (ball.p == 1.0)))
-    if ball.p == 1.0:
-        own[:R] = np.column_stack([g, H])
-    else:
-        own[:R] = H
-        lead[:, :, :R, 0] = eps * g
-    keep = np.repeat(np.column_stack([np.ones((N, R), dtype=bool), reachable]), J, axis=0)
-    tiled = (lead.reshape(K, *lead.shape[2:]), np.broadcast_to(own, (K, *own.shape)))
-    cells = np.hstack([_block_diag(T) for T in tiled])[keep.ravel()]
-    n_lead, n_own = K * (1 + m), K * own.shape[1]
-    mixture = _block_diag(np.broadcast_to(np.tile(np.eye(1, 1 + m), J), (N, 1, J * (1 + m))))
-    A = np.vstack([np.pad(mixture, ((0, 0), (0, n_own))), cells])
-    b = np.append(np.ones(N), np.zeros(len(cells)))
-    if ball.p == 1.0:
-        budget = np.kron(np.repeat(w, J), np.eye(1, own.shape[1]))
-        A = np.vstack([A, np.pad(budget, ((0, 0), (n_lead, 0)))])
-        b = np.append(b, eps)
-    cost = np.concatenate([-(w[:, None] * gaps)[:, :, None], -(w[:, None, None] * loss.A)], axis=2)
-    bounds = (((0.0, None),) + ((None, None),) * m) * K + ((0.0, None),) * n_own
-    lp = LinearProgram(np.append(cost, np.zeros(n_own)), A, ["<="] * b.size, b, bounds)
 
-    sol = solve_lp(lp, tol=tol)
-    if sol.status == "unbounded":
-        raise Unbounded("worst-case risk is infinite; no extremal construction exists")
-    if sol.status != "optimal":
-        raise NumericalFailure(f"worst-case LP terminated with status {sol.status}")
-    value = float(w @ nominal) - unit * float(sol.objective)
-    x = sol.x[:n_lead].reshape(N, J, 1 + m)
-    alpha = x[:, :, 0].copy()
-    alpha[np.arange(N), L.argmax(axis=1)] += np.maximum(1.0 - alpha.sum(axis=1), 0.0)
-    return _MassSplit(value, alpha, x[:, :, 1:], unit)
+def _cell_stack(norm: NormSpec, faces, slack, A, radius: Optional[float] = None):
+    """One LP per (row i of slack, piece j) over (theta, the norm rows'
+    auxiliaries[, t]): min -a_j' theta s.t. faces theta <= slack_i and
+    ||theta|| <= radius, or ||theta|| <= t when radius is None (t's cost,
+    the last column, is left to the caller).  Returns the stack and costs."""
+    N, m = len(slack), A.shape[1]
+    G, H, g = norm_epigraph_rows(norm, m)
+    head = np.column_stack([G, H] if radius is not None else [G, H, g])
+    rows = np.vstack([head, np.pad(faces, ((0, 0), (0, head.shape[1] - m)))])
+    b = np.hstack([np.broadcast_to(-(radius or 0.0) * g, (N, g.size)), slack])
+    cost = np.zeros((N * A.shape[0], rows.shape[1]))
+    cost[:, :m] = -np.tile(A, (N, 1))
+    return LPStack(rows, np.repeat(b, A.shape[0], axis=0), m), cost
+
+
+def _ball_cells(norm: NormSpec, faces, slack, radius: float, A) -> tuple[np.ndarray, np.ndarray]:
+    """sigma[i, j] = sup a_j' theta over ||theta|| <= radius, faces theta <=
+    slack_i, and the maximizers theta[i, j]."""
+    stack, cost = _cell_stack(norm, faces, slack, A, radius)
+    x, objective = stack.solve(cost)
+    return -objective.reshape(len(slack), -1), x[:, : A.shape[1]].reshape(len(slack), len(A), -1)
+
+
+class _Selection(NamedTuple):
+    """Every sample's move toward its best piece at multiplier gamma: its line
+    sum(gain - g spend) + g eps lies below F - nominal and touches it at gamma."""
+
+    gamma: float
+    theta: np.ndarray  # (N, m) the moves
+    gain: np.ndarray  # w_i [l_j(xi_i) + a_j' theta_i - l(xi_i)], j the sample's piece
+    spend: np.ndarray  # w_i ||theta_i||
+
+    def line(self, g: float) -> np.ndarray:
+        return self.gain - g * self.spend
+
+
+class _Type1(NamedTuple):
+    value: float  # the primal value, attained by the extremal distribution
+    upper: float  # the least F evaluated: the dual bound
+    gamma: float  # the multiplier where the bracket lines cross
+    lo: _Selection  # spends more than eps, or the one selection of a boundary optimum
+    hi: Optional[_Selection]  # spends at most eps; None at a boundary optimum
+    recession: np.ndarray  # (J, m) each piece's recession direction, or zeros
+    thresholds: np.ndarray  # (J,) each piece's recession threshold
+
+
+_GAP_TOL = 1e-11  # the cutting plane stops within this share of the gain above nominal
+_NUDGE = 2.0**-44  # cuts are evaluated this much (relatively) right of the crossing
+_MAX_CUTS = 200
+
+
+def _type1_cells(
+    loss: PiecewiseAffineLoss, samples: DiscreteDistribution, ball: BallSpec, support: SetSpec
+) -> _Type1:
+    """Minimize F(g) = g eps + sum_i w_i max_j [l_j(xi_i) + h_ij(g)] over g >= 0.
+
+    h_ij(g) = sup a_j' theta - g ||theta|| over theta in Xi - xi_i is a cell
+    of the stack, finite exactly from the recession threshold of piece j on.
+    F is convex and piecewise linear, so a cutting plane on exact values
+    ends; each cut is one stack solve from the previous bases.  The mixture
+    of the two bracket selections that spends eps exactly is worth the
+    lines' value where they cross; the plane stops when F is no higher.
+    Left of the optimum F can be as steep as the support is wide, right of
+    it no steeper than eps, so cuts are made a few ulps right of the crossing.
+    """
+    N, m = samples.n_atoms, samples.dim
+    w, eps, norm = samples.weights, ball.eps, ball.norm
+    L = loss.piece_table(samples.atoms)
+    gaps = L - L.max(axis=1, keepdims=True)  # each piece below the sample's loss
+    faces, slack = _faces(support, samples.atoms)
+    thresholds, recession = _ball_cells(norm, faces, np.zeros((1, len(faces))), 1.0, loss.A)
+    cells, cost = _cell_stack(norm, faces, slack, loss.A)
+    at = np.arange(N)
+
+    def select(gamma: float) -> tuple[float, _Selection]:  # F(gamma) - nominal, and its selection
+        cost[:, -1] = gamma
+        x, objective = cells.solve(cost)
+        if np.any(np.isinf(objective)):
+            raise NumericalFailure("a worst-case cell is unbounded above its recession threshold")
+        table = gaps - objective.reshape(N, -1)
+        j = table.argmax(axis=1)
+        theta = x[:, :m].reshape(N, -1, m)[at, j]
+        gain = w * (gaps[at, j] + np.einsum("ik,ik->i", loss.A[j], theta))
+        return gamma * eps + float(w @ table[at, j]), _Selection(gamma, theta, gain, w * norm_eval(norm, theta))
+
+    def done(value, upper, gamma, lo, hi):
+        nominal = expected_loss(loss, samples)
+        return _Type1(float(nominal + value), float(nominal + upper), gamma, lo, hi, recession[0], thresholds[0])
+
+    # F is finite exactly from the largest recession threshold on
+    upper, lo = select(max(float(thresholds.max()), 0.0))
+    if lo.spend.sum() <= eps:
+        return done(lo.line(lo.gamma).sum() + lo.gamma * eps, upper, lo.gamma, lo, None)
+    # at the Lipschitz modulus every cell is solved by theta = 0
+    lip = lipschitz_modulus_pwa(loss, norm)
+    hi = _Selection(lip, np.zeros((N, m)), np.zeros(N), np.zeros(N))
+    upper = min(upper, lip * eps)
+    for _ in range(_MAX_CUTS):
+        s_lo, s_hi = lo.spend.sum(), hi.spend.sum()
+        gamma = min(max((lo.gain.sum() - hi.gain.sum()) / (s_lo - s_hi), lo.gamma), hi.gamma)
+        share = (eps - s_hi) / (s_lo - s_hi)
+        value = (1.0 - share) * hi.gain.sum() + share * lo.gain.sum()
+        if upper - value <= _GAP_TOL * value:
+            return done(value, upper, gamma, lo, hi)
+        at_cut, cut = select(min(gamma * (1.0 + _NUDGE), hi.gamma))
+        upper = min(upper, at_cut)
+        lo, hi = (cut, hi) if cut.spend.sum() > eps else (lo, cut)
+    raise NumericalFailure("the worst-case cutting plane did not converge")
 
 
 def _wc_pwa_p2_whole(
@@ -426,28 +420,19 @@ def _wc_pwa_p2_whole(
     return value_at(g_star)
 
 
-def wc_risk_pwa(
+def _wc_pwa(
     loss: PiecewiseAffineLoss,
     samples: DiscreteDistribution,
     ball: BallSpec,
-    tol: Tolerance = DEFAULT_TOL,
-    method: str = "auto",
-) -> float:
-    """Exact worst-case expected max-affine loss over a Wasserstein ball.
-
-    Whole-space supports use closed forms (type-1: nominal plus eps times
-    the Lipschitz modulus; type-inf: per-sample sup; type-2: scalar dual).
-    Polyhedral supports use the mass-splitting LP (``_mass_split_lp``, the
-    same LP ``extremal_pwa`` reads its distribution from), which requires
-    p in {1, inf} and a polyhedral ground norm.  ``method`` is one of
-    "auto", "closed_form", "lp"; forcing "lp" on a whole-space instance
-    runs the same LP with zero support rows, which is useful for
-    cross-checks.
-    """
+    tol: Tolerance,
+    method: str,
+) -> tuple[float, str, Optional[_Type1]]:
+    """The value, its path ("closed_form", "scalar_dual" or "cells") and the
+    type-1 cutting plane's result."""
     support = _check_inputs(loss.dim, samples, ball)
     nominal = expected_loss(loss, samples)
     if ball.eps == 0.0:
-        return nominal
+        return nominal, "closed_form", None
 
     if method not in ("auto", "closed_form", "lp"):
         raise ValueError(f"unknown method {method!r}")
@@ -463,12 +448,12 @@ def wc_risk_pwa(
 
     if whole and method in ("auto", "closed_form"):
         if ball.p == 1.0:
-            return nominal + ball.eps * lipschitz_modulus_pwa(loss, ball.norm)
+            return nominal + ball.eps * lipschitz_modulus_pwa(loss, ball.norm), "closed_form", None
         if ball.p == math.inf:
             duals = dual_norm_eval(ball.norm, loss.A)
             per_sample = (loss.piece_table(samples.atoms) + ball.eps * duals).max(axis=1)
-            return float(samples.weights @ per_sample)
-        return _wc_pwa_p2_whole(loss, samples, ball, tol)
+            return float(samples.weights @ per_sample), "closed_form", None
+        return _wc_pwa_p2_whole(loss, samples, ball, tol), "scalar_dual", None
 
     if ball.p == 2.0:
         raise UnsupportedCombination("the type-2 case has no LP path")
@@ -477,7 +462,35 @@ def wc_risk_pwa(
             "the ground norm is not polyhedral; this ball/support "
             "combination has no LP reformulation"
         )
-    return _mass_split_lp(loss, samples, ball, support, tol).value
+    if ball.p == 1.0:
+        cells = _type1_cells(loss, samples, ball, support)
+        return cells.value, "cells", cells
+    # type inf: every sample moves by at most eps on its own
+    sigma, _ = _ball_cells(ball.norm, *_faces(support, samples.atoms), ball.eps, loss.A)
+    L = loss.piece_table(samples.atoms) + sigma
+    return float(samples.weights @ L.max(axis=1)), "cells", None
+
+
+def wc_risk_pwa(
+    loss: PiecewiseAffineLoss,
+    samples: DiscreteDistribution,
+    ball: BallSpec,
+    tol: Tolerance = DEFAULT_TOL,
+    method: str = "auto",
+) -> float:
+    """Exact worst-case expected max-affine loss over a Wasserstein ball.
+
+    Whole-space supports use closed forms (type-1: nominal plus eps times
+    the Lipschitz modulus; type-inf: per-sample sup; type-2: scalar dual).
+    Polyhedral supports solve small cell LPs, one per (sample, piece), as
+    one stack that shares its rows, which requires p in {1, inf} and a
+    polyhedral ground norm: type inf in one stack solve, type 1 by a
+    cutting plane on the budget multiplier (the one ``extremal_pwa`` reads
+    its distribution from).  ``method`` is one of "auto", "closed_form",
+    "lp"; forcing "lp" on a whole-space instance runs the cells with no
+    support rows, which is useful for cross-checks.
+    """
+    return _wc_pwa(loss, samples, ball, tol, method)[0]
 
 
 def _coordinate_intervals(C, d, xi, k, cap):
@@ -743,69 +756,50 @@ def extremal_quadratic(
     return ExtremalReport(kind="asymptotic", certified_value=dual.value, family=family)
 
 
-def _extremal_pwa_lp(
-    loss: PiecewiseAffineLoss,
-    samples: DiscreteDistribution,
-    ball: BallSpec,
-    support: SetSpec,
-    tol: Tolerance,
+def _type1_extremal(
+    loss: PiecewiseAffineLoss, samples: DiscreteDistribution, ball: BallSpec, cells: _Type1
 ) -> ExtremalReport:
-    """Type-1 extremal distribution read off the mass-splitting LP's vertex.
+    """Worst-case distribution from the cutting plane's selections.
 
-    Pairs with alpha_ij > 0 become attained atoms xi_i + theta_ij/alpha_ij;
-    pairs with alpha_ij = 0 but theta_ij != 0 become escaping atoms.  Both
-    thresholds act on alpha and the normalized theta of ``_mass_split_lp``,
-    so the kind does not depend on the input scale; atoms and escape
-    budgets are scaled back by its unit afterwards.
+    Samples switch from hi's move to lo's one at a time; the one at which
+    the budget reaches eps splits its mass between its two moves: N + 1
+    atoms (Gao and Kleywegt 2016).  At a boundary optimum every sample takes
+    its one move, and where a recession threshold binds the leftover budget
+    escapes along that piece's recession direction.
     """
-    split = _mass_split_lp(loss, samples, ball, support, tol)
-    alpha, theta, unit = split.alpha, split.theta, split.unit
-    N, J = alpha.shape
-    scale = 1.0 + float(np.max(np.abs(theta))) + ball.eps / unit
-    a_tol = 1e-9
-    th_tol = 1e-9 * scale
-
-    atoms, weights = [], []
-    escapes = []
-    donor_of_row = {}
-    for i in range(N):
-        for j in range(J):
-            if alpha[i, j] > a_tol:
-                atoms.append(samples.atoms[i] + unit * theta[i, j] / alpha[i, j])
-                weights.append(float(samples.weights[i] * alpha[i, j]))
-                prev = donor_of_row.get(i)
-                if prev is None or weights[prev] < weights[-1]:
-                    donor_of_row[i] = len(weights) - 1
-    for i in range(N):
-        for j in range(J):
-            if alpha[i, j] <= a_tol:
-                r = float(np.linalg.norm(theta[i, j]))
-                if r > th_tol:
-                    # The atom carries exactly the LP budget w_i ||theta||
-                    # at every n.  Capping the escaping mass at that budget
-                    # shrinks the risk deficit (mass times the donor's gap
-                    # to the escape piece) to O(budget/n).
-                    budget = float(samples.weights[i]) * r * unit
-                    mass = min(float(samples.weights[i]), budget)
-                    escapes.append(
-                        EscapingAtom(
-                            origin=samples.atoms[i].copy(),
-                            direction=theta[i, j] / r,
-                            donor=donor_of_row[i],
-                            donor_unit=mass,
-                            rate_kind="linear",
-                            coef=budget / mass,
-                        )
-                    )
-
-    base_atoms = np.vstack(atoms)
-    base_weights = np.array(weights)
-    base_weights = base_weights / base_weights.sum()
-    if escapes:
-        family = AsymptoticFamily(base_atoms, base_weights, tuple(escapes))
-        return ExtremalReport(kind="asymptotic", certified_value=split.value, family=family)
-    dist = DiscreteDistribution(base_atoms, base_weights).merged(1e-10 * unit)
-    return ExtremalReport(kind="attained", certified_value=split.value, distribution=dist)
+    atoms, w, eps = samples.atoms, samples.weights, ball.eps
+    lo, hi = cells.lo, cells.hi
+    weights = w.copy()
+    if hi is None:
+        moved, left = atoms + lo.theta, eps - lo.spend.sum()
+        if lo.gamma > 0.0 and left > 0.0:
+            j = int(np.argmax(cells.thresholds))
+            # the donor whose mass loses least on the escaping piece
+            donor = int(np.argmin(loss.value(moved) - loss.piece_table(atoms)[:, j]))
+            mass = min(float(w[donor]), left)
+            direction = cells.recession[j] / norm_eval(ball.norm, cells.recession[j])
+            escape = EscapingAtom(atoms[donor].copy(), direction, donor, mass, "linear", left / mass)
+            family = AsymptoticFamily(moved, weights, (escape,))
+            return ExtremalReport(kind="asymptotic", certified_value=cells.value, family=family)
+    else:
+        # samples in descending order of how much lo's line beats hi's at
+        # gamma: those differences sum to zero there, so every prefix is
+        # worth at least hi, and the mixture at least the value
+        order = np.argsort(hi.line(cells.gamma) - lo.line(cells.gamma), kind="stable")
+        spent = hi.spend.sum() + np.append(0.0, np.cumsum((lo.spend - hi.spend)[order]))
+        reach = np.flatnonzero(spent[1:] >= eps)
+        k = int(reach[0]) if reach.size else len(w) - 1
+        step = spent[k + 1] - spent[k]
+        share = min(max((eps - spent[k]) / step, 0.0), 1.0) if step > 0.0 else 0.0
+        theta = hi.theta.copy()
+        theta[order[:k]] = lo.theta[order[:k]]
+        split = order[k]
+        moved = np.vstack([atoms + theta, atoms[split] + lo.theta[split]])
+        weights = np.append(w, share * w[split])
+        weights[split] *= 1.0 - share
+    keep = weights > 0.0
+    dist = DiscreteDistribution(moved[keep], weights[keep] / weights[keep].sum())
+    return ExtremalReport(kind="attained", certified_value=cells.value, distribution=dist)
 
 
 def extremal_pwa(
@@ -816,12 +810,15 @@ def extremal_pwa(
 ) -> ExtremalReport:
     """Extremal (or asymptotically extremal) distribution for type-1 balls.
 
-    With a polyhedral ground norm this solves the mass-splitting LP and reads
-    the attained atoms and recession escapes off the optimal vertex.  For
-    non-polyhedral norms on the whole space, a single affine piece is handled
-    by shifting every atom along the dual-norm maximizer; several pieces give
-    an escaping-atom family along the steepest piece, matching the closed
-    form nominal + eps * Lip.
+    With a polyhedral ground norm this runs the cells' cutting plane and
+    mixes its two bracket selections so that the budget is spent exactly:
+    at most N + 1 atoms whose expected loss is the value, certified by the
+    dual objective at the multiplier.  Where a recession threshold binds,
+    the leftover budget escapes along that piece's recession direction.
+    For non-polyhedral norms on the whole space, a single affine piece is
+    handled by shifting every atom along the dual-norm maximizer; several
+    pieces give an escaping-atom family along the steepest piece, matching
+    the closed form nominal + eps * Lip.
     """
     support = _check_inputs(loss.dim, samples, ball)
     if ball.p != 1.0:
@@ -835,7 +832,7 @@ def extremal_pwa(
         )
 
     if ball.norm.is_lp_representable(samples.dim):
-        return _extremal_pwa_lp(loss, samples, ball, support, tol)
+        return _type1_extremal(loss, samples, ball, _type1_cells(loss, samples, ball, support))
     if support.kind == "polyhedron":
         raise UnsupportedCombination(
             "polyhedral support needs a polyhedral ground norm for the "

@@ -131,6 +131,59 @@ def test_wc_risk_pwa_run(tmp_path):
         assert abs(report["certificates"]["robustness_margin"] - eps) <= 1e-9
 
 
+def test_wc_risk_cells_report_brackets_the_value(tmp_path):
+    """A type-1 ball on a box runs the cells; the report carries the extremal's
+    expected loss and F at the multiplier around the value, and the extremal's
+    W1 distance to the samples."""
+    rng = np.random.default_rng(13)
+    samples = write_json(tmp_path / "s.json", {"atoms": rng.uniform(-1.0, 1.0, size=(7, 2)).tolist()})
+    loss = write_json(
+        tmp_path / "l.json",
+        {"kind": "pwa", "slopes": rng.normal(size=(3, 2)).tolist(), "intercepts": rng.normal(size=3).tolist()},
+    )
+    box = {"kind": "polyhedron", "C": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], "d": [1.5] * 4}
+    support = write_json(tmp_path / "box.json", box)
+    norm = write_json(tmp_path / "norm.json", {"kind": "p", "p": 1.0})
+    eps = 0.35
+    args = ["wc-risk", "--samples", samples, "--loss", loss, "--eps", repr(eps), "--p", "1",
+            "--norm", norm, "--support", support]
+    texts = []
+    for _ in range(2):
+        code, report = run_cli(args, tmp_path)
+        assert code == 0
+        texts.append(json.dumps(dict(report, timings={}), sort_keys=True))
+    assert texts[0] == texts[1]
+    results, certs = report["results"], report["certificates"]
+    assert results["path"] == "cells"
+    value = results["value"]
+    slack = 1e-9 * abs(value)
+    assert certs["lower_bound"] <= value + slack
+    assert value <= certs["upper_bound"] + slack
+    assert abs(certs["lower_bound"] - value) <= slack
+    assert abs(certs["upper_bound"] - value) <= slack
+    assert certs["budget_residual"] <= 1e-9 * eps
+    assert abs(certs["robustness_margin"] - (value - results["nominal_risk"])) <= 1e-12
+
+
+def test_wc_risk_reports_its_path(tmp_path):
+    samples = write_json(tmp_path / "s.json", {"atoms": [[0.0], [1.0]]})
+    pwa = write_json(tmp_path / "l.json", {"kind": "pwa", "slopes": [[0.0], [1.0]], "intercepts": [0.0, -1.0]})
+    quad = write_json(tmp_path / "q.json", {"kind": "quadratic", "Q": [[1.0]], "q": [0.0]})
+    for loss, p, extra, path in [
+        (pwa, "1", [], "closed_form"),
+        (pwa, "inf", [], "closed_form"),
+        (pwa, "2", [], "scalar_dual"),
+        (pwa, "1", ["--method", "lp"], "cells"),
+        (quad, "2", [], "scalar_dual"),
+    ]:
+        code, report = run_cli(
+            ["wc-risk", "--samples", samples, "--loss", loss, "--eps", "0.5", "--p", p] + extra, tmp_path
+        )
+        assert code == 0 and report["results"]["path"] == path, (p, extra)
+        # the whole line lets mass escape: no attained extremal, so no lower bound
+        assert ("lower_bound" in report["certificates"]) is False
+
+
 def test_wc_risk_polyhedron_type2_fails_with_partial_report(tmp_path):
     samples = write_json(tmp_path / "s.json", {"atoms": [[0.0]]})
     loss = write_json(tmp_path / "l.json", {"kind": "pwa", "slopes": [[1.0]], "intercepts": [0.0]})

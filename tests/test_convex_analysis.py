@@ -185,6 +185,14 @@ def test_support_whole_space():
     assert support_function_eval(S, [1e-3, 0.0]) == math.inf
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-100, 1e-12, 1.0, 1e100, 1e300])
+def test_support_whole_space_is_infinite_for_every_nonzero_direction(s):
+    S = SetSpec.whole(2)
+    assert support_function_eval(S, [s, 0.0]) == math.inf
+    assert support_function_eval(S, [0.0, -s]) == math.inf
+    assert support_function_eval(S, [0.0, 0.0]) == 0.0
+
+
 def test_support_unit_box():
     C = np.vstack([np.eye(2), -np.eye(2)])
     d = np.ones(4)

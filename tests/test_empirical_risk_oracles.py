@@ -176,24 +176,3 @@ def test_translated_data_with_a_small_radius_match_the_dual(support):
                 if p == 1.0:
                     rep = extremal_pwa(moved_loss, moved, ball)
                     assert abs(rep.certified_value - ref) <= REL * (1.0 + abs(ref)), (seed, eps)
-
-
-def test_weighted_ground_norm_lp_has_only_inequality_rows(monkeypatch):
-    """||W x|| takes the rows of ||.|| times W: no equality rows, no phase 1."""
-    import wdro.empirical_risk as er
-
-    seen, solve_lp = [], er.solve_lp
-
-    def recording_solve_lp(lp, **kwargs):
-        seen.append(lp.senses)
-        return solve_lp(lp, **kwargs)
-
-    monkeypatch.setattr(er, "solve_lp", recording_solve_lp)
-    rng = np.random.default_rng(31)
-    atoms = rng.uniform(-1.0, 1.0, size=(4, 2))
-    spec, _, _ = support_rows("box", atoms, rng)
-    loss = PiecewiseAffineLoss(list(zip(rng.normal(size=(3, 2)), rng.normal(size=3))))
-    samples = DiscreteDistribution(atoms, np.full(4, 0.25))
-    for p in (1.0, math.inf):
-        wc_risk_pwa(loss, samples, BallSpec(0.5, p, ground("weighted", 2)[0], spec))
-    assert len(seen) == 2 and all(set(senses) == {"<="} for senses in seen)

@@ -1,0 +1,188 @@
+"""Differential tests of the simplex core against HiGHS, and of its stack.
+
+``solve_lp`` is compared with ``scipy.optimize.linprog(method="highs")``
+(scipy is a test-only dependency) on seeded degenerate, infeasible,
+unbounded and redundant-equality LPs: statuses must agree, and optimal
+objectives to 1e-9 relative.  ``LPStack`` must give each member the
+objective that ``solve_lp`` gives it alone, from a cold start and warm.
+"""
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+import wdro.simplex as simplex
+from wdro.errors import NumericalFailure
+from wdro.simplex import LinearProgram, LPStack, solve_lp
+
+REL = 1e-9
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def highs(c, A, senses, b, bounds):
+    senses = np.asarray(senses)
+    le, ge, eq = senses == "<=", senses == ">=", senses == "="
+    A_ub = np.vstack([A[le], -A[ge]])
+    b_ub = np.concatenate([b[le], -b[ge]])
+    res = linprog(
+        c,
+        A_ub=A_ub if A_ub.size else None,
+        b_ub=b_ub if A_ub.size else None,
+        A_eq=A[eq] if eq.any() else None,
+        b_eq=b[eq] if eq.any() else None,
+        bounds=bounds,
+        method="highs",
+    )
+    assert res.status in HIGHS_STATUS, res.message
+    return HIGHS_STATUS[res.status], res.fun
+
+
+def agree(c, A, senses, b, bounds):
+    want, ref = highs(c, A, senses, b, bounds)
+    sol = solve_lp(LinearProgram(c, A, senses, b, bounds))
+    assert sol.status == want, (sol.status, want)
+    if want == "optimal":
+        assert abs(sol.objective - ref) <= REL * (1.0 + abs(ref)), (sol.objective, ref)
+        assert abs(sol.dual_objective - ref) <= 1e-8 * (1.0 + abs(ref))
+    return sol
+
+
+def degenerate(rng):
+    """Many rows through one vertex x0 >= 0, on a small integer lattice."""
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(n + 1, 3 * n + 2))
+    x0 = rng.integers(0, 2, n).astype(float)
+    A = rng.integers(-3, 4, (k, n)).astype(float)
+    b = A @ x0 + rng.integers(0, 2, k) * rng.integers(0, 3, k)  # about half the rows tight
+    c = rng.integers(-3, 4, n).astype(float)
+    # a box keeps the optimum finite
+    A = np.vstack([A, np.eye(n)])
+    b = np.concatenate([b, np.full(n, 4.0)])
+    return c, A, ["<="] * b.size, b, [(0.0, None)] * n
+
+
+def infeasible(rng):
+    n = int(rng.integers(2, 5))
+    a = rng.normal(size=n)
+    lo = float(rng.uniform(0.5, 2.0))
+    A = np.vstack([a, a, rng.normal(size=(2, n))])
+    b = np.array([lo - 1.0, lo, 5.0, 5.0])
+    return rng.normal(size=n), A, ["<=", ">=", "<=", "<="], b, [(None, None)] * n
+
+
+def unbounded(rng):
+    n = int(rng.integers(2, 5))
+    A = np.abs(rng.normal(size=(3, n)))
+    b = np.abs(rng.normal(size=3)) + 1.0
+    c = rng.normal(size=n)
+    c[0] = -abs(c[0]) - 0.5
+    # x_0 can grow without bound along a ">=" row
+    return c, A, [">="] * 3, b, [(0.0, None)] * n
+
+
+def redundant_equalities(rng):
+    n = int(rng.integers(3, 6))
+    E = rng.normal(size=(2, n))
+    x0 = rng.uniform(0.5, 1.5, n)
+    combos = rng.normal(size=(2, 2)) @ E  # rows that follow from the first two
+    A = np.vstack([E, combos, E[:1], np.eye(n)])
+    b = np.concatenate([E @ x0, combos @ x0, E[:1] @ x0, np.full(n, 3.0)])
+    senses = ["="] * 5 + ["<="] * n
+    return rng.normal(size=n), A, senses, b, [(0.0, None)] * n
+
+
+@pytest.mark.parametrize(
+    "family,want",
+    [(degenerate, "optimal"), (infeasible, "infeasible"), (unbounded, "unbounded"),
+     (redundant_equalities, "optimal")],
+)
+def test_solve_lp_agrees_with_highs(family, want):
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 71, len(want)])
+        sol = agree(*family(rng))
+        assert sol.status == want
+
+
+def test_degenerate_lps_agree_under_blands_rule(monkeypatch):
+    """With the degenerate streak limit at 0, each member switches to Bland's
+    rule at its first degenerate pivot, so that path is checked as well."""
+    monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", 0)
+    for seed in range(40):
+        agree(*degenerate(np.random.default_rng([seed, 73])))
+    bounds = [(None, None)] * 2 + [(0.0, None)] * 2
+    for seed in range(10):
+        rng = np.random.default_rng([seed, 83])
+        A, rhs = cell_stack(rng, 12, 2)
+        costs = np.hstack([rng.normal(size=(12, 2)), np.zeros((12, 2))])
+        _, objective = LPStack(A, rhs, 2).solve(costs)
+        for k in range(12):
+            want, ref = highs(costs[k], A, ["<="] * A.shape[0], rhs[k], bounds)
+            assert want == "optimal" and abs(objective[k] - ref) <= REL * (1.0 + abs(ref))
+
+
+def cell_stack(rng, K, n_free):
+    """K LPs over shared rows: a 1-norm ball of radius b_k[-1] cut by faces."""
+    m = n_free
+    faces = rng.normal(size=(m + 2, m))
+    faces /= np.linalg.norm(faces, axis=1, keepdims=True)
+    # +-theta_k - u_k <= 0, sum u <= r, faces theta <= slack
+    sign = np.kron(np.eye(m), [[1.0], [-1.0]])
+    A = np.block(
+        [
+            [sign, -np.abs(sign)],
+            [np.zeros((1, m)), np.ones((1, m))],
+            [faces, np.zeros((m + 2, m))],
+        ]
+    )
+    rhs = np.hstack(
+        [np.zeros((K, 2 * m)), rng.uniform(0.1, 3.0, (K, 1)), rng.uniform(0.0, 2.0, (K, m + 2))]
+    )
+    rhs[rng.random(K) < 0.3, -(m + 2):] = 0.0  # samples on faces: degenerate starts
+    return A, rhs
+
+
+def test_a_stack_gives_every_member_its_own_objective():
+    for seed in range(5):
+        rng = np.random.default_rng([seed, 79])
+        K, m = 25, 2 + seed % 2
+        A, rhs = cell_stack(rng, K, m)
+        stack = LPStack(A, rhs, m)
+        bounds = [(None, None)] * m + [(0.0, None)] * m
+        for solve in range(3):  # a cold start, then two warm ones with new costs
+            costs = np.hstack([rng.normal(size=(K, m)), np.zeros((K, m))])
+            x, objective = stack.solve(costs)
+            for k in range(K):
+                ref = solve_lp(LinearProgram(costs[k], A, ["<="] * A.shape[0], rhs[k], bounds))
+                assert ref.status == "optimal"
+                assert abs(objective[k] - ref.objective) <= REL * (1.0 + abs(ref.objective)), (seed, solve, k)
+                assert np.all(A @ x[k] <= rhs[k] + 1e-9 * (1.0 + np.abs(rhs[k])))
+
+
+def test_a_stack_reports_unbounded_members():
+    A = np.array([[1.0, -1.0], [0.0, 1.0]])
+    stack = LPStack(A, np.array([[1.0, 1.0], [1.0, 1.0]]), n_free=1)
+    # member 0: min x0 over x0 - x1 <= 1, x1 <= 1 runs off to -inf; member 1 is bounded
+    _, objective = stack.solve(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    assert objective[0] == -np.inf
+    assert objective[1] == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_a_stack_rejects_negative_right_hand_sides():
+    with pytest.raises(ValueError, match="nonnegative"):
+        LPStack(np.eye(2), np.array([[1.0, -1e-300]]), n_free=0)
+
+
+def test_an_optimal_basis_is_checked_without_its_inverse(monkeypatch):
+    """Pricing that sees no candidate on a wrong inverse must not pass: the
+    reduced costs recomputed from the basis itself expose it."""
+    lp = LinearProgram([-1.0, -2.0], [[1.0, 1.0]], ["<="], [1.0])
+    assert solve_lp(lp).objective == pytest.approx(-2.0, abs=1e-12)
+
+    def blind(self, members, cost):
+        return np.zeros_like(cost)
+
+    monkeypatch.setattr(simplex._Simplex, "_reduced_costs", blind)
+    with pytest.raises(NumericalFailure, match="reduced cost"):
+        solve_lp(lp)
+    with pytest.raises(NumericalFailure, match="reduced cost"):
+        LPStack(np.array([[1.0, 1.0]]), np.array([[1.0]]), n_free=0).solve(np.array([-1.0, -2.0]))
