@@ -165,6 +165,30 @@ def test_wc_risk_cells_report_brackets_the_value(tmp_path):
     assert abs(certs["robustness_margin"] - (value - results["nominal_risk"])) <= 1e-12
 
 
+def test_wc_risk_cells_report_a_far_box(tmp_path):
+    """A box 1e8 beyond the data: the value and its bounds are reported even
+    where the W1 distance of the extremal cannot be certified."""
+    rng = np.random.default_rng([0, 41])
+    samples = write_json(tmp_path / "s.json", {"atoms": rng.uniform(-1.0, 1.0, size=(6, 2)).tolist()})
+    loss = write_json(
+        tmp_path / "l.json",
+        {"kind": "pwa", "slopes": rng.normal(size=(3, 2)).tolist(), "intercepts": rng.normal(size=3).tolist()},
+    )
+    box = {"kind": "polyhedron", "C": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], "d": [1e8] * 4}
+    support = write_json(tmp_path / "box.json", box)
+    norm = write_json(tmp_path / "norm.json", {"kind": "p", "p": 1.0})
+    code, report = run_cli(
+        ["wc-risk", "--samples", samples, "--loss", loss, "--eps", "1e-6", "--p", "1",
+         "--norm", norm, "--support", support],
+        tmp_path,
+    )
+    assert code == 0 and report["error"] is None
+    value, certs = report["results"]["value"], report["certificates"]
+    assert abs(certs["lower_bound"] - value) <= 1e-9 * abs(value)
+    assert abs(certs["upper_bound"] - value) <= 1e-9 * abs(value)
+    assert certs.get("budget_residual", 0.0) <= 1e-9 * 1e-6
+
+
 def test_wc_risk_reports_its_path(tmp_path):
     samples = write_json(tmp_path / "s.json", {"atoms": [[0.0], [1.0]]})
     pwa = write_json(tmp_path / "l.json", {"kind": "pwa", "slopes": [[0.0], [1.0]], "intercepts": [0.0, -1.0]})
