@@ -322,6 +322,7 @@ class _Type1(NamedTuple):
 _GAP_TOL = 1e-11  # the cutting plane stops within this share of the gain above nominal
 _NUDGE = 2.0**-44  # cuts are evaluated this much (relatively) right of the crossing
 _MAX_CUTS = 200
+_RECESSION_TOL = 1e-9  # thresholds below this share of the Lipschitz modulus are rounding
 
 
 def _type1_cells(
@@ -362,12 +363,14 @@ def _type1_cells(
         nominal = expected_loss(loss, samples)
         return _Type1(float(nominal + value), float(nominal + upper), gamma, lo, hi, recession[0], thresholds[0])
 
-    # F is finite exactly from the largest recession threshold on
-    upper, lo = select(max(float(thresholds.max()), 0.0))
+    # F is finite exactly from the largest recession threshold on; one within
+    # rounding of 0 (a bounded support's cone still yields moves of 1e-17) is 0
+    lip = lipschitz_modulus_pwa(loss, norm)
+    start = float(thresholds.max())
+    upper, lo = select(start if start > _RECESSION_TOL * lip else 0.0)
     if lo.spend.sum() <= eps:
         return done(lo.line(lo.gamma).sum() + lo.gamma * eps, upper, lo.gamma, lo, None)
     # at the Lipschitz modulus every cell is solved by theta = 0
-    lip = lipschitz_modulus_pwa(loss, norm)
     hi = _Selection(lip, np.zeros((N, m)), np.zeros(N), np.zeros(N))
     upper = min(upper, lip * eps)
     for _ in range(_MAX_CUTS):

@@ -182,6 +182,26 @@ def test_extremals_cover_both_kinds():
     assert kinds == {"attained", "asymptotic"}
 
 
+def test_bounded_supports_give_attained_extremals():
+    """A bounded support has no recession direction, so no mass escapes, also
+    when the budget exceeds what the support lets the samples spend."""
+    for seed in range(100):
+        rng = np.random.default_rng([seed, 103])
+        m, N, J = 2, int(rng.integers(5, 60)), int(rng.integers(1, 5))
+        atoms = rng.uniform(-1.0, 1.0, size=(N, m))
+        C = np.vstack([np.eye(m), -np.eye(m), rng.normal(size=(3, m))])
+        d = (atoms @ C.T).max(axis=0) + rng.uniform(0.05, 1.0, len(C))
+        loss = PiecewiseAffineLoss(list(zip(rng.normal(size=(J, m)), rng.normal(size=J))))
+        samples = DiscreteDistribution(atoms)
+        eps = float(10.0 ** rng.uniform(-1.0, 2.0))
+        # the weighted norm's rows leave rounding of 1e-17 in the recession cells
+        for norm in {"weighted", NORMS[seed % len(NORMS)]}:
+            ball = BallSpec(eps, 1.0, ground(norm, m)[0], SetSpec.polyhedron(C, d))
+            rep = extremal_pwa(loss, samples, ball)
+            assert rep.kind == "attained", (seed, norm)
+            check_extremal(rep, loss, samples, ball, rep.certified_value)
+
+
 METAMORPHIC = [("box", "one"), ("polyhedron", "inf"), ("halfplane", "weighted"), ("whole", "block_max")]
 
 
