@@ -289,8 +289,7 @@ def _cell_stack(norm: NormSpec, faces, slack, A, radius: Optional[float] = None)
 
 
 def _ball_cells(norm: NormSpec, faces, slack, radius: float, A) -> tuple[np.ndarray, np.ndarray]:
-    """sigma[i, j] = sup a_j' theta over ||theta|| <= radius, faces theta <=
-    slack_i, and the maximizers theta[i, j]."""
+    """sup a_j' theta over ||theta|| <= radius, faces theta <= slack_i, and theta."""
     stack, cost = _cell_stack(norm, faces, slack, A, radius)
     x, objective = stack.solve(cost)
     return -objective.reshape(len(slack), -1), x[:, : A.shape[1]].reshape(len(slack), len(A), -1)
@@ -363,8 +362,7 @@ def _type1_cells(
         nominal = expected_loss(loss, samples)
         return _Type1(float(nominal + value), float(nominal + upper), gamma, lo, hi, recession[0], thresholds[0])
 
-    # F is finite exactly from the largest recession threshold on; one within
-    # rounding of 0 (a bounded support's cone still yields moves of 1e-17) is 0
+    # F is finite from the largest recession threshold on (0 if within rounding of 0)
     lip = lipschitz_modulus_pwa(loss, norm)
     start = float(thresholds.max())
     upper, lo = select(start if start > _RECESSION_TOL * lip else 0.0)
