@@ -40,7 +40,7 @@ from .learn import UnivariateLoss, dro_objective_crosscheck, dro_train_classifie
 from .mmse import JointMoments, fw_solve, mmse_objective
 from .moment_risk import gelbrich_risk_quadratic
 from .numerics import DEFAULT_TOL, Tolerance
-from .shrinkage import _eq51_residual, sample_moments, wasserstein_shrinkage
+from .shrinkage import _eq51, sample_moments, wasserstein_shrinkage
 from .transport import DiscreteDistribution, MomentPair, gelbrich_distance, kr_verify, wasserstein_p
 from .convex_analysis import NormSpec, SetSpec
 
@@ -445,7 +445,7 @@ def _run_transport(cfg: RunConfig):
     res = wasserstein_p(q, qp, p, norm, cfg.tol)
     dual_value = float(res.duals.psi @ qp.weights - res.duals.phi @ q.weights)
     gap = abs(res.distance**p - dual_value)
-    feasibility = kr_verify(q, qp, norm, res.duals, cfg.tol, p).violation
+    feasibility = kr_verify(q, qp, norm, res.duals, p).violation
     return (
         {
             "distance": res.distance,
@@ -515,7 +515,7 @@ def _run_shrink(cfg: RunConfig):
     eps = float(cfg.options["eps"])
     res = wasserstein_shrinkage(cfg.payload["moments"], eps, cfg.tol)
     lam = np.array([pair[0] for pair in res.eigen_map])
-    residual = abs(_eq51_residual(res.gamma_star, lam, eps, lam.size))
+    residual = abs(_eq51(res.gamma_star, lam, eps, lam.size)[0])
     return (
         {
             "mean": res.mean,

@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedCombination,
     UnsupportedSupport,
 )
-from .numerics import DEFAULT_TOL, Tolerance, bisect_root, sym_eig
+from .numerics import DEFAULT_TOL, Tolerance, monotone_root, secular_root, sym_eig
 from .simplex import LPStack
 from .transport import DiscreteDistribution
 
@@ -385,10 +385,7 @@ def _type1_cells(
 
 
 def _wc_pwa_p2_whole(
-    loss: PiecewiseAffineLoss,
-    samples: DiscreteDistribution,
-    ball: BallSpec,
-    tol: Tolerance,
+    loss: PiecewiseAffineLoss, samples: DiscreteDistribution, ball: BallSpec
 ) -> float:
     """Scalar dual for the type-2 whole-space case.
 
@@ -404,21 +401,18 @@ def _wc_pwa_p2_whole(
 
     w = samples.weights
 
-    def value_at(g: float) -> float:
-        inner = L + D[None, :] / (4.0 * g)
-        return g * ball.eps**2 + float(w @ inner.max(axis=1))
+    def crossing(g: float) -> tuple[float, float]:
+        # the derivative eps^2 - K / (4 g^2), with K the weighted D of the
+        # active pieces, as 2 g / sqrt(K) - 1 / eps: linear between switches
+        # of the active pieces, and -1 / eps at g = 0
+        k = float(w @ D[np.argmax(4.0 * g * L + D[None, :], axis=1)])
+        if k == 0.0:
+            return math.inf, 0.0
+        return 2.0 * g / math.sqrt(k) - 1.0 / ball.eps, 2.0 / math.sqrt(k)
 
-    def deriv(g: float) -> float:
-        inner = L + D[None, :] / (4.0 * g)
-        active = np.argmax(inner, axis=1)
-        return ball.eps**2 - float(w @ D[active]) / (4.0 * g * g)
-
-    center = math.sqrt(d_max) / (2.0 * ball.eps)
-    lo, hi = center * 1e-9, center * 1e9 + 1.0
-    if deriv(lo) >= 0.0:
-        return value_at(lo)
-    g_star = bisect_root(deriv, (lo, hi), tol=tol, expand="none")
-    return value_at(g_star)
+    # K <= d_max, so the derivative is positive from sqrt(d_max) / (2 eps) on
+    g = monotone_root(crossing, 0.0, math.sqrt(d_max) / ball.eps)
+    return g * ball.eps**2 + float(w @ (L + D[None, :] / (4.0 * g)).max(axis=1))
 
 
 def _wc_pwa(
@@ -454,7 +448,7 @@ def _wc_pwa(
             duals = dual_norm_eval(ball.norm, loss.A)
             per_sample = (loss.piece_table(samples.atoms) + ball.eps * duals).max(axis=1)
             return float(samples.weights @ per_sample), "closed_form", None
-        return _wc_pwa_p2_whole(loss, samples, ball, tol), "scalar_dual", None
+        return _wc_pwa_p2_whole(loss, samples, ball), "scalar_dual", None
 
     if ball.p == 2.0:
         raise UnsupportedCombination("the type-2 case has no LP path")
@@ -634,44 +628,20 @@ def _quad_scalar_dual(
     Cmat = (loss.q[None, :] + atoms @ loss.Q) @ V  # rows c_i
     D = Cmat**2
 
+    numer = w @ D
     gamma_b = max(0.0, float(lam[0]))
-    tau = 1e-12 * (1.0 + abs(float(lam[0])))
-    null_mask = (gamma_b - lam) <= tau
-    S_all = float(w @ D.sum(axis=1))
-    mass = float(w @ D[:, null_mask].sum(axis=1)) if null_mask.any() else 0.0
-
-    def deriv(g: float) -> float:
-        denom = (g - lam) ** 2
-        return eps**2 - float(w @ (D / denom).sum(axis=1))
-
-    def deflated_deriv_limit() -> float:
-        keep = ~null_mask
-        if not keep.any():
-            return eps**2
-        denom = (gamma_b - lam[keep]) ** 2
-        return eps**2 - float(w @ (D[:, keep] / denom).sum(axis=1))
-
-    boundary = mass <= 1e-13 * (1.0 + S_all) and deflated_deriv_limit() >= 0.0
-    if boundary:
-        gamma = gamma_b
-        keep = ~null_mask
-        coords = np.zeros_like(Cmat)
-        if keep.any():
-            coords[:, keep] = Cmat[:, keep] / (gamma_b - lam[keep])
-        theta = coords @ V.T
-        tail = float(w @ (Cmat[:, keep] * coords[:, keep]).sum(axis=1)) if keep.any() else 0.0
-        value = nominal + gamma * eps**2 + tail
-    else:
-        lo = gamma_b + max(tau * 10.0, 1e-300)
-        while deriv(lo) >= 0.0 and lo > gamma_b:
-            lo = gamma_b + (lo - gamma_b) * 0.1
-            if lo - gamma_b < 1e-15 * (1.0 + gamma_b):
-                break
-        hi = gamma_b + math.sqrt(max(S_all, 0.0)) / eps + 1.0
-        gamma = bisect_root(deriv, (lo, hi), tol=tol, expand="none")
-        coords = Cmat / (gamma - lam)
-        theta = coords @ V.T
-        value = nominal + gamma * eps**2 + float(w @ (Cmat * coords).sum(axis=1))
+    # directions at the boundary pole that carry no mass, up to rounding,
+    # are deflated; mass on any of them forces an interior minimizer
+    null_mask = (gamma_b - lam) <= 1e-12 * float(np.abs(lam).max())
+    if numer[null_mask].sum() <= 1e-13 * numer.sum():
+        numer[null_mask] = 0.0
+    gamma = secular_root(numer, lam, eps)
+    boundary = gamma == gamma_b
+    keep = ~null_mask | (numer > 0.0)
+    coords = np.zeros_like(Cmat)
+    coords[:, keep] = Cmat[:, keep] / (gamma - lam[keep])
+    theta = coords @ V.T
+    value = nominal + gamma * eps**2 + float(w @ (Cmat * coords).sum(axis=1))
 
     alpha = eps**2 - float(w @ (theta**2).sum(axis=1))
     return _QuadDual(
@@ -733,7 +703,7 @@ def extremal_quadratic(
     weights = samples.weights.copy()
     needs_escape = (
         dual.boundary
-        and dual.alpha > 1e-9 * (1.0 + eps**2)
+        and dual.alpha > 1e-9 * eps**2
         and dual.top_value > 1e-12 * (1.0 + abs(dual.top_value))
     )
     if not needs_escape:

@@ -23,7 +23,7 @@ class NotPSD(ToolkitError):
 
 
 class NoBracket(ToolkitError):
-    """Root bracketing failed: no sign change inside the expansion horizon."""
+    """Root bracketing failed: no sign change across the bracket."""
 
 
 class MaxIterExceeded(ToolkitError):

@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._validation import as_matrix, as_vector, check_psd, check_symmetric
-from .errors import NumericalFailure, SingularBlock
-from .numerics import DEFAULT_TOL, Tolerance, bisect_root, sym_eig
+from .errors import NoBracket, NotPSD, SingularBlock
+from .numerics import DEFAULT_TOL, Tolerance, secular_root, sym_eig
 from .transport import MomentPair, gelbrich_distance
 
 __all__ = [
@@ -114,7 +114,7 @@ def _split(S: np.ndarray, mx: int):
 
 def _yy_solve(S_yy: np.ndarray, rhs: np.ndarray, tol: Tolerance) -> np.ndarray:
     w = np.linalg.eigvalsh(S_yy)
-    if w.min() <= 1e-12 * (1.0 + abs(w).max()):
+    if w.min() <= 1e-12 * np.abs(w).max():
         raise SingularBlock("observation block S_yy is numerically singular")
     return np.linalg.solve(S_yy, rhs)
 
@@ -154,71 +154,33 @@ def fw_direction(
 ) -> FWDirection:
     """Maximize Tr[grad . D] over covariances within eps of the nominal.
 
-    Returns the closed-form maximizer, the scalar multiplier, a flag set
-    when the eigenvalue floor lam_min(nominal) had to be restored by
-    blending toward the nominal, and the residual of the trace constraint.
+    The gradient must be positive semidefinite, as ``mmse_gradient`` is;
+    otherwise NotPSD is raised.  Then F = gamma (gamma I - grad)^{-1} >= I
+    and D = F Sigma F >= lam_min(Sigma) I.  Returns the closed-form
+    maximizer, the scalar multiplier, ``repaired`` (always False, kept for
+    callers that read it) and the residual of the trace constraint.
     """
     grad = check_symmetric(as_matrix(grad, "grad"), tol=1e-8, name="grad")
     sigma = check_psd(as_matrix(nominal_cov, "nominal_cov"), tol=1e-9, name="nominal_cov")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    m = sigma.shape[0]
     scale = np.abs(grad).max(initial=0.0)
     if scale <= 1e-14:
         return FWDirection(sigma.copy(), math.inf, False, 0.0)
 
     dec = sym_eig(grad, tol=tol)
     g, V = dec.values, dec.vectors
+    if g[-1] < -1e-9 * np.abs(g).max():
+        raise NotPSD(f"grad has eigenvalue {g[-1]:.3e} below -1e-9 * scale")
     S_t = V.T @ sigma @ V
-    s_diag = np.clip(np.diag(S_t), 0.0, None)
-    numer = g**2 * s_diag
-    g_max = float(g[0])
-
-    def lhs(x: float) -> float:
-        return float(np.sum(numer / (x - g) ** 2))
-
-    lam_floor = float(np.linalg.eigvalsh(sigma).min())
-    if g_max <= 0.0 and lhs(0.0) <= eps**2:
-        # the ball is large enough to reach the unconstrained maximizer D = 0
-        D = np.zeros_like(sigma)
-        resid = max(0.0, _cov_distance_sq(sigma, D) - eps**2)
-        return _repair_floor(D, sigma, lam_floor, 0.0, resid)
-
-    g_lo = max(g_max, 0.0) + 1e-12 * (1.0 + abs(g_max))
-    s_tot = float(np.sum(numer))
-    g_hi = g_lo + math.sqrt(max(s_tot, 0.0)) / eps + 1.0
-    probes = np.linspace(g_lo + 1e-9 * (1.0 + g_lo), g_hi, 4)
-    vals = [lhs(x) for x in probes]
-    if any(a < b - 1e-9 for a, b in zip(vals, vals[1:])):
-        raise NumericalFailure("trace constraint is not decreasing in the multiplier")
-    gamma = bisect_root(lambda x: lhs(x) - eps**2, (g_lo, g_hi), tol=tol, expand="none")
+    gamma = secular_root(g**2 * np.clip(np.diag(S_t), 0.0, None), g, eps)
+    if gamma == g[0]:
+        raise NoBracket("nominal_cov is singular along the top eigenvector of grad")
 
     factor = gamma / (gamma - g)
     D = V @ (S_t * factor[:, None] * factor[None, :]) @ V.T
     D = 0.5 * (D + D.T)
-    resid = abs(_cov_distance_sq(sigma, D) - eps**2)
-    return _repair_floor(D, sigma, lam_floor, float(gamma), resid)
-
-
-def _repair_floor(
-    D: np.ndarray, sigma: np.ndarray, lam_floor: float, gamma: float, resid: float
-) -> FWDirection:
-    slack = 1e-9 * (1.0 + abs(lam_floor))
-    if float(np.linalg.eigvalsh(D).min()) >= lam_floor - slack:
-        return FWDirection(D, gamma, False, resid)
-    # blend toward the nominal (ball center) until the floor holds; the ball
-    # is convex so feasibility of the trace constraint is preserved
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cand = (1.0 - mid) * D + mid * sigma
-        if float(np.linalg.eigvalsh(cand).min()) >= lam_floor - slack:
-            hi = mid
-        else:
-            lo = mid
-    repaired = (1.0 - hi) * D + hi * sigma
-    resid = abs(_cov_distance_sq(sigma, repaired))  # no longer on the boundary
-    return FWDirection(repaired, gamma, True, resid)
+    return FWDirection(D, float(gamma), False, abs(_cov_distance_sq(sigma, D) - eps**2))
 
 
 def fw_solve(
@@ -231,7 +193,8 @@ def fw_solve(
 
     Starts from the nominal covariance, keeps every iterate feasible, and
     extracts the affine estimator from the best iterate seen.  Per-step
-    linearization gaps certify f* - f(S_k) <= gap_k.
+    linearization gaps certify f* - f(S_k) <= gap_k; the iteration stops
+    early once a gap falls to tol.rel_tol times the trace of the nominal.
     """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
@@ -241,12 +204,13 @@ def fw_solve(
     m = cov.shape[0]
     regularization = 0.0
     w = np.linalg.eigvalsh(cov)
-    if w.min() <= 1e-12 * (1.0 + w.max()):
+    if w.min() <= 1e-12 * w.max():
         regularization = 1e-10 * float(np.trace(cov)) / m
         if regularization <= 0.0:
             regularization = 1e-12
         cov = cov + regularization * np.eye(m)
 
+    stop = tol.rel_tol * float(np.trace(cov))
     S = cov.copy()
     best_S, best_val = S.copy(), -math.inf
     states, gaps = [], []
@@ -262,7 +226,7 @@ def fw_solve(
         gaps.append(gap)
         if value > best_val:
             best_val, best_S = value, S.copy()
-        if gap <= tol.abs_tol:
+        if gap <= stop:
             break
         alpha = 2.0 / (k + 2.0)
         S = (1.0 - alpha) * S + alpha * direction.D

@@ -11,9 +11,9 @@ r = V'(q + Q mu) and S = V' Sigma V, the optimality condition reads
 whose left side is strictly decreasing in gamma and equals the squared
 Gelbrich distance from the center to the extremal moments at gamma.  The
 root therefore puts the extremal pair exactly on the ball boundary.  When
-no root exists with gamma I > Q and gamma >= 0, the multiplier degenerates
-and the dual objective is minimized directly instead; the result is
-flagged through ``interior=False``.
+no root exists with gamma I > Q and gamma >= 0, the dual's derivative
+eps^2 - lhs is nonnegative from gamma = max(0, lam_max) on, so that end
+minimizes the dual; the result is flagged through ``interior=False``.
 
 Because the worst case depends only on moments, the same machinery prices
 worst-case risks over elliptical families with fixed generator.
@@ -30,7 +30,7 @@ import numpy as np
 from ._validation import as_matrix, as_vector
 from .empirical_risk import QuadraticLoss
 from .errors import DimensionMismatch, NotPSD, NumericalFailure, UnsupportedCase
-from .numerics import DEFAULT_TOL, Tolerance, bisect_root, minimize_scalar_convex, psd_sqrt, sym_eig
+from .numerics import DEFAULT_TOL, Tolerance, psd_sqrt, secular_root, sym_eig
 from .transport import DiscreteDistribution, MomentPair, gelbrich_distance, moments, wasserstein_p
 
 __all__ = [
@@ -152,10 +152,8 @@ def projection_check(
     return gelbrich_hull_contains(ball, moments(Q), tol)
 
 
-def _quadratic_moment_risk(loss: QuadraticLoss, mp: MomentPair) -> float:
-    return float(
-        np.trace(loss.Q @ mp.sigma) + mp.mu @ loss.Q @ mp.mu + 2.0 * loss.q @ mp.mu
-    )
+def _quadratic_moment_risk(loss: QuadraticLoss, mu: np.ndarray, sigma: np.ndarray) -> float:
+    return float(np.sum(loss.Q * sigma) + mu @ loss.Q @ mu + 2.0 * loss.q @ mu)
 
 
 def gelbrich_risk_quadratic(
@@ -175,8 +173,9 @@ def gelbrich_risk_quadratic(
     The value is computed from the dual objective and cross-checked against
     the primal risk of the extremal pair.  A rank-deficient center
     covariance is nudged by delta*I (delta reported in the result).  When
-    the boundary equation has no admissible root the dual objective is
-    minimized directly and ``interior`` is False.
+    the boundary equation has no admissible root the multiplier is the
+    left end max(0, lam_max), where the dual is least, and ``interior`` is
+    False.
     """
     if center.dim != loss.dim:
         raise DimensionMismatch(
@@ -200,7 +199,7 @@ def gelbrich_risk_quadratic(
     delta = 0.0
     sigma = center.sigma
     eig_s = np.linalg.eigvalsh(sigma)
-    if eig_s.min() <= 1e-12 * max(1.0, eig_s.max()):
+    if eig_s.min() <= 1e-12 * eig_s.max():
         delta = 1e-10 * float(np.trace(sigma)) / m
         if delta <= 0.0:
             delta = 1e-12
@@ -210,51 +209,23 @@ def gelbrich_risk_quadratic(
     lam, V = eig.values, eig.vectors
     r = V.T @ (loss.q + loss.Q @ mu_hat)
     S_t = V.T @ sigma @ V
-    s_diag = np.diag(S_t).copy()
-    numer = r**2 + lam**2 * s_diag
-    lam_max = float(lam[0])
-
-    mu_coef_q = V.T @ loss.q
-    mu_coef_m = V.T @ mu_hat
-    base = eps**2 - float(mu_hat @ mu_hat) - float(np.trace(sigma))
-
-    def lhs(g: float) -> float:
-        return float(np.sum(numer / (g - lam) ** 2))
-
-    def dual_value(g: float) -> float:
-        rg = mu_coef_q + g * mu_coef_m
-        return (
-            g * base
-            + float(np.sum(rg**2 / (g - lam)))
-            + g * g * float(np.sum(s_diag / (g - lam)))
-        )
-
-    if lam_max >= 0.0:
-        g_lo = lam_max + 1e-12 * (1.0 + abs(lam_max))
-    else:
-        g_lo = 0.0
-    s_tot = float(np.sum(numer))
-    g_hi = g_lo + math.sqrt(max(s_tot, 0.0)) / eps + 1.0
-
-    # the left side must decrease along the ray; otherwise fall back to
-    # minimizing the dual objective directly
-    probes = np.linspace(g_lo + 1e-9 * (1.0 + g_lo), g_hi, 5)
-    monotone = all(lhs(a) >= lhs(b) - 1e-9 for a, b in zip(probes, probes[1:]))
-
-    interior = monotone and lhs(g_lo) >= eps**2
-    if interior:
-        gamma = bisect_root(lambda g: lhs(g) - eps**2, (g_lo, g_hi), tol=tol, expand="none")
-    else:
-        gamma, _ = minimize_scalar_convex(dual_value, domain=(g_lo, g_hi), tol=tol)
-
-    denom = gamma - lam
-    mu_star = V @ ((mu_coef_q + gamma * mu_coef_m) / denom)
-    scale = gamma / denom
+    numer = r**2 + lam**2 * np.diag(S_t)
+    # the dual's derivative is eps^2 - lhs(gamma); when lhs <= eps^2 at the
+    # left end max(0, lam_max), that end is the minimizer
+    gamma = secular_root(numer, lam, eps)
+    interior = gamma > max(0.0, float(lam[0]))
+    # 1 / (gamma - lam_k), read as 0 where gamma = lam_k = 0: that happens
+    # only when no root exists and r_k = 0, and the coordinate stays put
+    inv = np.divide(1.0, gamma - lam, out=np.zeros_like(lam), where=gamma > lam)
+    mu_star = V @ (V.T @ mu_hat + r * inv)
+    scale = 1.0 + lam * inv
     sigma_star = V @ (S_t * scale[:, None] * scale[None, :]) @ V.T
     extremal = MomentPair(mu_star, 0.5 * (sigma_star + sigma_star.T))
 
-    value = dual_value(gamma)
-    primal = _quadratic_moment_risk(loss, extremal)
+    # the dual objective, in a form free of cancellation between terms of
+    # order gamma
+    value = _quadratic_moment_risk(loss, mu_hat, sigma) + gamma * eps**2 + float(numer @ inv)
+    primal = _quadratic_moment_risk(loss, extremal.mu, extremal.sigma)
     if interior and abs(value - primal) > 1e-7 * (1.0 + abs(value)):
         raise NumericalFailure(
             f"primal-dual mismatch: dual {value!r} vs primal {primal!r}"

@@ -1,26 +1,29 @@
 """Deterministic scalar solvers and dense symmetric linear algebra.
 
 Everything downstream (worst-case risks, shrinkage maps, Frank-Wolfe
-directions) reduces to the primitives in this module: sign-change bisection,
-one-dimensional convex minimization, a subgradient descent harness, and
-symmetric eigendecompositions.  All routines are deterministic: identical
-inputs and tolerances produce identical outputs.
+directions) reduces to the primitives in this module: a safeguarded Newton
+root for monotone scalar equations and the secular equations of ball
+constraints, one-dimensional convex minimization, a subgradient descent
+harness, and symmetric eigendecompositions.  All routines are
+deterministic: identical inputs and tolerances produce identical outputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._validation import as_vector, check_symmetric
-from .errors import MaxIterExceeded, NoBracket, NotPSD, Unbounded
+from .errors import MaxIterExceeded, NoBracket, NotPSD, NumericalFailure, Unbounded
 
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
-    "bisect_root",
+    "monotone_root",
+    "secular_root",
     "minimize_scalar_convex",
     "SubgradientResult",
     "subgradient_minimize",
@@ -29,8 +32,10 @@ __all__ = [
     "psd_sqrt",
 ]
 
-# Expansion horizon for unbounded searches: 2**60 times the seed width.
-_EXPANSION_CAP = float(2**60)
+# Root searches stop when the Newton step or the bracket is this many ulps
+# of x; the step cap lets bisection shrink any finite bracket to that width.
+_ROOT_ULPS = 4.0 * np.finfo(float).eps
+_MAX_ROOT_STEPS = 2200
 # Scalar minimizers report Unbounded past this magnitude.
 _UNBOUNDED_HORIZON = 1e18
 
@@ -57,77 +62,85 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _expand_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grow_lo: bool,
-    grow_hi: bool,
-    max_iter: int,
-) -> tuple[float, float, float, float]:
-    """Geometrically widen (lo, hi) until f changes sign across it."""
-    if not hi > lo:
-        raise ValueError("bracket must satisfy lo < hi")
-    flo, fhi = f(lo), f(hi)
-    width0 = hi - lo
-    step = width0
-    for _ in range(max_iter):
-        if flo == 0.0 or fhi == 0.0 or (flo < 0.0) != (fhi < 0.0):
-            return lo, hi, flo, fhi
-        if step > _EXPANSION_CAP * width0:
-            break
-        if grow_lo:
-            lo = lo - step
-            flo = f(lo)
-        if grow_hi:
-            hi = hi + step
-            fhi = f(hi)
-        if not (grow_lo or grow_hi):
-            break
-        step *= 2.0
-    raise NoBracket(
-        f"no sign change in [{lo!r}, {hi!r}] (f(lo)={flo!r}, f(hi)={fhi!r})"
-    )
+def monotone_root(f: Callable[[float], tuple[float, float]], lo: float, hi: float) -> float:
+    """Root of a function that changes sign once on [lo, hi].
 
-
-def bisect_root(
-    f: Callable[[float], float],
-    bracket: tuple[float, float],
-    tol: Tolerance = DEFAULT_TOL,
-    expand: str = "both",
-) -> float:
-    """Find a root of ``f`` by bisection.
-
-    If the seed bracket does not straddle a sign change it is widened
-    geometrically (doubling steps, up to 2**60 times the seed width) on the
-    side(s) selected by ``expand`` in {"both", "up", "down", "none"}.  Stops
-    when |f(x)| <= abs_tol or the bracket width drops below
-    rel_tol * max(1, |x|).
+    ``f(x)`` returns the value and the slope at x.  Each step is the Newton
+    step from the last point evaluated when it lands inside the bracket and
+    is at most half the step before last, and a bisection otherwise.  The
+    search stops on an exact zero, or when the Newton step or the bracket is
+    a few ulps of x: no absolute tolerance enters, so the root comes out to
+    the same relative accuracy at every scale.  An infinite value (a pole at
+    an end) counts by its sign.  Raises NoBracket when f(lo) and f(hi) do
+    not differ in sign.
     """
-    if expand not in ("both", "up", "down", "none"):
-        raise ValueError(f"bad expand policy {expand!r}")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    lo, hi, flo, fhi = _expand_bracket(
-        f, lo, hi, expand in ("both", "down"), expand in ("both", "up"), tol.max_iter
-    )
+    lo, hi = float(lo), float(hi)
+    flo, slo = f(lo)
+    fhi, shi = f(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    for _ in range(tol.max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid) <= tol.abs_tol or (hi - lo) <= tol.rel_tol * max(1.0, abs(mid)):
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
+    if math.isnan(flo) or math.isnan(fhi) or (flo < 0.0) == (fhi < 0.0):
+        raise NoBracket(f"no sign change in [{lo!r}, {hi!r}] (f(lo)={flo!r}, f(hi)={fhi!r})")
+    lo_negative = flo < 0.0
+    x, fx, sx = (lo, flo, slo) if abs(flo) <= abs(fhi) else (hi, fhi, shi)
+    step = before = hi - lo
+    for _ in range(_MAX_ROOT_STEPS):
+        t = math.nan
+        if math.isfinite(fx) and math.isfinite(sx) and sx != 0.0:
+            t = x - fx / sx
+            if abs(t - x) <= _ROOT_ULPS * abs(x):
+                return t
+        if not (lo < t < hi and abs(t - x) <= 0.5 * abs(before)):
+            t = lo + 0.5 * (hi - lo)
+        before, step = step, t - x
+        x = t
+        fx, sx = f(x)
+        if fx == 0.0:
+            return x
+        if math.isnan(fx):
+            raise NumericalFailure(f"root search met a NaN at x={x!r}")
+        if (fx < 0.0) == lo_negative:
+            lo, flo = x, fx
         else:
-            hi, fhi = mid, fmid
-        if lo == mid and hi == 0.5 * (lo + hi):  # pragma: no cover - fp safety
-            return mid
-        if hi - lo <= np.finfo(float).eps * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-    raise MaxIterExceeded("bisection did not converge within max_iter")
+            hi, fhi = x, fx
+        if hi - lo <= _ROOT_ULPS * max(abs(lo), abs(hi)):
+            return lo if abs(flo) <= abs(fhi) else hi
+    raise MaxIterExceeded("root search did not converge")
+
+
+def secular_root(numer, poles, radius: float) -> float:
+    """Multiplier of a ball constraint: the least x >= x0 with phi(x) <= radius^2.
+
+    Here phi(x) = sum_k numer_k / (x - poles_k)^2 with numer >= 0, and
+    x0 = max(0, max poles).  phi decreases on (x0, inf), so the answer is
+    x0 itself when phi(x0) <= radius^2 (callers compare with x0), and the
+    root of phi = radius^2 otherwise.  The root is found by ``monotone_root``
+    on 1/sqrt(phi) - 1/radius, which is nearly linear in x (More and
+    Sorensen, *Computing a trust region step*, 1983), over
+    [x0, x0 + 2 sqrt(sum numer) / radius]: phi <= radius^2 / 4 at the right
+    end, a sign that rounding cannot erase.
+    """
+    numer = np.asarray(numer, dtype=float)
+    poles = np.asarray(poles, dtype=float)
+    x0 = max(0.0, float(poles.max()))
+    keep = numer > 0.0
+    n, p = numer[keep], poles[keep]
+    if n.size == 0:
+        return x0
+
+    def f(x: float) -> tuple[float, float]:
+        d = x - p
+        # a pole at x0 makes phi infinite there: 1/sqrt(phi) is then 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            phi = np.sum(n / d**2)
+            root = np.sqrt(phi)
+            return float(1.0 / root - 1.0 / radius), float(np.sum(n / d**3) / (phi * root))
+
+    if f(x0)[0] >= 0.0:
+        return x0
+    return monotone_root(f, x0, x0 + 2.0 * math.sqrt(float(n.sum())) / radius)
 
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0

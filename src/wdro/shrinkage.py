@@ -23,7 +23,7 @@ import numpy as np
 
 from ._validation import as_samples
 from .errors import EmptySample
-from .numerics import DEFAULT_TOL, Tolerance, bisect_root, sym_eig
+from .numerics import DEFAULT_TOL, Tolerance, monotone_root, sym_eig
 from .transport import MomentPair
 
 __all__ = [
@@ -56,16 +56,20 @@ def sample_moments(samples) -> MomentPair:
     return MomentPair(mean, 0.5 * (sigma + sigma.T))
 
 
-def _eq51_residual(gamma: float, lam: np.ndarray, eps: float, m: int) -> float:
-    root = np.sqrt(lam**2 * gamma**2 + 4.0 * lam * gamma)
-    return float((eps**2 - 0.5 * lam.sum()) * gamma - m + 0.5 * root.sum())
+def _eq51(gamma: float, lam: np.ndarray, eps: float, m: int) -> tuple[float, float]:
+    """Residual of the shrinkage equation and its slope in gamma.
 
-
-def _eq51_derivative(gamma: float, lam: np.ndarray, eps: float) -> float:
-    pos = lam > 0.0
-    lp = lam[pos]
-    root = np.sqrt(lp**2 * gamma**2 + 4.0 * lp * gamma)
-    return float(eps**2 - 0.5 * lam.sum() + 0.5 * np.sum(lp * (lp * gamma + 2.0) / root))
+    The residual is eps^2 gamma - m + sum h(lam gamma) with
+    h(u) = (sqrt(u^2 + 4u) - u) / 2 = 2u / (sqrt(u^2 + 4u) + u), written
+    without the cancellation of the first form; h'(u) = 2 / (s (u + 2 + s))
+    with s = sqrt(u^2 + 4u), infinite at u = 0.
+    """
+    u = lam * gamma
+    s = np.sqrt(u**2 + 4.0 * u)
+    value = eps**2 * gamma - m + float(np.sum(2.0 * u / (s + u + (u == 0.0))))
+    with np.errstate(divide="ignore"):
+        slope = np.divide(2.0 * lam, s * (u + 2.0 + s), out=np.zeros_like(lam), where=lam > 0.0)
+    return value, eps**2 + float(slope.sum())
 
 
 def _eq50_eigenvalue(gamma: float, lam: np.ndarray) -> np.ndarray:
@@ -82,7 +86,8 @@ def wasserstein_shrinkage(
 
     The mean estimate is the sample mean.  The precision estimate is
     positive definite even when the covariance is singular.  The returned
-    gamma solves the scalar shrinkage equation with residual below 1e-10.
+    gamma solves the scalar shrinkage equation to a few ulps, at any scale
+    of the covariance.
     """
     if not eps > 0:
         raise ValueError("eps must be positive; invert the covariance directly for eps = 0")
@@ -91,24 +96,12 @@ def wasserstein_shrinkage(
     lam = np.clip(dec.values, 0.0, None)
     # snap numerically-zero eigenvalues to exact zero: sqrt(4*lam*gamma) has
     # infinite slope there and would otherwise amplify eigensolver noise
-    lam[lam < 1e-12 * max(1.0, float(lam.max(initial=0.0)))] = 0.0
+    lam[lam < 1e-12 * float(lam.max(initial=0.0))] = 0.0
 
-    gamma = bisect_root(
-        lambda g: _eq51_residual(g, lam, eps, m), (0.0, 1.0), tol=tol, expand="up"
-    )
-    # Newton polish: bisection locates the root, a few corrector steps push
-    # the residual itself to the target accuracy
-    for _ in range(50):
-        res = _eq51_residual(gamma, lam, eps, m)
-        if abs(res) <= 1e-12:
-            break
-        slope = _eq51_derivative(gamma, lam, eps)
-        if slope <= 0.0:
-            break
-        step = res / slope
-        if gamma - step <= 0.0:
-            step = gamma / 2.0
-        gamma -= step
+    # the residual is -m at 0 and at least eps^2 gamma - m, so the root lies
+    # in [0, m / eps^2]; the bracket is twice that, so that rounding cannot
+    # erase the sign at its right end
+    gamma = monotone_root(lambda g: _eq51(g, lam, eps, m), 0.0, 2.0 * m / eps**2)
 
     x = _eq50_eigenvalue(gamma, lam)
     precision = dec.vectors @ (x[:, None] * dec.vectors.T)

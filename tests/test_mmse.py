@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wdro.errors import SingularBlock
+from wdro.errors import NotPSD, SingularBlock
 from wdro.mmse import (
     AffineEstimator,
     JointMoments,
@@ -119,6 +119,15 @@ def test_direction_boundary_and_floor():
             if dist > eps:
                 continue
             assert float(np.sum(grad * C)) <= base + 1e-7
+
+
+def test_direction_rejects_a_gradient_that_is_not_psd():
+    # mmse_gradient is PSD; any other gradient has no direction with the
+    # eigenvalue floor D >= lam_min(Sigma) I, and is refused
+    with pytest.raises(NotPSD):
+        fw_direction(np.diag([1.0, -0.5]), np.eye(2), 0.3)
+    with pytest.raises(NotPSD):
+        fw_direction(-np.eye(3), np.eye(3), 0.3)
 
 
 def test_zero_radius_recovers_classical_estimator():

@@ -3,48 +3,55 @@ import pytest
 
 from wdro.errors import NoBracket, NotPSD, NotSymmetric, Unbounded
 from wdro.numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    bisect_root,
     minimize_scalar_convex,
+    monotone_root,
     psd_sqrt,
+    secular_root,
     subgradient_minimize,
     sym_eig,
 )
 
 
-def test_bisect_root_simple():
-    # root of x^2 - 2 on [0, 2]
-    x = bisect_root(lambda t: t * t - 2.0, (0.0, 2.0))
-    assert abs(x - np.sqrt(2.0)) <= 1e-9
+def test_monotone_root_simple():
+    # root of x^2 - 2 on [0, 2], to a few ulps
+    x = monotone_root(lambda t: (t * t - 2.0, 2.0 * t), 0.0, 2.0)
+    assert abs(x - np.sqrt(2.0)) <= 4e-16 * np.sqrt(2.0)
 
 
-def test_bisect_root_expands_bracket():
-    # seed bracket misses the root at 100; geometric expansion must find it
-    x = bisect_root(lambda t: t - 100.0, (0.0, 1.0), expand="up")
-    assert abs(x - 100.0) <= 1e-7
-
-
-def test_bisect_root_one_sided_expansion_respects_side():
-    calls = []
-
-    def f(t):
-        calls.append(t)
-        return t - 100.0
-
-    bisect_root(f, (0.5, 1.0), expand="up")
-    assert min(calls) >= 0.5 - 1e-15
-
-
-def test_bisect_root_no_bracket():
+def test_monotone_root_no_bracket():
     with pytest.raises(NoBracket):
-        bisect_root(lambda t: 1.0 + t * t, (-1.0, 1.0))
+        monotone_root(lambda t: (1.0 + t * t, 2.0 * t), -1.0, 1.0)
 
 
-def test_bisect_root_residual_stop():
-    tol = Tolerance(abs_tol=1e-12, rel_tol=0.0, max_iter=10_000)
-    x = bisect_root(lambda t: np.tanh(t - 3.0), (0.0, 10.0), tol)
-    assert abs(np.tanh(x - 3.0)) <= 1e-12
+@pytest.mark.parametrize("scale", [1e-10, 1e-6, 1.0, 1e8])
+def test_monotone_root_is_scale_free(scale):
+    # an absolute stop on |f| or on the bracket would end early at one end
+    # of the sweep; the root must come out to a few ulps at every scale
+    def f(t):
+        v = np.tanh(t / scale - 3.0)
+        return v, (1.0 - v * v) / scale
+
+    x = monotone_root(f, 0.0, 10.0 * scale)
+    assert abs(x - 3.0 * scale) <= 1e-14 * scale
+
+
+def test_monotone_root_bisects_a_jump():
+    # no zero and a useless slope: the bracket closes on the jump at 0.3
+    x = monotone_root(lambda t: (1.0 if t >= 0.3 else -1.0, 0.0), 0.0, 1.0)
+    assert abs(x - 0.3) <= 1e-15
+
+
+def test_secular_root_puts_the_multiplier_on_the_ball():
+    rng = np.random.RandomState(3)
+    for scale in (1e-10, 1.0, 1e8):
+        numer = rng.uniform(0.0, 2.0, 5) * scale**2
+        poles = rng.randn(5)
+        x = secular_root(numer, poles, 0.1 * scale)
+        assert abs(np.sum(numer / (x - poles) ** 2) / (0.01 * scale**2) - 1.0) <= 1e-12
+
+
+def test_secular_root_returns_the_left_end_when_the_constraint_is_slack():
+    assert secular_root(np.array([0.0, 1.0]), np.array([2.0, -1.0]), 10.0) == 2.0
 
 
 def test_minimize_scalar_bounded():

@@ -287,6 +287,34 @@ def test_kr_verify_flags_one_percent_violation_at_small_scale():
         assert abs(checked.violation - 0.01 * max_cost) <= 1e-6 * max_cost
 
 
+def test_kr_verify_sees_a_violation_far_below_the_largest_cost():
+    # a near cluster beside a shared far atom: max C is ~1e6 and the
+    # potentials are ~1e6, while W_2^2 is 2e-11.  A tolerance of a fraction
+    # of max C would accept the raised psi_0, which certifies 6.6e-9.
+    X = np.array([[0.0, 0.0], [1e-5, 1e-4], [1000.0, 0.0]])
+    Y = np.array([[5e-6, 1e-4], [6e-6, 0.0], [1000.0, 0.0]])
+    w = np.full(3, 1.0 / 3.0)
+    Q, Qp = DiscreteDistribution(X, w), DiscreteDistribution(Y, w)
+    res = wasserstein_p(Q, Qp, 2.0)
+    assert kr_verify(Q, Qp, None, res.duals, p=2.0).is_feasible
+    raised = DualPotentials(res.duals.phi, res.duals.psi + 2e-8 * np.eye(3)[0])
+    checked = kr_verify(Q, Qp, None, raised, p=2.0)
+    assert not checked.is_feasible
+    assert checked.violating_pair[1] == 0
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_kr_verify_accepts_the_potentials_of_wasserstein_p_at_every_scale(scale):
+    rng = np.random.RandomState(41)
+    for p in (1.0, 2.0):
+        Q = DiscreteDistribution(rng.randn(7, 2) * scale, np.full(7, 1.0 / 7.0))
+        Qp = DiscreteDistribution((rng.randn(5, 2) + 1.0) * scale, np.full(5, 0.2))
+        res = wasserstein_p(Q, Qp, p)
+        checked = kr_verify(Q, Qp, None, res.duals, p=p)
+        assert checked.is_feasible
+        assert checked.dual_value <= res.distance**p * (1.0 + 1e-9)
+
+
 def test_zero_tolerance_is_held_to_the_pricing_threshold():
     rng = np.random.RandomState(15)
     exact = Tolerance(abs_tol=0.0, rel_tol=0.0)
