@@ -410,7 +410,8 @@ def _wc_pwa_p2_whole(
             return math.inf, 0.0
         return 2.0 * g / math.sqrt(k) - 1.0 / ball.eps, 2.0 / math.sqrt(k)
 
-    # K <= d_max, so the derivative is positive from sqrt(d_max) / (2 eps) on
+    # K <= d_max, so the derivative is nonnegative from sqrt(d_max) / (2 eps)
+    # on; at twice that, crossing >= 1 / eps, a sign rounding cannot erase
     g = monotone_root(crossing, 0.0, math.sqrt(d_max) / ball.eps)
     return g * ball.eps**2 + float(w @ (L + D[None, :] / (4.0 * g)).max(axis=1))
 
