@@ -52,19 +52,19 @@ def check_symmetric(a, tol: float = 1e-9, name: str = "A") -> np.ndarray:
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    scale = 1.0 + np.abs(a).max(initial=0.0)
-    if np.abs(a - a.T).max(initial=0.0) > tol * scale:
-        raise NotSymmetric(f"{name} is not symmetric within tolerance {tol}")
+    if np.abs(a - a.T).max(initial=0.0) > tol * np.abs(a).max(initial=0.0):
+        raise NotSymmetric(f"{name} is not symmetric within tolerance {tol} relative to its entries")
     return 0.5 * (a + a.T)
 
 
 def check_psd(a, tol: float = 1e-9, name: str = "A") -> np.ndarray:
-    """Symmetrize and verify eigenvalues >= -tol * scale; returns the symmetrized matrix."""
+    """Symmetrize and verify eigenvalues >= -tol * max |eigenvalue|; returns
+    the symmetrized matrix."""
     s = check_symmetric(a, tol, name)
     w = np.linalg.eigvalsh(s)
-    scale = 1.0 + np.abs(w).max(initial=0.0)
+    scale = np.abs(w).max(initial=0.0)
     if w.min(initial=0.0) < -tol * scale:
-        raise NotPSD(f"{name} has eigenvalue {w.min():.3e} below -{tol} * scale")
+        raise NotPSD(f"{name} has eigenvalue {w.min():.3e} below -{tol} * {scale:.3e}")
     return s
 
 

@@ -1,11 +1,10 @@
-"""Dual norms, convex conjugates, and support functions.
+"""Dual norms and support functions.
 
 These are the closed-form ingredients the worst-case-risk reformulations are
 assembled from: the dual-norm table (p-norms, scalings, positive-definite
-weightings, separable block composites), the conjugate table (affine,
-quadratic, norms and their powers, logloss, exp), the epigraph rows of
-polyhedral norms as numpy blocks for the LPs, and scale-normalized support
-functions of whole space, norm balls, polyhedra, and their intersections.
+weightings, separable block composites), the epigraph rows of polyhedral
+norms as numpy blocks for the LPs, and scale-normalized support functions
+of whole space, norm balls, polyhedra, and their intersections.
 """
 
 from __future__ import annotations
@@ -22,22 +21,19 @@ from .errors import (
     InfeasibleSet,
     UnsupportedCombination,
 )
-from .numerics import DEFAULT_TOL, Tolerance, sym_eig
-from .simplex import LinearProgram, solve_lp
+from .simplex import LPStack
 
 __all__ = [
     "NormSpec",
     "SetSpec",
-    "ConjugableFunction",
     "dual_norm_eval",
     "norm_eval",
     "norm_subgradient",
-    "conjugate_eval",
     "support_function_eval",
     "conjugate_exponent",
 ]
 
-_EQ_TOL = 1e-9  # scale-relative equality tolerance inside conjugates
+_FEAS_TOL = 1e-9  # emptiness, relative to a support LP's scaled rows
 
 
 def conjugate_exponent(p: float) -> float:
@@ -351,7 +347,7 @@ def _face_sizes(members: list[SetSpec]) -> tuple[float, list[np.ndarray]]:
     Face j of C x <= d has size max(|d_j|, r ||C_j||_inf), and a ball is one
     face of offset its radius and ||C_j|| = 1.  r is the geometric middle of
     the positive distances |d_j| / ||C_j||_inf, so that neither a far face's
-    column nor a near face's reduced cost falls below the pivot tolerance.
+    coefficients nor a near face's slack fall below the pivot tolerance.
     """
     faces = [
         (np.abs(m.d_vector()), np.abs(m.C_matrix()).max(axis=1, initial=0.0))
@@ -365,47 +361,59 @@ def _face_sizes(members: list[SetSpec]) -> tuple[float, list[np.ndarray]]:
     return r, [np.where(rho > 0, rho, 1.0) for rho in rhos]
 
 
-def _intersection_lp(members: list, z: np.ndarray, r: float, rhos: list) -> LinearProgram:
-    """min sum_k sigma_k(z_k) over z = sum_k z_k, each sigma_k in LP dual form.
+def _support_rows(members: list, n: int, r: float, rhos: list) -> tuple[np.ndarray, np.ndarray]:
+    """Rows A w <= b of the intersection of members, in w = [x; u] / r.
 
-    Variables: the parts z_k (free), then per member its multipliers lam >= 0
-    with C' lam = z_k at cost d' lam (polyhedron), or t >= 0 with
-    ||z_k||_* <= t at cost radius * t and the norm rows' auxiliaries (ball),
-    each face divided by its size in rhos and x measured in r.
+    A polyhedron gives its faces C x <= d, a ball the epigraph rows
+    G x + H u <= -g radius of its norm, with u >= 0 the rows' auxiliaries;
+    each face and each ball is divided by its size in rhos.  The rows for
+    u >= 0 come last, as -u <= 0.
     """
-    n = z.size
-    costs, on_z, own, senses = [], [], [], []
+    parts, rhs = [], []
     for m, rho in zip(members, rhos):
         if m.kind == "polyhedron":
-            costs.append(m.d_vector() / rho)
-            on_z.append(-np.eye(n))
-            own.append((r * m.C_matrix() / rho[:, None]).T)
-            senses += ["="] * n
+            parts.append((r * m.C_matrix() / rho[:, None], np.zeros((rho.size, 0))))
+            rhs.append(m.d_vector() / rho)
         elif m.kind == "ball":
-            G, H, g = norm_epigraph_rows(m.norm.dual_spec(), n)
-            costs.append(np.append(m.radius / rho, np.zeros(H.shape[1])))
-            on_z.append(G)
-            own.append(np.column_stack([r / rho * g, H]))
-            senses += ["<="] * g.size
+            G, H, g = norm_epigraph_rows(m.norm, n)
+            parts.append((r / rho * G, r / rho * H))
+            rhs.append(-m.radius / rho * g)
         else:
             raise UnsupportedCombination("intersection members must be polyhedra or norm balls")
-    n_parts = len(members) * n
-    c = np.concatenate([np.zeros(n_parts)] + costs)
-    coupling = np.hstack([np.tile(np.eye(n), len(members)), np.zeros((n, c.size - n_parts))])
-    A = np.vstack([coupling, np.hstack([_block_diag(on_z), _block_diag(own)])])
-    b = np.append(z, np.zeros(len(senses)))
-    bounds = ((None, None),) * n_parts + ((0.0, None),) * (c.size - n_parts)
-    return LinearProgram(c, A, ["="] * n + senses, b, bounds)
+    A = np.hstack([np.vstack([P[0] for P in parts]), _block_diag([P[1] for P in parts])])
+    n_aux = A.shape[1] - n
+    A = np.vstack([A, np.hstack([np.zeros((n_aux, n)), -np.eye(n_aux)])])
+    return A, np.concatenate(rhs + [np.zeros(n_aux)])
 
 
-def support_function_eval(S: SetSpec, z, tol: Tolerance = DEFAULT_TOL) -> float:
+def _feasible_point(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A point w with A w <= b, or InfeasibleSet.
+
+    At the origin the rows fall short by at most t0 = -min b.  Shifted by s,
+    the LP  max s  over  A w + s <= b + t0, s <= t0  is feasible at the
+    origin and reaches t0 exactly when A w <= b has a solution.  The rows
+    are scaled, so s short of t0 by more than a tolerance relative to them
+    certifies that the set is empty.
+    """
+    k, n = A.shape
+    t0 = -float(b.min())
+    rows = np.block([[A, np.ones((k, 1))], [np.zeros((1, n)), np.ones((1, 1))]])
+    w, _ = LPStack(rows, np.append(b + t0, t0), n + 1).solve(-np.eye(1, n + 1, n))
+    if w[0, n] < t0 - _FEAS_TOL * float(np.abs(b).max()):
+        raise InfeasibleSet(f"the set is empty: every point violates a scaled row by {t0 - w[0, n]:.3g}")
+    return w[0, :n]
+
+
+def support_function_eval(S: SetSpec, z) -> float:
     """sup_{x in S} z'x as an extended real (+inf allowed).
 
-    Polyhedra and intersections are solved as the dual LP of the sup.  The
-    simplex's tolerances are absolute, so each face of that LP is divided by
-    its own size (see _face_sizes) and z by its largest magnitude: a reduced
-    cost is then the relative slack of its face, whatever the other faces'
-    scale.  The value is scaled back.
+    Polyhedra and intersections are solved as the LP  max z'x  over their
+    rows, with x free (see _support_rows).  The simplex's tolerances are
+    absolute, so each face is divided by its own size (see _face_sizes) and
+    z by its largest magnitude: a row's slack is then relative to its face,
+    whatever the other faces' scale.  When the origin is outside the set,
+    the LP starts from a feasible point found first (_feasible_point), and
+    InfeasibleSet is raised when there is none.  The value is scaled back.
     """
     z = as_vector(z, "z")
     if z.size != S.dim:
@@ -414,140 +422,14 @@ def support_function_eval(S: SetSpec, z, tol: Tolerance = DEFAULT_TOL) -> float:
         return 0.0 if not np.any(z) else math.inf
     if S.kind == "ball":
         return S.radius * dual_norm_eval(S.norm, z)
-    # intersection: inf over decompositions z = sum z_k of sum sigma_k(z_k)
     members = [S] if S.kind == "polyhedron" else [m for m in S.members if m.kind != "whole"]
     if S.kind == "intersection" and len(members) < 2:
-        return support_function_eval(members[0] if members else SetSpec.whole(S.dim), z, tol)
+        return support_function_eval(members[0] if members else SetSpec.whole(S.dim), z)
     r, rhos = _face_sizes(members)
+    A, b = _support_rows(members, S.dim, r, rhos)
+    w0 = _feasible_point(A, b) if b.min(initial=0.0) < 0.0 else np.zeros(A.shape[1])
+    # every variable is free from w0 on: u >= 0 is among the rows
     size = float(np.abs(z).max(initial=0.0)) or 1.0
-    if S.kind == "polyhedron":
-        C = r * S.C_matrix() / rhos[0][:, None]
-        lp = LinearProgram(S.d_vector() / rhos[0], C.T, ["="] * S.dim, z / size)
-    else:
-        lp = _intersection_lp(members, z / size, r, rhos)
-    sol = solve_lp(lp, tol)
-    if sol.status == "infeasible":
-        return math.inf
-    if sol.status == "unbounded":
-        raise InfeasibleSet(f"{S.kind} is empty (support-function LP unbounded below)")
-    return r * size * float(sol.objective)
-
-
-@dataclass(frozen=True)
-class ConjugableFunction:
-    """A convex function from the conjugate table.
-
-    kinds: "affine" (a'x + b), "quadratic" (x'Ax/2 + a'x + b with A PSD),
-    "norm" (||x||), "norm_power" ((1/p)||x||^p, p > 1), "logloss"
-    (log(1 + exp(-x)), scalar), "exp" (exp(x), scalar).
-    """
-
-    kind: str
-    a: tuple | None = None
-    b: float = 0.0
-    A: tuple | None = None
-    norm: NormSpec | None = None
-    p: float = 2.0
-
-    @staticmethod
-    def affine(a, b: float) -> "ConjugableFunction":
-        return ConjugableFunction(kind="affine", a=tuple(as_vector(a, "a")), b=float(b))
-
-    @staticmethod
-    def quadratic(A, a, b: float) -> "ConjugableFunction":
-        A = check_psd(A, name="A")
-        return ConjugableFunction(
-            kind="quadratic", A=tuple(map(tuple, A)), a=tuple(as_vector(a, "a")), b=float(b)
-        )
-
-    @staticmethod
-    def norm(norm: NormSpec) -> "ConjugableFunction":
-        return ConjugableFunction(kind="norm", norm=norm)
-
-    @staticmethod
-    def norm_power(norm: NormSpec, p: float) -> "ConjugableFunction":
-        if not p > 1.0:
-            raise ValueError("norm_power requires p > 1 (p = 1 is the norm kind)")
-        return ConjugableFunction(kind="norm_power", norm=norm, p=float(p))
-
-    @staticmethod
-    def logloss() -> "ConjugableFunction":
-        return ConjugableFunction(kind="logloss")
-
-    @staticmethod
-    def exp() -> "ConjugableFunction":
-        return ConjugableFunction(kind="exp")
-
-    def a_vector(self) -> np.ndarray:
-        return np.asarray(self.a, dtype=float)
-
-    def A_matrix(self) -> np.ndarray:
-        return np.asarray(self.A, dtype=float)
-
-    def value(self, x) -> float:
-        x = as_vector(x, "x")
-        if self.kind == "affine":
-            return float(self.a_vector() @ x + self.b)
-        if self.kind == "quadratic":
-            return float(0.5 * x @ self.A_matrix() @ x + self.a_vector() @ x + self.b)
-        if self.kind == "norm":
-            return norm_eval(self.norm, x)
-        if self.kind == "norm_power":
-            return norm_eval(self.norm, x) ** self.p / self.p
-        if self.kind == "logloss":
-            t = -x[0]
-            # stable log(1 + exp(t))
-            return float(np.logaddexp(0.0, t))
-        return float(np.exp(x[0]))
-
-
-def conjugate_eval(f: ConjugableFunction, z) -> float:
-    """The convex conjugate f*(z) = sup_x z'x - f(x), +inf outside dom f*."""
-    z = as_vector(z, "z")
-    if f.kind == "affine":
-        a = f.a_vector()
-        if z.size != a.size:
-            raise DimensionMismatch("z and a dimensions differ")
-        if np.linalg.norm(z - a) <= _EQ_TOL * (1.0 + np.linalg.norm(a)):
-            return -f.b
-        return math.inf
-    if f.kind == "quadratic":
-        a = f.a_vector()
-        A = f.A_matrix()
-        if z.size != a.size:
-            raise DimensionMismatch("z and a dimensions differ")
-        r = z - a
-        dec = sym_eig(A)
-        w = np.clip(dec.values, 0.0, None)
-        scale = w.max(initial=0.0)
-        pos = w > 1e-12 * max(scale, 1.0)
-        coords = dec.vectors.T @ r
-        resid = np.linalg.norm(coords[~pos]) if (~pos).any() else 0.0
-        if resid > _EQ_TOL * (1.0 + np.linalg.norm(a) + np.linalg.norm(z)):
-            return math.inf  # z - a outside range(A)
-        val = 0.5 * float(np.sum(coords[pos] ** 2 / w[pos]))
-        return val - f.b
-    if f.kind == "norm":
-        return 0.0 if dual_norm_eval(f.norm, z) <= 1.0 + _EQ_TOL else math.inf
-    if f.kind == "norm_power":
-        q = conjugate_exponent(f.p)
-        return dual_norm_eval(f.norm, z) ** q / q
-    if f.kind == "logloss":
-        # conjugate of log(1 + exp(-x)): finite exactly on [-1, 0]
-        s = float(z[0])
-        if s < -1.0 - _EQ_TOL or s > _EQ_TOL:
-            return math.inf
-        s = min(max(s, -1.0), 0.0)
-        t = -s  # t in [0, 1]
-        ent = 0.0
-        if t > 0.0:
-            ent += t * math.log(t)
-        if t < 1.0:
-            ent += (1.0 - t) * math.log(1.0 - t)
-        return ent
-    # exp
-    s = float(z[0])
-    if s < -_EQ_TOL:
-        return math.inf
-    s = max(s, 0.0)
-    return s * math.log(s) - s if s > 0.0 else 0.0
+    c = np.append(z / size, np.zeros(A.shape[1] - S.dim))
+    _, objective = LPStack(A, np.maximum(b - A @ w0, 0.0), A.shape[1]).solve(-c)
+    return r * size * (float(c @ w0) - float(objective[0]))

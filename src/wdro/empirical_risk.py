@@ -13,8 +13,8 @@ Two loss families are covered exactly at desk scale:
 Each worst-case value comes with a matching extremal construction: either
 an attained discrete distribution inside the ball, or a one-parameter
 family of distributions whose risk converges to the value while an atom
-escapes to infinity.  Cheap Lipschitz upper bounds and perturbed-empirical
-lower bounds sandwich the exact value.
+escapes to infinity.  Nominal risk plus eps times the Lipschitz modulus is
+a cheap upper bound on the exact value.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "wc_risk_pwa",
     "lipschitz_modulus_pwa",
     "lipschitz_upper_bound",
-    "robust_lower_bound",
     "wc_risk_quadratic",
     "extremal_pwa",
     "extremal_quadratic",
@@ -489,118 +488,6 @@ def wc_risk_pwa(
     return _wc_pwa(loss, samples, ball, tol, method)[0]
 
 
-def _coordinate_intervals(C, d, xi, k, cap):
-    """Range of coordinate-k moves keeping xi + t e_k inside {C x <= d}."""
-    t_lo, t_hi = -cap, cap
-    if C.shape[0]:
-        resid = d - C @ xi
-        for r in range(C.shape[0]):
-            c = C[r, k]
-            if c > 1e-14:
-                t_hi = min(t_hi, resid[r] / c)
-            elif c < -1e-14:
-                t_lo = max(t_lo, resid[r] / c)
-    return min(t_lo, 0.0), max(t_hi, 0.0)
-
-
-def robust_lower_bound(
-    loss: PiecewiseAffineLoss,
-    samples: DiscreteDistribution,
-    ball: BallSpec,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Certified lower bound from perturbed N-point empirical distributions.
-
-    Moves each sample inside the support under the shared transport budget
-    sum_i w_i ||theta_i||^p <= eps^p.  A single affine piece on the whole
-    space is solved in closed form (nominal + eps ||a||_*); otherwise each
-    sample is improved by coordinatewise line search against a budget
-    multiplier, with the multiplier found by bisection.  Every candidate is
-    scaled back into the budget before evaluation, so the returned value is
-    always feasible, hence a true lower bound on the worst-case risk.
-    """
-    support = _check_inputs(loss.dim, samples, ball)
-    if not math.isfinite(ball.p):
-        raise UnsupportedCombination("the perturbation bound needs a finite ball order")
-    nominal = expected_loss(loss, samples)
-    if ball.eps == 0.0:
-        return nominal
-
-    if loss.n_pieces == 1 and support.kind == "whole":
-        return nominal + ball.eps * dual_norm_eval(ball.norm, loss.A[0])
-
-    if support.kind == "polyhedron":
-        C, d = support.C_matrix(), support.d_vector()
-    else:
-        C, d = np.zeros((0, loss.dim)), np.zeros(0)
-
-    N, m = samples.n_atoms, samples.dim
-    w = samples.weights
-    p, eps = ball.p, ball.eps
-    target = eps**p
-    unit_norms = np.maximum(norm_eval(ball.norm, np.eye(m)), 1e-12)
-
-    def ascend(gamma: float) -> np.ndarray:
-        theta = np.zeros((N, m))
-        for i in range(N):
-            cap_i = 4.0 * (target / w[i]) ** (1.0 / p)
-            for _ in range(2):
-                for k in range(m):
-                    base = samples.atoms[i] + theta[i]
-                    t_lo, t_hi = _coordinate_intervals(
-                        C, d, base, k, cap_i / unit_norms[k]
-                    )
-                    cands = set(np.linspace(t_lo, t_hi, 25).tolist())
-                    cands.update([0.0, -theta[i, k]])
-                    # piece-crossing points along the coordinate line
-                    for j1 in range(loss.n_pieces):
-                        for j2 in range(j1 + 1, loss.n_pieces):
-                            da = loss.A[j1] - loss.A[j2]
-                            if abs(da[k]) > 1e-12:
-                                t = -(da @ base + loss.b[j1] - loss.b[j2]) / da[k]
-                                if t_lo <= t <= t_hi:
-                                    cands.add(float(t))
-                    best_t, best_f = 0.0, -math.inf
-                    for t in sorted(cands):
-                        if not (t_lo - 1e-12 <= t <= t_hi + 1e-12):
-                            continue
-                        shift = theta[i].copy()
-                        shift[k] += t
-                        f = loss.value(samples.atoms[i] + shift) - gamma * norm_eval(
-                            ball.norm, shift
-                        ) ** p
-                        if f > best_f + 1e-15:
-                            best_t, best_f = t, f
-                    theta[i, k] += best_t
-        return theta
-
-    def spent(theta: np.ndarray) -> float:
-        return float(w @ norm_eval(ball.norm, theta) ** p)
-
-    def evaluate(theta: np.ndarray) -> float:
-        budget = spent(theta)
-        scale = 1.0 if budget <= target else (target / budget) ** (1.0 / p)
-        return float(w @ loss.value(samples.atoms + scale * theta))
-
-    lip = lipschitz_modulus_pwa(loss, ball.norm)
-    best = nominal
-    g_lo, g_hi = 0.0, 2.0 * lip + 1.0
-    for _ in range(8):
-        theta = ascend(g_hi)
-        if spent(theta) <= target:
-            break
-        g_hi *= 4.0
-    for _ in range(30):
-        g_mid = 0.5 * (g_lo + g_hi)
-        theta = ascend(g_mid)
-        best = max(best, evaluate(theta))
-        if spent(theta) > target:
-            g_lo = g_mid
-        else:
-            g_hi = g_mid
-    return best
-
-
 class _QuadDual(NamedTuple):
     value: float
     gamma: float
@@ -609,6 +496,7 @@ class _QuadDual(NamedTuple):
     boundary: bool
     top_value: float
     top_vector: np.ndarray
+    eig_scale: float  # max |eigenvalue of Q|
 
 
 def _quad_scalar_dual(
@@ -653,6 +541,7 @@ def _quad_scalar_dual(
         boundary=boundary,
         top_value=float(lam[0]),
         top_vector=V[:, 0].copy(),
+        eig_scale=float(np.abs(lam).max()),
     )
 
 
@@ -705,7 +594,7 @@ def extremal_quadratic(
     needs_escape = (
         dual.boundary
         and dual.alpha > 1e-9 * eps**2
-        and dual.top_value > 1e-12 * (1.0 + abs(dual.top_value))
+        and dual.top_value > 1e-12 * dual.eig_scale
     )
     if not needs_escape:
         return ExtremalReport(

@@ -226,7 +226,12 @@ def gelbrich_risk_quadratic(
     # order gamma
     value = _quadratic_moment_risk(loss, mu_hat, sigma) + gamma * eps**2 + float(numer @ inv)
     primal = _quadratic_moment_risk(loss, extremal.mu, extremal.sigma)
-    if interior and abs(value - primal) > 1e-7 * (1.0 + abs(value)):
+    # the mismatch is measured against the sizes of the primal's terms, so
+    # that the check keeps its meaning at every scale of the data
+    mu_abs = np.abs(extremal.mu)
+    terms = np.sum(np.abs(loss.Q * extremal.sigma)) + mu_abs @ np.abs(loss.Q) @ mu_abs
+    terms += 2.0 * np.abs(loss.q) @ mu_abs
+    if interior and abs(value - primal) > 1e-7 * terms:
         raise NumericalFailure(
             f"primal-dual mismatch: dual {value!r} vs primal {primal!r}"
         )

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +6,8 @@ import pytest
 from scipy.optimize import linprog
 
 from wdro.convex_analysis import (
-    ConjugableFunction,
     NormSpec,
     SetSpec,
-    conjugate_eval,
     dual_norm_eval,
     norm_eval,
     norm_subgradient,
@@ -97,81 +96,6 @@ def test_stacked_norms_match_row_loop():
                     assert all(isinstance(r, float) for r in rows)
                     assert stacked.shape == shape[:-1]
                     assert np.allclose(stacked.ravel(), rows, rtol=1e-13, atol=0.0)
-
-
-def test_conjugate_affine():
-    f = ConjugableFunction.affine([1.0, 0.0], 2.0)
-    assert conjugate_eval(f, [1.0, 0.0]) == -2.0
-    assert conjugate_eval(f, [0.0, 1.0]) == math.inf
-
-
-def test_conjugate_norm_indicator():
-    f = ConjugableFunction.norm(NormSpec.p_norm(2))
-    z = np.array([0.3, 0.4])
-    assert conjugate_eval(f, z) == 0.0
-    assert conjugate_eval(f, 4 * z) == math.inf
-
-
-def test_conjugate_quadratic_identity():
-    f = ConjugableFunction.quadratic(np.eye(3), np.zeros(3), 0.0)
-    z = np.array([1.0, -2.0, 0.5])
-    assert abs(conjugate_eval(f, z) - 0.5 * z @ z) <= 1e-12
-
-
-def test_conjugate_quadratic_singular_range_check():
-    A = np.diag([2.0, 0.0])
-    f = ConjugableFunction.quadratic(A, np.zeros(2), 1.0)
-    assert abs(conjugate_eval(f, [2.0, 0.0]) - (1.0 - 1.0)) <= 1e-12
-    assert conjugate_eval(f, [0.0, 1.0]) == math.inf
-
-
-def test_conjugate_norm_power():
-    f = ConjugableFunction.norm_power(NormSpec.p_norm(2), 2.0)
-    z = np.array([3.0, 4.0])
-    assert abs(conjugate_eval(f, z) - 0.5 * 25.0) <= 1e-12
-
-
-def test_conjugate_exp_and_logloss_by_grid():
-    grid = np.linspace(-30.0, 30.0, 240001)
-    for f, zs in [
-        (ConjugableFunction.exp(), [0.0, 0.5, 1.7]),
-        (ConjugableFunction.logloss(), [-0.9, -0.5, -0.1, 0.0, -1.0]),
-    ]:
-        vals = np.array([f.value([t]) for t in grid])
-        for z in zs:
-            ref = np.max(z * grid - vals)
-            got = conjugate_eval(f, [z])
-            assert got < math.inf
-            assert abs(got - ref) <= 2e-4 * (1 + abs(ref))
-    assert conjugate_eval(ConjugableFunction.exp(), [-0.5]) == math.inf
-    assert conjugate_eval(ConjugableFunction.logloss(), [0.5]) == math.inf
-    assert conjugate_eval(ConjugableFunction.logloss(), [-1.5]) == math.inf
-
-
-def test_biconjugacy_quadratic_grid():
-    # sup_z z'x - f*(z) recovers f(x); coarse grid then a local refinement
-    # keeps the discretization error inside the 1e-4 budget
-    rng = np.random.RandomState(4)
-    B = rng.randn(2, 2)
-    A = B @ B.T + np.eye(2)
-    a = rng.randn(2)
-    f = ConjugableFunction.quadratic(A, a, 0.3)
-    zs = np.linspace(-8, 8, 81)
-    Z = np.array([[u, v] for u in zs for v in zs])
-    fstar = np.array([conjugate_eval(f, z) for z in Z])
-    for _ in range(6):
-        x = rng.randn(2) * 0.5
-        k = int(np.argmax(Z @ x - fstar))
-        lo, hi = Z[k] - 0.25, Z[k] + 0.25
-        fine = np.array(
-            [
-                [u, v]
-                for u in np.linspace(lo[0], hi[0], 61)
-                for v in np.linspace(lo[1], hi[1], 61)
-            ]
-        )
-        fxx = np.max(fine @ x - np.array([conjugate_eval(f, z) for z in fine]))
-        assert abs(fxx - f.value(x)) <= 1e-4 * (1 + abs(f.value(x)))
 
 
 def test_support_ball():
@@ -325,6 +249,88 @@ def test_support_intersection_ignores_a_huge_ball(radius):
             assert got == ref or abs(got - ref) <= 1e-9 * (1 + abs(ref)), (seed, got, ref)
 
 
+def polyhedral_ball_faces(p, radius, m):
+    """The faces of the 1-norm or inf-norm ball of the radius in R^m."""
+    if p == 1:
+        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=m)))
+        return signs, np.full(len(signs), radius)
+    return np.vstack([np.eye(m), -np.eye(m)]), np.full(2 * m, radius)
+
+
+def set_away_from_the_origin(seed):
+    """A seeded polyhedron around a center xc that a face cuts off from the
+    origin, alone or intersected with a polyhedral ball (one in three too
+    small to reach it), a second polyhedron, or two faces a gap apart.
+
+    Returns the set, its faces (C, d) and a direction z."""
+    rng = np.random.default_rng([seed, 97])
+    m = int(rng.integers(1, 4))
+    C = rng.normal(size=(int(rng.integers(1, 2 * m + 3)), m))
+    xc = rng.normal(size=m)
+    xc *= rng.uniform(1.5, 6.0) / np.linalg.norm(xc)
+    d = C @ xc + rng.uniform(0.05, 1.0, len(C))
+    cut = -xc / np.linalg.norm(xc)  # a face between xc and the origin
+    C, d = np.vstack([C, cut]), np.append(d, cut @ xc + rng.uniform(0.05, 1.0))
+    members, faces = [SetSpec.polyhedron(C, d)], [(C, d)]
+    if seed % 4 == 1:
+        p = 1 if rng.random() < 0.5 else math.inf
+        reach = np.abs(xc).sum() if p == 1 else np.abs(xc).max()
+        radius = reach * (rng.uniform(1.05, 3.0) if rng.random() < 0.7 else rng.uniform(0.05, 0.2))
+        members.append(SetSpec.ball(NormSpec.p_norm(p), radius, m))
+        faces.append(polyhedral_ball_faces(p, radius, m))
+    elif seed % 4 == 2:
+        C2 = rng.normal(size=(2, m))
+        faces.append((C2, C2 @ xc + rng.uniform(-0.3, 1.0, 2)))
+        members.append(SetSpec.polyhedron(*faces[-1]))
+    elif seed % 4 == 3:
+        e, gap = rng.normal(size=m), rng.uniform(0.01, 1.0)
+        faces.append((np.vstack([e, -e]), np.array([e @ xc - gap, -(e @ xc)])))
+        members.append(SetSpec.polyhedron(*faces[-1]))
+    S = members[0] if len(members) == 1 else SetSpec.intersection(members)
+    return S, np.vstack([f[0] for f in faces]), np.concatenate([f[1] for f in faces]), rng.normal(size=m)
+
+
+def scaled_set(S, s):
+    """S with every offset and radius times s: the set s S."""
+    if S.kind == "polyhedron":
+        return SetSpec.polyhedron(S.C_matrix(), s * S.d_vector())
+    if S.kind == "ball":
+        return SetSpec.ball(S.norm, s * S.radius, S.dim)
+    return SetSpec.intersection([scaled_set(M, s) for M in S.members])
+
+
+def test_support_away_from_the_origin_agrees_with_highs():
+    # 400 seeded sets that exclude the origin: HiGHS finds 214 optimal,
+    # 43 unbounded and 143 empty; the value of s S is s times the value of S
+    statuses = set()
+    for seed in range(400):
+        S, C, d, z = set_away_from_the_origin(seed)
+        res = linprog(-z, A_ub=C, b_ub=d, bounds=[(None, None)] * z.size, method="highs")
+        assert res.status in (0, 2, 3), res.message
+        statuses.add(res.status)
+        for s in (1.0, 1e-8, 1e6):
+            if res.status == 2:
+                with pytest.raises(InfeasibleSet):
+                    support_function_eval(scaled_set(S, s), z)
+                continue
+            got = support_function_eval(scaled_set(S, s), z) / s
+            if res.status == 3:
+                assert got == math.inf, (seed, s, got)
+            else:
+                # relative to the sizes of the terms of z'x at the maximizer
+                assert abs(got + res.fun) <= 1e-9 * (np.abs(z) @ np.abs(res.x)), (seed, s, got, -res.fun)
+    assert statuses == {0, 2, 3}
+
+
+def test_support_of_an_empty_set_raises_in_every_direction():
+    # x_1 <= 0 and x_1 >= 1 in the plane: a direction off the faces' normals
+    # must not read the empty set as unbounded
+    S = SetSpec.polyhedron([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0])
+    for z in ([1.0, 0.0], [0.0, 1.0], [0.3, -2.0], [0.0, 0.0]):
+        with pytest.raises(InfeasibleSet):
+            support_function_eval(S, z)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         support_function_eval(SetSpec.whole(2), [1.0, 2.0, 3.0])
@@ -350,15 +356,14 @@ def _max_over_unit_ball(norm, dim, z):
     Variables (x free, t >= 0, u >= 0): t <= 1 and G x + g t + H u <= 0.
     """
     from wdro.convex_analysis import norm_epigraph_rows
-    from wdro.simplex import LinearProgram, solve_lp
+    from wdro.simplex import LPStack
 
     G, H, g = norm_epigraph_rows(norm, dim)
     k = H.shape[1]
     A = np.vstack([np.eye(1, dim + 1 + k, dim), np.column_stack([G, g, H])])
     b = np.append(1.0, np.zeros(g.size))
     cost = np.concatenate([-np.asarray(z, dtype=float), np.zeros(1 + k)])
-    bounds = [(None, None)] * dim + [(0.0, None)] * (1 + k)
-    return solve_lp(LinearProgram(cost, A, ["<="] * b.size, b, bounds))
+    return -LPStack(A, b, dim).solve(cost)[1][0]
 
 
 def test_norm_rows_reproduce_dual_norm_via_lp():
@@ -369,10 +374,8 @@ def test_norm_rows_reproduce_dual_norm_via_lp():
         for norm in lp_representable_norms(dim):
             assert norm.is_lp_representable(dim)
             z = rng.randn(dim)
-            sol = _max_over_unit_ball(norm, dim, z)
-            assert sol.status == "optimal"
             ref = dual_norm_eval(norm, z)
-            assert abs(-sol.objective - ref) <= 1e-8 * (1 + ref)
+            assert abs(_max_over_unit_ball(norm, dim, z) - ref) <= 1e-8 * (1 + ref)
 
 
 def test_norm_rows_reject_euclidean_in_dim_two():
@@ -384,5 +387,4 @@ def test_norm_rows_reject_euclidean_in_dim_two():
 
 def test_norm_rows_scalar_euclidean_allowed():
     # any norm on the line is a multiple of |.|, so the LP path accepts it
-    sol = _max_over_unit_ball(NormSpec.scaled(3.0, 2), 1, [1.0])
-    assert abs(-sol.objective - 1.0 / 3.0) <= 1e-9
+    assert abs(_max_over_unit_ball(NormSpec.scaled(3.0, 2), 1, [1.0]) - 1.0 / 3.0) <= 1e-9

@@ -15,7 +15,6 @@ from wdro.empirical_risk import (
     extremal_quadratic,
     lipschitz_modulus_pwa,
     lipschitz_upper_bound,
-    robust_lower_bound,
     wc_risk_pwa,
     wc_risk_quadratic,
 )
@@ -199,6 +198,8 @@ def test_monotone_in_radius():
 
 
 def test_sandwich_bounds():
+    # the type-1 extremal is a distribution in the ball, or a family of them:
+    # its expected loss bounds the worst case from below
     rng = np.random.RandomState(6)
     for trial in range(6):
         m = int(rng.randint(1, 3))
@@ -208,31 +209,13 @@ def test_sandwich_bounds():
         support = box_support(m, half=2.0) if trial % 2 == 0 else None
         ball = BallSpec(0.3, 1.0, ONE, support)
         wc = wc_risk_pwa(loss, samples, ball)
-        lower = robust_lower_bound(loss, samples, ball)
+        rep = extremal_pwa(loss, samples, ball)
+        worst = rep.distribution if rep.kind == "attained" else rep.family.distribution(10**6)
+        lower = expected_loss(loss, worst)
         upper = lipschitz_upper_bound(loss, samples, ball)
         assert lower <= wc + 1e-8
+        assert wc - lower <= 1e-5 * (1 + abs(wc))
         assert wc <= upper + 1e-8
-
-
-def test_robust_lower_bound_examples():
-    rng = np.random.RandomState(7)
-    a = rng.randn(2)
-    single = PiecewiseAffineLoss([(a, 0.3)])
-    samples = DiscreteDistribution.from_samples(rng.randn(3, 2))
-    for p in (1.0, 2.0):
-        ball = BallSpec(0.5, p, EUCLID)
-        got = robust_lower_bound(single, samples, ball)
-        ref = expected_loss(single, samples) + 0.5 * np.linalg.norm(a)
-        assert abs(got - ref) <= 1e-10 * (1 + abs(ref))
-        assert abs(robust_lower_bound(single, samples, BallSpec(0.0, p, EUCLID))
-                   - expected_loss(single, samples)) <= 1e-12
-
-    # one-point displacement cannot reach the hinge for eps < 1
-    samples1 = DiscreteDistribution.dirac([0.0])
-    for eps in (0.3, 0.8):
-        got = robust_lower_bound(hinge_loss(), samples1, BallSpec(eps, 1.0, ONE))
-        assert abs(got - 0.0) <= 1e-12
-        assert got <= wc_risk_pwa(hinge_loss(), samples1, BallSpec(eps, 1.0, ONE))
 
 
 def test_unsupported_combinations():
@@ -242,8 +225,6 @@ def test_unsupported_combinations():
         wc_risk_pwa(loss, samples, BallSpec(0.5, 2.0, EUCLID, box_support(2)))
     with pytest.raises(UnsupportedCombination):
         wc_risk_pwa(loss, samples, BallSpec(0.5, 1.0, EUCLID, box_support(2)))
-    with pytest.raises(UnsupportedCombination):
-        robust_lower_bound(loss, samples, BallSpec(0.5, math.inf, ONE))
     with pytest.raises(UnsupportedSupport):
         BallSpec(0.5, 1.0, EUCLID, SetSpec.ball(EUCLID, 1.0, 2))
     with pytest.raises(ValueError):

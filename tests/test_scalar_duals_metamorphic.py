@@ -10,7 +10,9 @@ loss must move the answer by the known amount.
 """
 
 import numpy as np
+import pytest
 
+import wdro.moment_risk as moment_risk
 from wdro.convex_analysis import NormSpec
 from wdro.empirical_risk import (
     BallSpec,
@@ -20,6 +22,7 @@ from wdro.empirical_risk import (
     wc_risk_pwa,
     wc_risk_quadratic,
 )
+from wdro.errors import NotPSD, NotSymmetric, NumericalFailure
 from wdro.mmse import JointMoments, fw_solve, mmse_objective
 from wdro.moment_risk import gelbrich_risk_quadratic
 from wdro.shrinkage import wasserstein_shrinkage
@@ -84,6 +87,25 @@ def test_gelbrich_risk_and_extremal_moments_scale():
                 )
                 assert abs(dist / (s * eps) - 1.0) <= 1e-8, s
     assert not ref.interior
+
+
+def test_gelbrich_cross_check_sees_a_wrong_root_at_a_small_scale(monkeypatch):
+    # a multiplier 1e-4 off moves the extremal pair, and with it the primal
+    # risk, by about 1e-4 relative; at s = 1e-6 the risk is of order 1e-12,
+    # and the check must still see the mismatch
+    rng = np.random.RandomState(5)
+    loss, center = gelbrich_instance(rng, 3)
+    s = 1e-6
+    args = (
+        QuadraticLoss(loss.Q, s * loss.q),
+        MomentPair(s * center.mu, s**2 * center.sigma),
+        s * 0.4,
+    )
+    assert gelbrich_risk_quadratic(*args).interior
+    root = moment_risk.secular_root
+    monkeypatch.setattr(moment_risk, "secular_root", lambda *a: root(*a) * (1.0 + 1e-4))
+    with pytest.raises(NumericalFailure, match="primal-dual mismatch"):
+        gelbrich_risk_quadratic(*args)
 
 
 def test_gelbrich_risk_follows_a_translation():
@@ -164,6 +186,25 @@ def test_extremal_quadratic_scales():
                 esc, esc_ref = res.family.escapes[0], ref.family.escapes[0]
                 assert close(res.family.base_atoms / s, ref.family.base_atoms), s
                 assert close(esc.coef / s**2, esc_ref.coef), s
+
+
+def test_small_matrices_keep_their_checks_and_escapes():
+    s = 1e-8
+    # an asymmetry of 1e-6 relative, and an eigenvalue of -1e-6 relative
+    with pytest.raises(NotSymmetric):
+        QuadraticLoss(s * np.array([[1.0, 0.5 + 1e-6], [0.5, 1.0]]), np.zeros(2))
+    with pytest.raises(NotPSD):
+        MomentPair(np.zeros(2), s**2 * np.diag([1.0, -1e-6]))
+    # the escaping instance of test_extremal_quadratic_scales with Q scaled
+    # by 1e-13: the leftover budget must still escape along the first axis
+    Q, atoms, eps = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, -0.5], [0.0, 2.0]]), 3.0
+    ref = extremal_quadratic(QuadraticLoss(Q, np.zeros(2)), DiscreteDistribution(atoms, None), eps)
+    res = extremal_quadratic(
+        QuadraticLoss(1e-13 * Q, np.zeros(2)), DiscreteDistribution(s * atoms, None), s * eps
+    )
+    assert ref.kind == res.kind == "asymptotic"
+    assert close(res.certified_value / (1e-13 * s**2), ref.certified_value)
+    assert close(res.family.base_atoms / s, ref.family.base_atoms)
 
 
 def pwa_instance(rng, m, J, n):

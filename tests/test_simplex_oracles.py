@@ -1,10 +1,11 @@
 """Differential tests of the simplex core against HiGHS, and of its stack.
 
-``solve_lp`` is compared with ``scipy.optimize.linprog(method="highs")``
+The one LP entry point, ``LPStack``, and ``support_function_eval``, which
+solves on it, are compared with ``scipy.optimize.linprog(method="highs")``
 (scipy is a test-only dependency) on seeded degenerate, infeasible,
 unbounded and redundant-equality LPs: statuses must agree, and optimal
 objectives to 1e-9 relative.  ``LPStack`` must give each member the
-objective that ``solve_lp`` gives it alone, from a cold start and warm.
+objective that HiGHS gives it alone, from a cold start and warm.
 """
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 from scipy.optimize import linprog
 
 import wdro.simplex as simplex
-from wdro.errors import NumericalFailure
-from wdro.simplex import LinearProgram, LPStack, solve_lp
+from wdro.convex_analysis import SetSpec, support_function_eval
+from wdro.errors import InfeasibleSet, NumericalFailure
+from wdro.simplex import LPStack
 
 REL = 1e-9
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -37,28 +39,54 @@ def highs(c, A, senses, b, bounds):
     return HIGHS_STATUS[res.status], res.fun
 
 
-def agree(c, A, senses, b, bounds):
+def on_stack(c, A, senses, b, bounds):
+    """min c'x over free x with A x <= b, b >= 0: one LPStack member."""
+    assert set(senses) == {"<="} and set(bounds) == {(None, None)}
+    objective = LPStack(A, b, c.size).solve(c)[1][0]
+    return ("unbounded", objective) if objective == -np.inf else ("optimal", objective)
+
+
+def through_support(c, A, senses, b, bounds):
+    """min c'x as minus the support function at -c of the feasible set,
+    written as faces C x <= d: an equality is two opposite faces."""
+    senses = np.asarray(senses)
+    up, down = senses != ">=", senses != "<="
+    C, d = [A[up], -A[down]], [b[up], -b[down]]
+    for j, (lo, hi) in enumerate(bounds):
+        if lo is not None:
+            C.append(-np.eye(c.size)[j : j + 1]), d.append([-lo])
+        if hi is not None:
+            C.append(np.eye(c.size)[j : j + 1]), d.append([hi])
+    try:
+        sup = support_function_eval(SetSpec.polyhedron(np.vstack(C), np.concatenate(d)), -c)
+    except InfeasibleSet:
+        return "infeasible", None
+    return ("unbounded", -np.inf) if sup == np.inf else ("optimal", -sup)
+
+
+def agree(solve, c, A, senses, b, bounds):
     want, ref = highs(c, A, senses, b, bounds)
-    sol = solve_lp(LinearProgram(c, A, senses, b, bounds))
-    assert sol.status == want, (sol.status, want)
+    status, objective = solve(c, A, senses, b, bounds)
+    assert status == want, (status, want)
     if want == "optimal":
-        assert abs(sol.objective - ref) <= REL * (1.0 + abs(ref)), (sol.objective, ref)
-        assert abs(sol.dual_objective - ref) <= 1e-8 * (1.0 + abs(ref))
-    return sol
+        assert abs(objective - ref) <= REL * (1.0 + abs(ref)), (objective, ref)
+    return status
 
 
 def degenerate(rng):
-    """Many rows through one vertex x0 >= 0, on a small integer lattice."""
+    """Many rows through one vertex x0 >= 0, on a small integer lattice,
+    shifted so that x0 is the origin: rows A x <= b - A x0 >= 0 with x free,
+    and x >= -x0 as rows."""
     n = int(rng.integers(2, 5))
     k = int(rng.integers(n + 1, 3 * n + 2))
     x0 = rng.integers(0, 2, n).astype(float)
     A = rng.integers(-3, 4, (k, n)).astype(float)
-    b = A @ x0 + rng.integers(0, 2, k) * rng.integers(0, 3, k)  # about half the rows tight
+    slack = rng.integers(0, 2, k) * rng.integers(0, 3, k)  # about half the rows tight
     c = rng.integers(-3, 4, n).astype(float)
     # a box keeps the optimum finite
-    A = np.vstack([A, np.eye(n)])
-    b = np.concatenate([b, np.full(n, 4.0)])
-    return c, A, ["<="] * b.size, b, [(0.0, None)] * n
+    A = np.vstack([A, np.eye(n), -np.eye(n)])
+    b = np.concatenate([slack, 4.0 - x0, x0])
+    return c, A, ["<="] * b.size, b, [(None, None)] * n
 
 
 def infeasible(rng):
@@ -92,15 +120,18 @@ def redundant_equalities(rng):
 
 
 @pytest.mark.parametrize(
-    "family,want",
-    [(degenerate, "optimal"), (infeasible, "infeasible"), (unbounded, "unbounded"),
-     (redundant_equalities, "optimal")],
+    "family,solve,want",
+    [
+        pytest.param(degenerate, on_stack, "optimal", id="degenerate-optimal"),
+        pytest.param(infeasible, through_support, "infeasible", id="infeasible-infeasible"),
+        pytest.param(unbounded, through_support, "unbounded", id="unbounded-unbounded"),
+        pytest.param(redundant_equalities, through_support, "optimal", id="redundant_equalities-optimal"),
+    ],
 )
-def test_solve_lp_agrees_with_highs(family, want):
+def test_solve_lp_agrees_with_highs(family, solve, want):
     for seed in range(40):
         rng = np.random.default_rng([seed, 71, len(want)])
-        sol = agree(*family(rng))
-        assert sol.status == want
+        assert agree(solve, *family(rng)) == want
 
 
 def test_degenerate_lps_agree_under_blands_rule(monkeypatch):
@@ -108,7 +139,7 @@ def test_degenerate_lps_agree_under_blands_rule(monkeypatch):
     rule at its first degenerate pivot, so that path is checked as well."""
     monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", 0)
     for seed in range(40):
-        agree(*degenerate(np.random.default_rng([seed, 73])))
+        agree(on_stack, *degenerate(np.random.default_rng([seed, 73])))
     bounds = [(None, None)] * 2 + [(0.0, None)] * 2
     for seed in range(10):
         rng = np.random.default_rng([seed, 83])
@@ -152,9 +183,9 @@ def test_a_stack_gives_every_member_its_own_objective():
             costs = np.hstack([rng.normal(size=(K, m)), np.zeros((K, m))])
             x, objective = stack.solve(costs)
             for k in range(K):
-                ref = solve_lp(LinearProgram(costs[k], A, ["<="] * A.shape[0], rhs[k], bounds))
-                assert ref.status == "optimal"
-                assert abs(objective[k] - ref.objective) <= REL * (1.0 + abs(ref.objective)), (seed, solve, k)
+                want, ref = highs(costs[k], A, ["<="] * A.shape[0], rhs[k], bounds)
+                assert want == "optimal"
+                assert abs(objective[k] - ref) <= REL * (1.0 + abs(ref)), (seed, solve, k)
                 assert np.all(A @ x[k] <= rhs[k] + 1e-9 * (1.0 + np.abs(rhs[k])))
 
 
@@ -175,14 +206,14 @@ def test_a_stack_rejects_negative_right_hand_sides():
 def test_an_optimal_basis_is_checked_without_its_inverse(monkeypatch):
     """Pricing that sees no candidate on a wrong inverse must not pass: the
     reduced costs recomputed from the basis itself expose it."""
-    lp = LinearProgram([-1.0, -2.0], [[1.0, 1.0]], ["<="], [1.0])
-    assert solve_lp(lp).objective == pytest.approx(-2.0, abs=1e-12)
+    def stack():
+        return LPStack(np.array([[1.0, 1.0]]), np.array([[1.0]]), n_free=0)
+
+    assert stack().solve(np.array([-1.0, -2.0]))[1][0] == pytest.approx(-2.0, abs=1e-12)
 
     def blind(self, members, cost):
         return np.zeros_like(cost)
 
     monkeypatch.setattr(simplex._Simplex, "_reduced_costs", blind)
     with pytest.raises(NumericalFailure, match="reduced cost"):
-        solve_lp(lp)
-    with pytest.raises(NumericalFailure, match="reduced cost"):
-        LPStack(np.array([[1.0, 1.0]]), np.array([[1.0]]), n_free=0).solve(np.array([-1.0, -2.0]))
+        stack().solve(np.array([-1.0, -2.0]))
