@@ -41,9 +41,9 @@ class _Simplex:
 
     def __init__(self, W: np.ndarray, b: np.ndarray, basis):
         """Start every member at basis, whose columns of W form the identity:
-        B_inv = I, x_B = b_k.  b is (K, k), or (k,) for a stack of one."""
+        B_inv = I, x_B = b_k.  b is (K, k)."""
         self.W = W
-        self.b = np.atleast_2d(b)
+        self.b = b
         K, k = self.b.shape
         self.basis = np.tile(np.asarray(basis, dtype=np.intp), (K, 1))
         self.B_inv = np.tile(np.eye(k), (K, 1, 1))
