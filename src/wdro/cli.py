@@ -580,7 +580,7 @@ def _run_train(cfg: RunConfig):
             "degenerate_data": model.degenerate_data,
         }
     )
-    certs: dict = {"solver_gap": model.gap}
+    certs: dict = {"solver_gap": model.gap, "dual_value": model.dual_value}
     try:
         loss.pieces()
     except ToolkitError:

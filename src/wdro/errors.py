@@ -30,10 +30,6 @@ class MaxIterExceeded(ToolkitError):
     """An iterative routine hit its iteration budget before converging."""
 
 
-class Unbounded(ToolkitError):
-    """A scalar minimization decreased beyond the search horizon."""
-
-
 class NumericalFailure(ToolkitError):
     """A linear-algebra or pivoting step lost too much precision to continue."""
 

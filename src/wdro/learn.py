@@ -7,6 +7,30 @@ the Lipschitz modulus of the univariate loss times the dual norm of the
 weights.  For the squared loss over a type-2 ball the objective becomes
 the square of (root mean squared error + eps * dual norm).
 
+Training certifies its own accuracy through the Fenchel dual of the
+regularized problem (Shafieezadeh-Abadeh, Kuhn and Mohajerin Esfahani,
+*Regularization via mass transportation*, JMLR 2019).  With z_i = a_i'w + c_i
+the margins (a_i = y_i x_i, c_i = 0) or residuals (a_i = x_i, c_i = -y_i),
+
+    min_w (1/N) sum_i L(z_i) + lam ||w||_*
+      >=  max_alpha (1/N) sum_i (alpha_i c_i - L*(alpha_i))
+          subject to ||(1/N) sum_i alpha_i a_i|| <= lam,
+
+with lam = eps * Lip(L) and the conjugate L* of the univariate loss.  The
+squared loss over a type-2 ball is the square of the square-root lasso
+||Xw - y|| / sqrt(N) + eps ||w||_*, whose dual maximizes -beta'y / sqrt(N)
+over ||beta||_2 <= 1 and ||X'beta|| / sqrt(N) <= eps.  The solver takes
+trust-region Newton steps in the weights on a smoothed objective (Nesterov,
+*Smooth minimization of non-smooth functions*, Math. Prog. 2005: the
+piecewise-affine losses are replaced by their Moreau envelopes and the dual
+norm by a smooth upper approximation), shrinks the smoothing fivefold per
+stage, and after each stage builds a dual point from the smoothed loss
+derivatives at the current margins, scaled into the constraint (for
+eps = 0, moved onto A'alpha = 0).  It stops once primal - dual is at most
+10 * tol.rel_tol of the objective (1e-9 relative at the default
+tolerance); primal - dual bounds the suboptimality of the returned
+weights either way.
+
 The same reduction runs backwards: at a fixed weight vector the trained
 loss is piecewise affine in the perturbed input, so its worst-case risk
 can be priced independently with the generic worst-case machinery.  The
@@ -21,11 +45,11 @@ import math
 import numpy as np
 
 from ._validation import as_samples, as_vector
-from .convex_analysis import NormSpec, norm_eval, norm_subgradient
+from .convex_analysis import NormSpec, norm_eval
 from .empirical_risk import BallSpec, PiecewiseAffineLoss, wc_risk_pwa
 from .transport import DiscreteDistribution
 from .errors import DimensionMismatch, PairingMismatch, UnsupportedLoss
-from .numerics import DEFAULT_TOL, Tolerance, subgradient_minimize
+from .numerics import DEFAULT_TOL, Tolerance, secular_root
 
 __all__ = [
     "UnivariateLoss",
@@ -43,6 +67,19 @@ _CLASSIFICATION = ("hinge", "smooth_hinge", "logloss")
 _REGRESSION = ("squared", "huber", "eps_insensitive", "pinball")
 _PIECEWISE = ("hinge", "eps_insensitive", "pinball")
 _NORM_CAP = 1e6
+_RAY_GAIN = 1e-6
+# Training stops at a certified gap of _GAP_FACTOR * tol.rel_tol times the
+# objective, never asking for less than _GAP_FLOOR, which the rounding of
+# the primal and dual sums can still show.
+_GAP_FACTOR = 10.0
+_GAP_FLOOR = 1e-12
+_SHRINK = 0.2  # smoothing factor per stage
+_STAGES = 23  # mu0 down to 1e-16 mu0, the relative rounding of the data
+_STAGE_STEPS = 60  # Newton steps per stage
+_NEWTON_STOP = 1e-26  # relative decrement that ends a stage
+_QUADRATIC = 1e-10  # relative decrement below which f cannot judge a step
+_ARMIJO = 1e-4
+_EIG_FLOOR = 1e-12  # relative floor on the Hessian eigenvalues
 
 
 class UnivariateLoss:
@@ -77,6 +114,13 @@ class UnivariateLoss:
         self.kind = kind
         self.delta = None if delta is None else float(delta)
         self._table = np.array(self.pieces()) if kind in _PIECEWISE else None
+        if self._table is not None:
+            # sorted by slope, every piece is active on an interval, so L* is
+            # the interpolation of -intercept over the slopes, and the kink
+            # between consecutive pieces is the slope of L* between them
+            slopes, intercepts = self._table[np.argsort(self._table[:, 0])].T
+            self._slopes, self._conj = slopes, -intercepts
+            self._kinks = np.diff(self._conj) / np.diff(slopes)
 
     @property
     def is_classification(self) -> bool:
@@ -141,6 +185,68 @@ class UnivariateLoss:
             g = np.clip(z, -self.delta, self.delta)
         return float(g) if g.ndim == 0 else g
 
+    @property
+    def dual_domain(self) -> tuple[float, float]:
+        """The interval on which the conjugate L* is finite."""
+        if self.kind in ("hinge", "smooth_hinge", "logloss"):
+            return -1.0, 0.0
+        if self.kind == "huber":
+            return -self.delta, self.delta
+        if self.kind == "eps_insensitive":
+            return -1.0, 1.0
+        if self.kind == "pinball":
+            return -self.delta, 1.0 - self.delta
+        return -math.inf, math.inf
+
+    def conjugate(self, alpha) -> np.ndarray:
+        """L*(alpha) = sup_z alpha z - L(z) elementwise; +inf off the dual domain."""
+        alpha = np.asarray(alpha, dtype=float)
+        lo, hi = self.dual_domain
+        a = np.clip(alpha, lo, hi)
+        if self.kind in _PIECEWISE:
+            v = np.interp(a, self._slopes, self._conj)
+        elif self.kind == "smooth_hinge":
+            v = a + 0.5 * a * a
+        elif self.kind == "logloss":
+            p, q = -a, 1.0 + a
+            with np.errstate(divide="ignore", invalid="ignore"):  # 0 log 0 = 0
+                v = np.where(p > 0.0, p * np.log(p), 0.0) + np.where(q > 0.0, q * np.log(q), 0.0)
+        elif self.kind == "huber":
+            v = 0.5 * a * a
+        else:
+            v = 0.25 * a * a
+        return np.where(a == alpha, v, math.inf)
+
+    def smoothed(self, z, mu: float):
+        """Value, derivative and second derivative of a smooth stand-in, elementwise.
+
+        The piecewise-affine kinds give their Moreau envelope
+        min_u L(u) + (z - u)^2 / (2 mu), which lies within mu Lip^2 / 2 below
+        L; its derivative, the maximizer of alpha z - L*(alpha) - mu alpha^2 / 2,
+        ramps from one slope to the next over [t + mu s_j, t + mu s_j+1] at
+        each kink t.  The other kinds are smooth already and come back as
+        they are.  Every derivative lies in the dual domain.
+        """
+        z = np.asarray(z, dtype=float)
+        if self.kind in _PIECEWISE:
+            s = self._slopes
+            ramp = (z[:, None] - self._kinks) / mu - s[:-1]
+            width = np.diff(s)
+            alpha = s[0] + np.clip(ramp, 0.0, width).sum(axis=1)
+            curv = ((ramp > 0.0) & (ramp < width)).sum(axis=1) / mu
+            value = alpha * z - np.interp(alpha, s, self._conj) - 0.5 * mu * alpha * alpha
+            return value, alpha, curv
+        alpha = self.subgrad(z)
+        if self.kind == "smooth_hinge":
+            curv = ((z > 0.0) & (z < 1.0)).astype(float)
+        elif self.kind == "logloss":
+            curv = -alpha * (1.0 + alpha)
+        elif self.kind == "huber":
+            curv = (np.abs(z) <= self.delta).astype(float)
+        else:
+            curv = np.full(z.shape, 2.0)
+        return self.value(z), alpha, curv
+
     def pieces(self) -> list:
         """Slope/intercept pairs with L(z) = max_j (slope_j z + intercept_j)."""
         if self.kind == "hinge":
@@ -159,7 +265,13 @@ class UnivariateLoss:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TrainedModel:
-    """Weights plus solver diagnostics for a robust training run."""
+    """Weights plus solver diagnostics for a robust training run.
+
+    ``value`` is the objective at ``weights``, ``dual_value`` the Fenchel dual
+    objective at a feasible dual point (0 is always one: every objective is
+    nonnegative), and ``gap = value - dual_value`` bounds how far ``value``
+    lies above the optimum.  ``iterations`` counts Newton steps.
+    """
 
     weights: np.ndarray
     value: float
@@ -167,6 +279,7 @@ class TrainedModel:
     gap: float
     unattained: bool = False
     degenerate_data: bool = False
+    dual_value: float = 0.0
 
 
 def _dual(input_norm: NormSpec | None) -> NormSpec:
@@ -192,7 +305,7 @@ def _check_labeled(X, y, classification: bool):
 
 
 def _objective(X: np.ndarray, y: np.ndarray, loss: UnivariateLoss, eps: float, dual: NormSpec):
-    """The regularized training objective and a subgradient map, as (fun, grad).
+    """The regularized training objective as a function of the weights.
 
     Classification kinds average L over the margins y * Xw, regression kinds
     over the residuals Xw - y, plus eps * Lip(L) * ||w||_*.  The squared
@@ -205,30 +318,15 @@ def _objective(X: np.ndarray, y: np.ndarray, loss: UnivariateLoss, eps: float, d
             r = X @ w - y
             return float((math.sqrt(np.mean(r**2)) + eps * norm_eval(dual, w)) ** 2)
 
-        def grad(w):
-            r = X @ w - y
-            rmse = math.sqrt(np.mean(r**2))
-            reg = eps * norm_eval(dual, w)
-            d_rmse = X.T @ r / (n * rmse) if rmse > 0 else np.zeros_like(w)
-            return 2.0 * (rmse + reg) * (d_rmse + eps * norm_subgradient(dual, w))
-
-        return fun, grad
+        return fun
 
     penalty = eps * loss.lipschitz
 
-    def args(w):
-        return y * (X @ w) if loss.is_classification else X @ w - y
-
     def fun(w):
-        return float(loss.value(args(w)).sum() / n + penalty * norm_eval(dual, w))
+        z = y * (X @ w) if loss.is_classification else X @ w - y
+        return float(loss.value(z).sum() / n + penalty * norm_eval(dual, w))
 
-    def grad(w):
-        slopes = loss.subgrad(args(w))
-        if loss.is_classification:
-            slopes = slopes * y
-        return slopes @ X / n + penalty * norm_subgradient(dual, w)
-
-    return fun, grad
+    return fun
 
 
 def classification_objective(
@@ -238,7 +336,7 @@ def classification_objective(
     _check_kind(loss, classification=True)
     w = as_vector(weights, "weights")
     X, y = _check_labeled(X, y, classification=True)
-    return _objective(X, y, loss, eps, _dual(input_norm))[0](w)
+    return _objective(X, y, loss, eps, _dual(input_norm))(w)
 
 
 def regression_objective(
@@ -254,11 +352,234 @@ def regression_objective(
     _check_kind(loss, classification=False)
     w = as_vector(weights, "weights")
     X, y = _check_labeled(X, y, classification=False)
-    return _objective(X, y, loss, eps, _dual(input_norm))[0](w)
+    return _objective(X, y, loss, eps, _dual(input_norm))(w)
+
+
+def _smooth_norm(norm: NormSpec, w: np.ndarray, nu: float):
+    """Value, gradient and Hessian of a smooth upper approximation of norm(w).
+
+    A p-norm becomes (sum_k (w_k^2 + nu^2)^(p/2))^(1/p), at most nu d^(1/p)
+    above it; the max-norm, and the maximum over blocks, become
+    nu log sum exp(./nu), at most nu log(2d) or nu log(blocks) above.
+    Scalings, weightings and block sums carry over by the chain rule.  The
+    gradient of each lies in the dual unit ball, as a subgradient does.
+    """
+    if norm.kind in ("blocks", "blocks_max"):
+        parts = [_smooth_norm(b, part, nu) for b, part in zip(norm.blocks, norm._split(w))]
+        bounds = np.cumsum((0,) + norm.sizes)
+        grads = np.zeros((len(parts), w.size))
+        hess = np.zeros((len(parts), w.size, w.size))
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            grads[k, lo:hi] = parts[k][1]
+            hess[k, lo:hi, lo:hi] = parts[k][2]
+        values = np.array([part[0] for part in parts])
+        if norm.kind == "blocks":
+            return float(values.sum()), grads.sum(axis=0), hess.sum(axis=0)
+        top = float(values.max())
+        pi = np.exp((values - top) / nu)
+        total = float(pi.sum())
+        pi /= total
+        g = pi @ grads
+        H = np.tensordot(pi, hess, axes=1) + ((grads.T * pi) @ grads - np.outer(g, g)) / nu
+        return top + nu * math.log(total), g, H
+    if norm.kind == "weighted":
+        A = norm.weight_matrix()
+        v, g, H = _smooth_norm(NormSpec.p_norm(norm.p), A @ w, nu)
+        return v, A.T @ g, A.T @ H @ A
+    scale = norm.alpha if norm.kind == "scaled" else 1.0
+    if math.isinf(norm.p):
+        x = np.concatenate([w, -w])
+        top = float(x.max())
+        pi = np.exp((x - top) / nu)
+        total = float(pi.sum())
+        pi /= total
+        g = pi[: w.size] - pi[w.size :]
+        H = (np.diag(pi[: w.size] + pi[w.size :]) - np.outer(g, g)) / nu
+        v = top + nu * math.log(total)
+    else:
+        p = norm.p
+        s = np.sqrt(w * w + nu * nu)
+        top = float(s.max())
+        F = top * float(np.sum((s / top) ** p)) ** (1.0 / p)
+        r = (s / F) ** (p - 1.0) / s
+        g = r * w
+        H = np.diag(r * (1.0 + (p - 2.0) * (w / s) ** 2)) + (1.0 - p) * np.outer(g, g) / F
+        v = F
+    return scale * v, scale * g, scale * H
+
+
+def _into_ball(alpha, A: np.ndarray, radius: float, norm: NormSpec, lo: float, hi: float):
+    """alpha moved into ||A'alpha / N|| <= radius without leaving [lo, hi], or None.
+
+    [lo, hi] contains 0.  A positive radius scales alpha toward 0.  Radius 0
+    asks for A'alpha = 0: the entries strictly inside (lo, hi) absorb the
+    least-norm correction, which fails when it pushes one past a bound or
+    leaves more than the rounding of the sums.
+    """
+    N = A.shape[0]
+    g = alpha @ A / N
+    if radius > 0.0:
+        size = norm_eval(norm, g)
+        return alpha if size <= radius else alpha * (radius / size)
+    free = (alpha > lo) & (alpha < hi)
+    moved = alpha.copy()
+    moved[free] -= np.linalg.lstsq(A[free].T, N * g, rcond=None)[0]
+    rounding = 64.0 * N * np.finfo(float).eps * np.abs(moved) @ np.abs(A)
+    if np.any(moved < lo) or np.any(moved > hi) or np.any(np.abs(moved @ A) > rounding):
+        return None
+    return moved
+
+
+def _row_scale(A: np.ndarray) -> float:
+    """The largest Euclidean row norm: a move of mu / scale in w moves no
+    margin or residual by more than mu.  All-zero data get 1."""
+    return float(np.sqrt((A * A).sum(axis=1).max())) or 1.0
+
+
+class _Risk:
+    """Average loss of z = Aw + c plus lam ||w||_*, and its Fenchel dual."""
+
+    def __init__(self, fun, A, c, loss: UnivariateLoss, lam: float, input_norm: NormSpec):
+        self.primal, self.A, self.c, self.loss, self.lam = fun, A, c, loss, lam
+        self.input_norm, self.dual_norm = input_norm, input_norm.dual_spec()
+        self.scale = _row_scale(A)
+        self.mu0 = float(np.mean(loss.value(c)))  # the objective at w = 0
+
+    def smoothed(self, w: np.ndarray, mu: float):
+        A, N = self.A, self.A.shape[0]
+        v, alpha, curv = self.loss.smoothed(A @ w + self.c, mu)
+        f, g, H = v.sum() / N, alpha @ A / N, (A.T * curv) @ A / N
+        if self.lam > 0.0:
+            nv, ng, nH = _smooth_norm(self.dual_norm, w, mu / self.scale)
+            f, g, H = f + self.lam * nv, g + self.lam * ng, H + self.lam * nH
+        return float(f), g, H
+
+    def dual_value(self, w: np.ndarray, mu: float) -> float:
+        alpha = self.loss.smoothed(self.A @ w + self.c, mu)[1]
+        alpha = _into_ball(alpha, self.A, self.lam, self.input_norm, *self.loss.dual_domain)
+        if alpha is None:
+            return -math.inf
+        return float(np.mean(alpha * self.c - self.loss.conjugate(alpha)))
+
+
+class _SqrtLasso:
+    """(||Xw - y|| / sqrt(N) + eps ||w||_*)^2 through the square-root lasso and its dual.
+
+    The root mean square is smoothed as sqrt(||Xw - y||^2 / N + mu^2).
+    """
+
+    def __init__(self, fun, X, y, eps: float, input_norm: NormSpec):
+        self.primal, self.X, self.y, self.eps = fun, X, y, eps
+        self.input_norm, self.dual_norm = input_norm, input_norm.dual_spec()
+        self.gram = X.T @ X / X.shape[0]
+        self.scale = _row_scale(X)
+        self.mu0 = math.sqrt(float(np.mean(y * y)))  # the root mean square at w = 0
+
+    def _residual(self, w: np.ndarray, mu: float):
+        r = self.X @ w - self.y
+        return r, math.sqrt(float(r @ r) / r.size + mu * mu)
+
+    def smoothed(self, w: np.ndarray, mu: float):
+        r, rho = self._residual(w, mu)
+        Xr = self.X.T @ r / r.size
+        f, g, H = rho, Xr / rho, self.gram / rho - np.outer(Xr, Xr) / rho**3
+        if self.eps > 0.0:
+            nv, ng, nH = _smooth_norm(self.dual_norm, w, mu / self.scale)
+            f, g, H = f + self.eps * nv, g + self.eps * ng, H + self.eps * nH
+        return f, g, H
+
+    def dual_value(self, w: np.ndarray, mu: float) -> float:
+        r, rho = self._residual(w, mu)
+        N = r.size
+        beta = _into_ball(r / (math.sqrt(N) * rho), self.X, self.eps / math.sqrt(N),
+                          self.input_norm, -math.inf, math.inf)
+        if beta is None:
+            return -math.inf
+        return max(-float(beta @ self.y) / math.sqrt(N), 0.0) ** 2
+
+
+def _newton(problem, w: np.ndarray, mu: float, budget: int):
+    """Trust-region Newton steps on problem.smoothed at mu; returns the
+    weights and the steps taken.
+
+    A ramp of the smoothed loss is mu wide, so the quadratic model holds for
+    moves of about mu / scale in w, which is the first trust radius.  Each
+    step minimizes the model within the radius, in the eigenbasis of H, with
+    the multiplier from ``secular_root``.  A step s that lowers f by less
+    than _ARMIJO of the decrement -g's quarters the radius and is retried;
+    an accepted step on the boundary quadruples it, so that directions in
+    which f is nearly linear are crossed in a few steps.  Once the decrement falls
+    below _QUADRATIC of |f|, changes of f sink into its rounding, so steps
+    are accepted while they shrink the gradient: the certificate needs the
+    gradient small, not only the decrement.  The stage ends at a decrement
+    of _NEWTON_STOP |f|, at a full Newton step that no longer shrinks the
+    gradient, or with the budget.
+    """
+    f, g, H = problem.smoothed(w, mu)
+    radius = mu / problem.scale
+    for k in range(budget):
+        lam, V = np.linalg.eigh(H)
+        lam = np.maximum(lam, _EIG_FLOOR * max(float(lam[-1]), problem.scale**2 / mu))
+        gv = V.T @ g
+        while True:
+            tau = secular_root(gv * gv, -lam, radius)
+            step = -V @ (gv / (lam + tau))
+            decrement = -float(g @ step)
+            if not decrement > _NEWTON_STOP * abs(f):
+                return w, k
+            trial = w + step
+            ft, gt, Ht = problem.smoothed(trial, mu)
+            if decrement <= _QUADRATIC * abs(f):
+                if np.linalg.norm(gt) < np.linalg.norm(g):
+                    break
+                if tau == 0.0:
+                    return w, k
+            elif ft <= f - _ARMIJO * decrement:
+                break
+            radius *= 0.25
+        if tau > 0.0:
+            radius *= 4.0
+        w, f, g, H = trial, ft, gt, Ht
+    return w, budget
+
+
+def _certified_minimize(problem, d: int, tol: Tolerance):
+    """Weights, their objective, a dual value and the Newton steps taken.
+
+    Stage by stage the smoothing mu shrinks by _SHRINK from the problem's
+    mu0 (the size of the loss at w = 0, so the first stage smooths on the
+    scale of the data), Newton runs from the last stage's weights, and the
+    dual value is taken at them.  The loop stops once
+    primal - dual <= max(10 tol.rel_tol, 1e-12) * primal (1e-9 relative at
+    the default tolerance), or after _STAGES stages; the gap it returns is
+    a bound either way.
+    """
+    w = best_w = np.zeros(d)
+    best_p = problem.primal(w)
+    best_d = 0.0
+    target = max(_GAP_FACTOR * tol.rel_tol, _GAP_FLOOR)
+    mu = problem.mu0
+    steps = 0
+    for _ in range(_STAGES):
+        if best_p - best_d <= target * best_p or steps >= tol.max_iter:
+            break
+        w, k = _newton(problem, w, mu, min(_STAGE_STEPS, tol.max_iter - steps))
+        steps += k
+        value = problem.primal(w)
+        if value < best_p:
+            best_w, best_p = w, value
+        best_d = max(best_d, problem.dual_value(w, mu))
+        mu *= _SHRINK
+    return best_w, best_p, best_d, steps
 
 
 def _ray_probe(fun, w: np.ndarray, value: float):
-    """Chase improvement along the ray t*w; flag unattained at the norm cap."""
+    """Chase improvement along the ray t*w; flag unattained at the norm cap.
+
+    Doubling w must cut the objective by more than _RAY_GAIN of itself to go
+    on: where the gap is certified no step can, and along a ray into an
+    unattained infimum each doubling about squares a logistic objective.
+    """
     norm = float(np.linalg.norm(w))
     if norm == 0.0:
         return w, value, False
@@ -267,11 +588,27 @@ def _ray_probe(fun, w: np.ndarray, value: float):
     while scale * norm <= _NORM_CAP:
         cand = scale * w
         val = fun(cand)
-        if val >= best_val - 1e-12:
+        if val >= best_val * (1.0 - _RAY_GAIN):
             return best_w, best_val, False
         best_w, best_val = cand, val
         scale *= 2.0
     return best_w, best_val, True
+
+
+def _train(problem, d: int, eps: float, tol: Tolerance, **flags) -> TrainedModel:
+    w, value, dual, steps = _certified_minimize(problem, d, tol)
+    unattained = False
+    if eps == 0.0:  # only an unpenalized objective can decrease along a ray forever
+        w, value, unattained = _ray_probe(problem.primal, w, value)
+    return TrainedModel(
+        weights=w,
+        value=value,
+        iterations=steps,
+        gap=max(value - dual, 0.0),
+        unattained=unattained,
+        dual_value=dual,
+        **flags,
+    )
 
 
 def dro_train_classifier(
@@ -282,27 +619,24 @@ def dro_train_classifier(
     input_norm: NormSpec | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> TrainedModel:
-    """Train a linear scorer against input perturbations within radius eps."""
+    """Train a linear scorer against input perturbations within radius eps.
+
+    ``gap`` bounds the suboptimality of the returned weights (see the
+    module docstring).
+    """
     _check_kind(loss, classification=True)
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     X, y = _check_labeled(X, y, classification=True)
-    degenerate = bool(np.unique(y).size == 1)
-    fun, grad = _objective(X, y, loss, eps, _dual(input_norm))
-    res = subgradient_minimize(fun, grad, np.zeros(X.shape[1]), tol=tol)
-    w, value, unattained = _ray_probe(fun, res.x, res.value)
+    norm = input_norm or NormSpec.p_norm(2.0)
+    fun = _objective(X, y, loss, eps, norm.dual_spec())
+    problem = _Risk(fun, y[:, None] * X, np.zeros(y.size), loss, eps * loss.lipschitz, norm)
+    model = _train(problem, X.shape[1], eps, tol, degenerate_data=bool(np.unique(y).size == 1))
     # a strictly positive loss evaluating to numerical zero can only mean
     # the infimum is approached along a ray, never reached
-    if value <= 1e-280 and not loss.attains_infimum and np.linalg.norm(w) > 0:
-        unattained = True
-    return TrainedModel(
-        weights=w,
-        value=value,
-        iterations=res.iterations,
-        gap=res.gap_estimate,
-        unattained=unattained,
-        degenerate_data=degenerate,
-    )
+    if model.value <= 1e-280 and not loss.attains_infimum and np.linalg.norm(model.weights) > 0:
+        model = dataclasses.replace(model, unattained=True)
+    return model
 
 
 def dro_train_regressor(
@@ -317,7 +651,8 @@ def dro_train_regressor(
     """Train a linear regressor against input perturbations within radius eps.
 
     The ball order must match the loss: squared requires p = 2, the
-    Lipschitz kinds require p = 1.
+    Lipschitz kinds require p = 1.  ``gap`` bounds the suboptimality of the
+    returned weights (see the module docstring).
     """
     _check_kind(loss, classification=False)
     if loss.kind == "squared":
@@ -328,16 +663,13 @@ def dro_train_regressor(
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     X, y = _check_labeled(X, y, classification=False)
-    fun, grad = _objective(X, y, loss, eps, _dual(input_norm))
-    res = subgradient_minimize(fun, grad, np.zeros(X.shape[1]), tol=tol)
-    w, value, unattained = _ray_probe(fun, res.x, res.value)
-    return TrainedModel(
-        weights=w,
-        value=value,
-        iterations=res.iterations,
-        gap=res.gap_estimate,
-        unattained=unattained,
-    )
+    norm = input_norm or NormSpec.p_norm(2.0)
+    fun = _objective(X, y, loss, eps, norm.dual_spec())
+    if loss.kind == "squared":
+        problem = _SqrtLasso(fun, X, y, eps, norm)
+    else:
+        problem = _Risk(fun, X, -y, loss, eps * loss.lipschitz, norm)
+    return _train(problem, X.shape[1], eps, tol)
 
 
 def dro_objective_crosscheck(

@@ -38,6 +38,7 @@ __all__ = [
     "mmse_objective",
     "mmse_gradient",
     "fw_direction",
+    "fw_iterates",
     "fw_solve",
     "RobustMMSE",
 ]
@@ -104,7 +105,6 @@ class FWSolveResult(NamedTuple):
     S: np.ndarray
     estimator: AffineEstimator
     gaps: list
-    states: list
     regularization: float
 
 
@@ -183,37 +183,46 @@ def fw_direction(
     return FWDirection(D, float(gamma), False, abs(_cov_distance_sq(sigma, D) - eps**2))
 
 
-def fw_solve(
+def _regularized(cov: np.ndarray):
+    """The nominal covariance lifted off singularity, and the lift."""
+    m = cov.shape[0]
+    w = np.linalg.eigvalsh(cov)
+    if w.min() > 1e-12 * w.max():
+        return cov, 0.0
+    regularization = 1e-10 * float(np.trace(cov)) / m
+    if regularization <= 0.0:
+        regularization = 1e-12
+    return cov + regularization * np.eye(m), regularization
+
+
+def fw_iterates(
     nominal: JointMoments,
     eps: float,
     iters: int = 500,
     tol: Tolerance = DEFAULT_TOL,
-) -> FWSolveResult:
-    """Frank-Wolfe maximization of the worst-case MMSE over the ball.
+):
+    """The Frank-Wolfe iterates of ``fw_solve``, one ``FWState`` at a time.
 
-    Starts from the nominal covariance, keeps every iterate feasible, and
-    extracts the affine estimator from the best iterate seen.  Per-step
-    linearization gaps certify f* - f(S_k) <= gap_k; the iteration stops
-    early once a gap falls to tol.rel_tol times the trace of the nominal.
+    Starts from the nominal covariance (lifted by ``fw_solve``'s
+    regularization when it is singular) and keeps every iterate feasible.
+    Each state carries the iterate, its objective and its linearization gap,
+    which certifies f* - f(S_k) <= gap_k.  The iteration stops after the
+    first gap of at most tol.rel_tol times the trace of the nominal, or
+    after ``iters`` states.  The arguments are checked here; the returned
+    generator's return value is the last iterate: that of the last state
+    when its gap stopped the run, else one more step on.
     """
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if iters < 1:
         raise ValueError("need at least one iteration")
-    cov = nominal.cov.copy()
-    m = cov.shape[0]
-    regularization = 0.0
-    w = np.linalg.eigvalsh(cov)
-    if w.min() <= 1e-12 * w.max():
-        regularization = 1e-10 * float(np.trace(cov)) / m
-        if regularization <= 0.0:
-            regularization = 1e-12
-        cov = cov + regularization * np.eye(m)
+    return _fw_loop(nominal, eps, iters, tol)
 
+
+def _fw_loop(nominal: JointMoments, eps: float, iters: int, tol: Tolerance):
+    cov, _ = _regularized(nominal.cov)
     stop = tol.rel_tol * float(np.trace(cov))
     S = cov.copy()
-    best_S, best_val = S.copy(), -math.inf
-    states, gaps = [], []
     for k in range(iters):
         value = mmse_objective(S, nominal.mx, tol)
         grad = mmse_gradient(S, nominal.mx, tol)
@@ -222,25 +231,49 @@ def fw_solve(
         else:
             direction = fw_direction(grad, cov, eps, tol)
         gap = float(np.sum(grad * (direction.D - S)))
-        states.append(FWState(S=S.copy(), k=k, value=value, gap=gap))
-        gaps.append(gap)
-        if value > best_val:
-            best_val, best_S = value, S.copy()
+        yield FWState(S=S, k=k, value=value, gap=gap)
         if gap <= stop:
-            break
+            return S
         alpha = 2.0 / (k + 2.0)
         S = (1.0 - alpha) * S + alpha * direction.D
         S = 0.5 * (S + S.T)
+    return S
 
-    final_val = mmse_objective(S, nominal.mx, tol)
-    if final_val > best_val:
-        best_val, best_S = final_val, S.copy()
+
+def fw_solve(
+    nominal: JointMoments,
+    eps: float,
+    iters: int = 500,
+    tol: Tolerance = DEFAULT_TOL,
+) -> FWSolveResult:
+    """Frank-Wolfe maximization of the worst-case MMSE over the ball.
+
+    Runs ``fw_iterates`` and keeps only the gaps and the best iterate seen,
+    so the result does not grow with ``iters``; the affine estimator comes
+    from the best iterate.  Per-step linearization gaps certify
+    f* - f(S_k) <= gap_k; the iteration stops early once a gap falls to
+    tol.rel_tol times the trace of the nominal.
+    """
+    iterates = fw_iterates(nominal, eps, iters, tol)
+    best_S, best_val = None, -math.inf
+    gaps = []
+    while True:
+        try:
+            state = next(iterates)
+        except StopIteration as done:
+            last = done.value
+            break
+        gaps.append(state.gap)
+        if state.value > best_val:
+            best_val, best_S = state.value, state.S
+    if last is not best_S and mmse_objective(last, nominal.mx, tol) > best_val:
+        best_S = last
 
     _, S_xy, S_yy = _split(best_S, nominal.mx)
     gain = _yy_solve(S_yy, S_xy.T, tol).T
     offset = nominal.mean_x - gain @ nominal.mean_y
     estimator = AffineEstimator(gain=gain, offset=offset)
-    return FWSolveResult(best_S, estimator, gaps, states, regularization)
+    return FWSolveResult(best_S, estimator, gaps, _regularized(nominal.cov)[1])
 
 
 class RobustMMSE:

@@ -107,22 +107,30 @@ class DiscreteDistribution:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """Coupling matrix between two atom sets with its marginals."""
+    """Coupling between two atom sets, kept as its cells of positive mass.
 
-    matrix: np.ndarray
-    row_marginals: np.ndarray
-    col_marginals: np.ndarray
+    ``cells`` holds the flat indices i * M + j of those cells in the N x M
+    coupling of the given ``shape``, and ``mass`` their masses; an optimal
+    basic plan has at most N + M - 1 of them, so the plan holds O(N + M)
+    numbers.  ``matrix`` builds the dense coupling each time it is read.
+    ``marginal_error`` is the largest difference between its row or column
+    sums and the two weight vectors, taken on the dense plan it was built
+    from.
+    """
 
-    def __post_init__(self):
-        mat = as_matrix(self.matrix, "matrix")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "row_marginals", as_vector(self.row_marginals, "row_marginals"))
-        object.__setattr__(self, "col_marginals", as_vector(self.col_marginals, "col_marginals"))
+    cells: np.ndarray
+    mass: np.ndarray
+    shape: Tuple[int, int]
+    marginal_error: float
+
+    @property
+    def matrix(self) -> np.ndarray:
+        mat = np.zeros(self.shape)
+        mat.flat[self.cells] = self.mass
+        return mat
 
     def max_marginal_error(self) -> float:
-        e1 = np.max(np.abs(self.matrix.sum(axis=1) - self.row_marginals))
-        e2 = np.max(np.abs(self.matrix.sum(axis=0) - self.col_marginals))
-        return float(max(e1, e2))
+        return self.marginal_error
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -429,7 +437,6 @@ def wasserstein_p(
     # entries are masses and sit many orders above this floor.
     x[x < 1e-13 * max(float(x.max(initial=0.0)), 1e-300)] = 0.0
     value = max(float(np.sum(C * x)), 0.0)
-    plan = TransportPlan(x, a, b)
     duals = DualPotentials(phi=-u, psi=v)
 
     # Weights sum to one only within check_weights' slack, and the plan
@@ -439,6 +446,8 @@ def wasserstein_p(
     marginal_error = float(max(row_err.max(), col_err.max()))
     if marginal_error > max(tol.rel_tol, 1e-12) + abs(float(a.sum() - b.sum())):
         raise NumericalFailure(f"transport plan misses its marginals by {marginal_error:.3e}")
+    cells = np.flatnonzero(x)
+    plan = TransportPlan(cells, x.flat[cells], (N, M), marginal_error)
     abs_u, abs_v = np.abs(u), np.abs(v)
     # The exact pass leaves slack below 16 eps * C_ij; rounding the
     # potentials and recomputing the slack add a few ulps of each term.

@@ -24,7 +24,7 @@ from wdro.empirical_risk import (
     wc_risk_quadratic,
 )
 from wdro.learn import UnivariateLoss, dro_objective_crosscheck, dro_train_classifier, dro_train_regressor
-from wdro.mmse import JointMoments, fw_solve, mmse_gradient, mmse_objective
+from wdro.mmse import JointMoments, fw_iterates, fw_solve, mmse_gradient, mmse_objective
 from wdro.moment_risk import gelbrich_risk_quadratic
 from wdro.shrinkage import wasserstein_shrinkage
 from wdro.transport import DiscreteDistribution, MomentPair, gelbrich_distance, moments, wasserstein_p
@@ -246,12 +246,12 @@ def test_criterion_08_robust_mmse():
         cov = B @ B.T + 0.4 * np.eye(6)
         joint = JointMoments(3, 3, np.zeros(6), cov)
         eps = float(rng.random() * 0.4 + 0.05)
-        res = fw_solve(joint, eps, iters=1000)
+        states = list(fw_iterates(joint, eps, iters=1000))
         zero = np.zeros(6)
-        for state in res.states:
+        for state in states:
             dist = gelbrich_distance(MomentPair(zero, state.S), MomentPair(zero, cov))
             assert dist <= eps + 1e-6
-        gaps = np.array(res.gaps)
+        gaps = np.array([state.gap for state in states])
         assert gaps.min() >= -1e-9
         C = max((k + 2.0) * g for k, g in enumerate(gaps[:10]))
         ks = np.arange(gaps.size)

@@ -290,6 +290,11 @@ def test_train_run_with_crosscheck_certificate(tmp_path):
     assert report["results"]["degenerate_data"] is True
     assert report["certificates"]["crosscheck_diff"] <= 1e-6
     assert report["results"]["standardized"] is False
+    # the certified gap is the distance from the dual value to the objective
+    certs = report["certificates"]
+    assert certs["dual_value"] <= 0.5 <= report["results"]["value"]
+    assert certs["solver_gap"] == report["results"]["value"] - certs["dual_value"]
+    assert certs["solver_gap"] <= 1e-8
 
 
 def test_train_standardize_and_smooth_loss(tmp_path):

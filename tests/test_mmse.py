@@ -11,6 +11,7 @@ from wdro.mmse import (
     JointMoments,
     RobustMMSE,
     fw_direction,
+    fw_iterates,
     fw_solve,
     mmse_gradient,
     mmse_objective,
@@ -158,15 +159,15 @@ def test_iterates_feasible_and_gap_envelope():
         cov = random_feasible_S(rng, 3, 3)
         nominal = JointMoments(3, 3, rng.randn(6), cov)
         eps = float(rng.uniform(0.2, 0.8))
-        res = fw_solve(nominal, eps, iters=1000)
+        states = list(fw_iterates(nominal, eps, iters=1000))
         lam_floor = np.linalg.eigvalsh(cov).min()
         zero = np.zeros(6)
         center = MomentPair(zero, cov)
-        for state in res.states[:: max(1, len(res.states) // 25)]:
+        for state in states[:: max(1, len(states) // 25)]:
             dist = gelbrich_distance(center, MomentPair(zero, state.S))
             assert dist**2 <= eps**2 + 1e-6
             assert np.linalg.eigvalsh(state.S).min() >= lam_floor - 1e-6
-        gaps = np.array(res.gaps)
+        gaps = np.array([state.gap for state in states])
         assert np.all(gaps >= -1e-9)
         C = max(gaps[k] * (k + 2.0) for k in range(min(10, len(gaps))))
         for k, gap in enumerate(gaps):
@@ -177,13 +178,14 @@ def test_gap_decreases_and_best_value_monotone():
     rng = np.random.RandomState(17)
     cov = random_feasible_S(rng, 2, 2)
     nominal = JointMoments(2, 2, rng.randn(4), cov)
-    res = fw_solve(nominal, 0.5, iters=500)
-    assert res.gaps[-1] <= res.gaps[49] + 1e-12
-    values = [s.value for s in res.states]
+    states = list(fw_iterates(nominal, 0.5, iters=500))
+    gaps = [s.gap for s in states]
+    assert gaps[-1] <= gaps[49] + 1e-12
+    values = [s.value for s in states]
     best = np.maximum.accumulate(values)
     assert np.all(np.diff(best) >= -1e-12)
     # the gap certifies the distance to the optimum
-    assert best[-1] + res.gaps[-1] >= max(values) - 1e-12
+    assert best[-1] + gaps[-1] >= max(values) - 1e-12
 
 
 def test_value_monotone_in_radius():

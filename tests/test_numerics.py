@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from wdro.errors import NoBracket, NotPSD, NotSymmetric, Unbounded
-from wdro.numerics import (
-    minimize_scalar_convex,
-    monotone_root,
-    psd_sqrt,
-    secular_root,
-    subgradient_minimize,
-    sym_eig,
-)
+from wdro.errors import NoBracket, NotPSD, NotSymmetric
+from wdro.numerics import monotone_root, psd_sqrt, secular_root, sym_eig
 
 
 def test_monotone_root_simple():
@@ -52,67 +45,6 @@ def test_secular_root_puts_the_multiplier_on_the_ball():
 
 def test_secular_root_returns_the_left_end_when_the_constraint_is_slack():
     assert secular_root(np.array([0.0, 1.0]), np.array([2.0, -1.0]), 10.0) == 2.0
-
-
-def test_minimize_scalar_bounded():
-    x, v = minimize_scalar_convex(lambda t: (t - 0.3) ** 2, (0.0, 1.0))
-    assert abs(x - 0.3) <= 1e-8
-    assert v <= 1e-16
-
-
-def test_minimize_scalar_boundary_minimum():
-    x, v = minimize_scalar_convex(lambda t: t, (2.0, 5.0))
-    assert abs(x - 2.0) <= 1e-8
-    assert abs(v - 2.0) <= 1e-8
-
-
-def test_minimize_scalar_unbounded_domain():
-    x, v = minimize_scalar_convex(lambda t: abs(t - 17.0) + 1.0, (None, None))
-    assert abs(x - 17.0) <= 1e-8
-    assert abs(v - 1.0) <= 1e-10
-
-
-def test_minimize_scalar_half_open():
-    # gamma * eps^2 + |a|^2 / (4 gamma) on (0, inf): minimum eps * |a| at |a| / (2 eps)
-    eps, na = 0.5, 5.0
-    g = lambda t: t * eps**2 + na**2 / (4.0 * t) if t > 0 else np.inf
-    x, v = minimize_scalar_convex(g, (0.0, None))
-    assert abs(x - na / (2 * eps)) <= 1e-6
-    assert abs(v - eps * na) <= 1e-10
-
-
-def test_minimize_scalar_detects_unbounded():
-    with pytest.raises(Unbounded):
-        minimize_scalar_convex(lambda t: -t, (0.0, None))
-
-
-def test_subgradient_hinge_plus_abs():
-    # max{0, 1 - w} + 0.5 |w| has minimum 0.5 at w = 1
-    fun = lambda w: max(0.0, 1.0 - w[0]) + 0.5 * abs(w[0])
-
-    def grad(w):
-        g = 0.0
-        if w[0] < 1.0:
-            g -= 1.0
-        g += 0.5 * np.sign(w[0])
-        return np.array([g])
-
-    res = subgradient_minimize(fun, grad, np.zeros(1))
-    assert abs(res.value - 0.5) <= 1e-9
-    assert abs(res.x[0] - 1.0) <= 1e-6
-
-
-def test_subgradient_quadratic_nd():
-    rng = np.random.RandomState(7)
-    A = rng.randn(4, 4)
-    H = A @ A.T + 4.0 * np.eye(4)
-    b = rng.randn(4)
-    fun = lambda w: 0.5 * w @ H @ w - b @ w
-    grad = lambda w: H @ w - b
-    res = subgradient_minimize(fun, grad, np.zeros(4))
-    w_star = np.linalg.solve(H, b)
-    assert np.linalg.norm(res.x - w_star) <= 1e-6
-    assert res.value <= fun(w_star) + 1e-9
 
 
 def test_sym_eig_reconstructs():
