@@ -514,14 +514,14 @@ def _run_gelbrich(cfg: RunConfig):
 def _run_shrink(cfg: RunConfig):
     eps = float(cfg.options["eps"])
     res = wasserstein_shrinkage(cfg.payload["moments"], eps, cfg.tol)
-    lam = np.array([pair[0] for pair in res.eigen_map])
+    lam = res.eigen_map[:, 0]
     residual = abs(_eq51(res.gamma_star, lam, eps, lam.size)[0])
     return (
         {
             "mean": res.mean,
             "precision": res.precision,
             "gamma_star": res.gamma_star,
-            "eigen_map": [list(pair) for pair in res.eigen_map],
+            "eigen_map": res.eigen_map.tolist(),
         },
         {"equation_residual": residual},
     )

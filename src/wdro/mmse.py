@@ -12,8 +12,12 @@ linearized objective Tr[grad . D] over the ball, which has the closed form
     D = gamma^2 (gamma I - grad)^{-1} Sigma (gamma I - grad)^{-1}
 
 with gamma solving Tr[Sigma (I - gamma (gamma I - grad)^{-1})^2] = eps^2,
-and blends it in with step size 2/(k+2).  The final affine estimator reads
-x(y) = A (y - mean_y) + mean_x with A = S_xy S_yy^{-1} at the best iterate.
+and moves to the maximizer of f on the segment [S_k, D_k] (an exact line
+search: the root of the slope of f along D_k - S_k, which is nonincreasing
+because f is concave).  The linearization gap <grad f(S_k), D_k - S_k>
+bounds f* - f(S_k) (Jaggi, *Revisiting Frank-Wolfe*, ICML 2013).  The final
+affine estimator reads x(y) = A (y - mean_y) + mean_x with
+A = S_xy S_yy^{-1} at the best iterate.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ import numpy as np
 
 from ._validation import as_matrix, as_vector, check_psd, check_symmetric
 from .errors import NoBracket, NotPSD, SingularBlock
-from .numerics import DEFAULT_TOL, Tolerance, secular_root, sym_eig
-from .transport import MomentPair, gelbrich_distance
+from .numerics import DEFAULT_TOL, Tolerance, monotone_root, secular_root, sym_eig
 
 __all__ = [
     "JointMoments",
@@ -112,7 +115,7 @@ def _split(S: np.ndarray, mx: int):
     return S[:mx, :mx], S[:mx, mx:], S[mx:, mx:]
 
 
-def _yy_solve(S_yy: np.ndarray, rhs: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _yy_solve(S_yy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(S_yy)
     if w.min() <= 1e-12 * np.abs(w).max():
         raise SingularBlock("observation block S_yy is numerically singular")
@@ -123,7 +126,7 @@ def mmse_objective(S, mx: int, tol: Tolerance = DEFAULT_TOL) -> float:
     """Schur-complement trace Tr[S_xx - S_xy S_yy^{-1} S_yx]; concave in S."""
     S = check_symmetric(as_matrix(S, "S"), tol=1e-8, name="S")
     S_xx, S_xy, S_yy = _split(S, mx)
-    sol = _yy_solve(S_yy, S_xy.T, tol)
+    sol = _yy_solve(S_yy, S_xy.T)
     return float(np.trace(S_xx) - np.sum(S_xy * sol.T))
 
 
@@ -135,7 +138,7 @@ def mmse_gradient(S, mx: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     S = check_symmetric(as_matrix(S, "S"), tol=1e-8, name="S")
     _, S_xy, S_yy = _split(S, mx)
-    G = _yy_solve(S_yy, S_xy.T, tol).T
+    G = _yy_solve(S_yy, S_xy.T).T
     grad = np.empty_like(S)
     grad[:mx, :mx] = np.eye(mx)
     grad[:mx, mx:] = -G
@@ -144,9 +147,21 @@ def mmse_gradient(S, mx: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (grad + grad.T)
 
 
-def _cov_distance_sq(a: np.ndarray, b: np.ndarray) -> float:
-    m = a.shape[0]
-    return gelbrich_distance(MomentPair(np.zeros(m), a), MomentPair(np.zeros(m), b)) ** 2
+def _slope(T: np.ndarray, E: np.ndarray, mx: int) -> tuple[float, float]:
+    """Slope <grad f(T), E> of f along E at T, and its derivative along E.
+
+    With G = T_xy T_yy^{-1}, the slope is Tr[(I, -G) E (I, -G)'] and its
+    derivative -2 Tr[R T_yy^{-1} R'] with R = E_xy - G E_yy, which is never
+    positive because f is concave.
+    """
+    _, T_xy, T_yy = _split(T, mx)
+    E_xx, E_xy, E_yy = _split(E, mx)
+    T_yy_inv = np.linalg.inv(T_yy)
+    G = T_xy @ T_yy_inv
+    GE = G @ E_yy
+    R = E_xy - GE
+    slope = E_xx.trace() - 2.0 * (G * E_xy).sum() + (GE * G).sum()
+    return float(slope), -2.0 * float(((R @ T_yy_inv) * R).sum())
 
 
 def fw_direction(
@@ -158,7 +173,9 @@ def fw_direction(
     otherwise NotPSD is raised.  Then F = gamma (gamma I - grad)^{-1} >= I
     and D = F Sigma F >= lam_min(Sigma) I.  Returns the closed-form
     maximizer, the scalar multiplier, ``repaired`` (always False, kept for
-    callers that read it) and the residual of the trace constraint.
+    callers that read it) and the residual of the trace constraint.  As D
+    is F Sigma F, its squared distance to Sigma is Tr[(F - I) Sigma (F - I)],
+    which the residual reads in the eigenbasis of grad.
     """
     grad = check_symmetric(as_matrix(grad, "grad"), tol=1e-8, name="grad")
     sigma = check_psd(as_matrix(nominal_cov, "nominal_cov"), tol=1e-9, name="nominal_cov")
@@ -180,7 +197,8 @@ def fw_direction(
     factor = gamma / (gamma - g)
     D = V @ (S_t * factor[:, None] * factor[None, :]) @ V.T
     D = 0.5 * (D + D.T)
-    return FWDirection(D, float(gamma), False, abs(_cov_distance_sq(sigma, D) - eps**2))
+    residual = abs(float((g / (gamma - g)) ** 2 @ np.diag(S_t)) - eps**2)
+    return FWDirection(D, float(gamma), False, residual)
 
 
 def _regularized(cov: np.ndarray):
@@ -204,9 +222,11 @@ def fw_iterates(
     """The Frank-Wolfe iterates of ``fw_solve``, one ``FWState`` at a time.
 
     Starts from the nominal covariance (lifted by ``fw_solve``'s
-    regularization when it is singular) and keeps every iterate feasible.
-    Each state carries the iterate, its objective and its linearization gap,
-    which certifies f* - f(S_k) <= gap_k.  The iteration stops after the
+    regularization when it is singular) and keeps every iterate feasible:
+    each step moves to the maximizer of the objective on the segment from
+    the iterate to the Frank-Wolfe direction.  Each state carries the
+    iterate, its objective and its linearization gap, which certifies
+    f* - f(S_k) <= gap_k.  The iteration stops after the
     first gap of at most tol.rel_tol times the trace of the nominal, or
     after ``iters`` states.  The arguments are checked here; the returned
     generator's return value is the last iterate: that of the last state
@@ -230,14 +250,32 @@ def _fw_loop(nominal: JointMoments, eps: float, iters: int, tol: Tolerance):
             direction = FWDirection(cov.copy(), math.inf, False, 0.0)
         else:
             direction = fw_direction(grad, cov, eps, tol)
-        gap = float(np.sum(grad * (direction.D - S)))
+        E = direction.D - S
+        gap = _slope(S, E, nominal.mx)[0]
         yield FWState(S=S, k=k, value=value, gap=gap)
         if gap <= stop:
             return S
-        alpha = 2.0 / (k + 2.0)
-        S = (1.0 - alpha) * S + alpha * direction.D
+        t = _line_search(S, E, nominal.mx)
+        S = (1.0 - t) * S + t * direction.D
         S = 0.5 * (S + S.T)
     return S
+
+
+def _line_search(S: np.ndarray, E: np.ndarray, mx: int) -> float:
+    """The maximizer of f(S + t E) over t in [0, 1], f concave.
+
+    The slope at t = 0 is the gap, positive whenever this runs, so the
+    negated slope changes sign on [0, 1] unless the slope at 1 is still
+    nonnegative, and then t = 1.
+    """
+
+    def neg_slope(t: float) -> tuple[float, float]:
+        slope, curvature = _slope(S + t * E, E, mx)
+        return -slope, -curvature
+
+    if neg_slope(1.0)[0] <= 0.0:
+        return 1.0
+    return monotone_root(neg_slope, 0.0, 1.0)
 
 
 def fw_solve(
@@ -251,8 +289,9 @@ def fw_solve(
     Runs ``fw_iterates`` and keeps only the gaps and the best iterate seen,
     so the result does not grow with ``iters``; the affine estimator comes
     from the best iterate.  Per-step linearization gaps certify
-    f* - f(S_k) <= gap_k; the iteration stops early once a gap falls to
-    tol.rel_tol times the trace of the nominal.
+    f* - f(S_k) <= gap_k; the iteration stops once a gap falls to
+    tol.rel_tol times the trace of the nominal, which the exact line search
+    reaches in about ten steps, so ``iters`` is a cap rather than a count.
     """
     iterates = fw_iterates(nominal, eps, iters, tol)
     best_S, best_val = None, -math.inf
@@ -270,7 +309,7 @@ def fw_solve(
         best_S = last
 
     _, S_xy, S_yy = _split(best_S, nominal.mx)
-    gain = _yy_solve(S_yy, S_xy.T, tol).T
+    gain = _yy_solve(S_yy, S_xy.T).T
     offset = nominal.mean_x - gain @ nominal.mean_y
     estimator = AffineEstimator(gain=gain, offset=offset)
     return FWSolveResult(best_S, estimator, gaps, _regularized(nominal.cov)[1])

@@ -42,7 +42,7 @@ class ShrinkageResult:
     mean: np.ndarray
     precision: np.ndarray
     gamma_star: float
-    eigen_map: list  # (sample eigenvalue, shrunk precision eigenvalue) pairs
+    eigen_map: np.ndarray  # (m, 2): rows of (sample eigenvalue, shrunk precision eigenvalue)
 
 
 def sample_moments(samples) -> MomentPair:
@@ -110,7 +110,7 @@ def wasserstein_shrinkage(
         mean=moments.mu.copy(),
         precision=precision,
         gamma_star=float(gamma),
-        eigen_map=[(float(l), float(xi)) for l, xi in zip(lam, x)],
+        eigen_map=np.column_stack([lam, x]),
     )
 
 

@@ -28,15 +28,38 @@ def _retained(call):
         tracemalloc.stop()
 
 
+def _retained_array_data(call):
+    """The result of call() and the bytes of numpy array data it leaves allocated.
+
+    Array data has its own tracemalloc domain, apart from the interpreter's
+    free lists and numpy's shape cache, so this count has no slack.
+    """
+    only_arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(only_arrays)
+        result = call()
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(only_arrays)
+    finally:
+        tracemalloc.stop()
+    return result, sum(diff.size_diff for diff in after.compare_to(before, "filename"))
+
+
 def test_fw_solve_keeps_the_gaps_and_one_iterate():
-    nominal = JointMoments(1, 1, np.zeros(2), np.array([[2.0, 0.6], [0.6, 1.0]]))
-    short, small = _retained(lambda: fw_solve(nominal, 0.3, iters=10))
-    res, size = _retained(lambda: fw_solve(nominal, 0.3, iters=1000))
-    assert len(short.gaps) == 10 and len(res.gaps) == 1000
-    # a Python float and its list slot per gap (with the list's headroom);
-    # no iterate is kept per step
-    assert size - small <= 40 * (1000 - 10), (small, size)
-    assert res.gaps == [state.gap for state in fw_iterates(nominal, 0.3, iters=1000)]
+    # at m = 40 an iterate takes 12.8 KB, so a second one kept would break the bound
+    m = 40
+    rng = np.random.default_rng(7)
+    B = rng.normal(size=(m, m))
+    nominal = JointMoments(1, m - 1, np.zeros(m), B @ B.T / m + 0.5 * np.eye(m))
+    res, data = _retained_array_data(lambda: fw_solve(nominal, 0.3, iters=1000))
+    assert res.S.shape == (m, m)
+    assert data <= res.S.nbytes + res.estimator.gain.nbytes + res.estimator.offset.nbytes, data
+    # one float per state, no iterate kept per step
+    gaps = [state.gap for state in fw_iterates(nominal, 0.3, iters=1000)]
+    assert len(res.gaps) == len(gaps) < 1000
+    assert type(res.gaps) is list and res.gaps == gaps
 
 
 def test_transport_plan_keeps_its_positive_cells():

@@ -44,7 +44,8 @@ def test_scalar_example():
     assert abs(res.gamma_star - SCALAR_GAMMA) < 1e-10
     assert abs(res.precision[0, 0] - SCALAR_X) < 1e-10
     assert res.mean[0] == 3.0
-    assert res.eigen_map == [(1.0, pytest.approx(SCALAR_X, abs=1e-10))]
+    assert res.eigen_map.shape == (1, 2) and res.eigen_map[0, 0] == 1.0
+    assert abs(res.eigen_map[0, 1] - SCALAR_X) < 1e-10
 
 
 def test_sample_moments_examples():
