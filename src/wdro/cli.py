@@ -39,7 +39,7 @@ from .errors import NumericalFailure, ToolkitError, UsageError
 from .learn import UnivariateLoss, dro_objective_crosscheck, dro_train_classifier, dro_train_regressor
 from .mmse import JointMoments, fw_solve, mmse_objective
 from .moment_risk import gelbrich_risk_quadratic
-from .numerics import DEFAULT_TOL, Tolerance
+from .numerics import DEFAULT_TOL, Tolerance, lift_singular
 from .shrinkage import _eq51, sample_moments, wasserstein_shrinkage
 from .transport import DiscreteDistribution, MomentPair, gelbrich_distance, kr_verify, wasserstein_p
 from .convex_analysis import NormSpec, SetSpec
@@ -490,10 +490,10 @@ def _run_wc_risk(cfg: RunConfig):
 def _run_gelbrich(cfg: RunConfig):
     center = cfg.payload["moments"]
     if "other" in cfg.payload:
-        return {"distance": gelbrich_distance(center, cfg.payload["other"], cfg.tol)}, {}
+        return {"distance": gelbrich_distance(center, cfg.payload["other"])}, {}
     eps = float(cfg.options["eps"])
     res = gelbrich_risk_quadratic(cfg.payload["loss"], center, eps, cfg.tol)
-    dist = gelbrich_distance(center, res.extremal, cfg.tol)
+    dist = gelbrich_distance(center, res.extremal)
     certs = {
         "dual_gap": abs(res.value - res.primal_value) if res.interior else 0.0,
         "boundary_residual": abs(dist - eps) if res.interior else max(dist - eps, 0.0),
@@ -532,16 +532,13 @@ def _run_mmse(cfg: RunConfig):
     eps = float(cfg.options["eps"])
     iters = int(cfg.options["iters"]) if cfg.options["iters"] is not None else 200
     res = fw_solve(joint, eps, iters=iters, tol=cfg.tol)
-    dist = gelbrich_distance(
-        MomentPair(np.zeros(joint.cov.shape[0]), res.S),
-        MomentPair(np.zeros(joint.cov.shape[0]), joint.cov + res.regularization * np.eye(joint.cov.shape[0])),
-        cfg.tol,
-    )
+    zero = np.zeros(joint.cov.shape[0])
+    dist = gelbrich_distance(MomentPair(zero, res.S), MomentPair(zero, lift_singular(joint.cov)[0]))
     return (
         {
             "gain": res.estimator.gain,
             "offset": res.estimator.offset,
-            "worst_case_mse": mmse_objective(res.S, joint.mx, cfg.tol),
+            "worst_case_mse": mmse_objective(res.S, joint.mx),
             "gap_history": res.gaps,
             "regularization": res.regularization,
         },

@@ -17,7 +17,8 @@ search: the root of the slope of f along D_k - S_k, which is nonincreasing
 because f is concave).  The linearization gap <grad f(S_k), D_k - S_k>
 bounds f* - f(S_k) (Jaggi, *Revisiting Frank-Wolfe*, ICML 2013).  The final
 affine estimator reads x(y) = A (y - mean_y) + mean_x with
-A = S_xy S_yy^{-1} at the best iterate.
+A = S_xy S_yy^{-1} at the last iterate, the best: the line search never
+lowers f.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from ._validation import as_matrix, as_vector, check_psd, check_symmetric
 from .errors import NoBracket, NotPSD, SingularBlock
-from .numerics import DEFAULT_TOL, Tolerance, monotone_root, secular_root, sym_eig
+from .numerics import DEFAULT_TOL, Tolerance, lift_singular, monotone_root, secular_root, sym_eig
 
 __all__ = [
     "JointMoments",
@@ -115,36 +116,34 @@ def _split(S: np.ndarray, mx: int):
     return S[:mx, :mx], S[:mx, mx:], S[mx:, mx:]
 
 
-def _yy_solve(S_yy: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _schur(S: np.ndarray, mx: int) -> tuple[float, np.ndarray]:
+    """f(S) and G = S_xy S_yy^{-1}, from one solve with S_yy."""
+    S_xx, S_xy, S_yy = _split(S, mx)
     w = np.linalg.eigvalsh(S_yy)
     if w.min() <= 1e-12 * np.abs(w).max():
         raise SingularBlock("observation block S_yy is numerically singular")
-    return np.linalg.solve(S_yy, rhs)
+    G = np.linalg.solve(S_yy, S_xy.T).T
+    return float(np.trace(S_xx) - np.sum(S_xy * G)), G
 
 
-def mmse_objective(S, mx: int, tol: Tolerance = DEFAULT_TOL) -> float:
+def _gradient(G: np.ndarray) -> np.ndarray:
+    grad = np.block([[np.eye(G.shape[0]), -G], [-G.T, G.T @ G]])
+    return 0.5 * (grad + grad.T)
+
+
+def mmse_objective(S, mx: int) -> float:
     """Schur-complement trace Tr[S_xx - S_xy S_yy^{-1} S_yx]; concave in S."""
-    S = check_symmetric(as_matrix(S, "S"), tol=1e-8, name="S")
-    S_xx, S_xy, S_yy = _split(S, mx)
-    sol = _yy_solve(S_yy, S_xy.T)
-    return float(np.trace(S_xx) - np.sum(S_xy * sol.T))
+    return _schur(check_symmetric(as_matrix(S, "S"), tol=1e-8, name="S"), mx)[0]
 
 
-def mmse_gradient(S, mx: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def mmse_gradient(S, mx: int) -> np.ndarray:
     """Gradient of the Schur-complement trace in the symmetric pairing.
 
     With G = S_xy S_yy^{-1}, the blocks are [[I, -G], [-G', G'G]]; the
     matrix is symmetric positive semidefinite.
     """
     S = check_symmetric(as_matrix(S, "S"), tol=1e-8, name="S")
-    _, S_xy, S_yy = _split(S, mx)
-    G = _yy_solve(S_yy, S_xy.T).T
-    grad = np.empty_like(S)
-    grad[:mx, :mx] = np.eye(mx)
-    grad[:mx, mx:] = -G
-    grad[mx:, :mx] = -G.T
-    grad[mx:, mx:] = G.T @ G
-    return 0.5 * (grad + grad.T)
+    return _gradient(_schur(S, mx)[1])
 
 
 def _slope(T: np.ndarray, E: np.ndarray, mx: int) -> tuple[float, float]:
@@ -175,14 +174,15 @@ def fw_direction(
     maximizer, the scalar multiplier, ``repaired`` (always False, kept for
     callers that read it) and the residual of the trace constraint.  As D
     is F Sigma F, its squared distance to Sigma is Tr[(F - I) Sigma (F - I)],
-    which the residual reads in the eigenbasis of grad.
+    which the residual reads in the eigenbasis of grad.  Only a gradient
+    that is exactly zero returns the nominal: the maximizer does not change
+    when grad is scaled by a positive factor.
     """
     grad = check_symmetric(as_matrix(grad, "grad"), tol=1e-8, name="grad")
     sigma = check_psd(as_matrix(nominal_cov, "nominal_cov"), tol=1e-9, name="nominal_cov")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    scale = np.abs(grad).max(initial=0.0)
-    if scale <= 1e-14:
+    if not grad.any():
         return FWDirection(sigma.copy(), math.inf, False, 0.0)
 
     dec = sym_eig(grad, tol=tol)
@@ -201,18 +201,6 @@ def fw_direction(
     return FWDirection(D, float(gamma), False, residual)
 
 
-def _regularized(cov: np.ndarray):
-    """The nominal covariance lifted off singularity, and the lift."""
-    m = cov.shape[0]
-    w = np.linalg.eigvalsh(cov)
-    if w.min() > 1e-12 * w.max():
-        return cov, 0.0
-    regularization = 1e-10 * float(np.trace(cov)) / m
-    if regularization <= 0.0:
-        regularization = 1e-12
-    return cov + regularization * np.eye(m), regularization
-
-
 def fw_iterates(
     nominal: JointMoments,
     eps: float,
@@ -221,10 +209,10 @@ def fw_iterates(
 ):
     """The Frank-Wolfe iterates of ``fw_solve``, one ``FWState`` at a time.
 
-    Starts from the nominal covariance (lifted by ``fw_solve``'s
-    regularization when it is singular) and keeps every iterate feasible:
-    each step moves to the maximizer of the objective on the segment from
-    the iterate to the Frank-Wolfe direction.  Each state carries the
+    Starts from the nominal covariance (lifted by ``lift_singular`` when
+    it is singular) and keeps every iterate feasible: each step moves to
+    the maximizer of the objective on the segment from the iterate to the
+    Frank-Wolfe direction.  Each state carries the
     iterate, its objective and its linearization gap, which certifies
     f* - f(S_k) <= gap_k.  The iteration stops after the
     first gap of at most tol.rel_tol times the trace of the nominal, or
@@ -232,30 +220,34 @@ def fw_iterates(
     generator's return value is the last iterate: that of the last state
     when its gap stopped the run, else one more step on.
     """
+    cov, _ = _lifted_nominal(nominal, eps, iters)
+    return _fw_loop(cov, nominal.mx, eps, iters, tol)
+
+
+def _lifted_nominal(nominal: JointMoments, eps: float, iters: int):
+    """Checks the run's arguments; the lifted nominal covariance and the lift."""
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if iters < 1:
         raise ValueError("need at least one iteration")
-    return _fw_loop(nominal, eps, iters, tol)
+    return lift_singular(nominal.cov)
 
 
-def _fw_loop(nominal: JointMoments, eps: float, iters: int, tol: Tolerance):
-    cov, _ = _regularized(nominal.cov)
+def _fw_loop(cov: np.ndarray, mx: int, eps: float, iters: int, tol: Tolerance):
     stop = tol.rel_tol * float(np.trace(cov))
     S = cov.copy()
     for k in range(iters):
-        value = mmse_objective(S, nominal.mx, tol)
-        grad = mmse_gradient(S, nominal.mx, tol)
+        value, G = _schur(S, mx)
         if eps == 0.0:
             direction = FWDirection(cov.copy(), math.inf, False, 0.0)
         else:
-            direction = fw_direction(grad, cov, eps, tol)
+            direction = fw_direction(_gradient(G), cov, eps, tol)
         E = direction.D - S
-        gap = _slope(S, E, nominal.mx)[0]
+        gap = _slope(S, E, mx)[0]
         yield FWState(S=S, k=k, value=value, gap=gap)
         if gap <= stop:
             return S
-        t = _line_search(S, E, nominal.mx)
+        t = _line_search(S, E, mx)
         S = (1.0 - t) * S + t * direction.D
         S = 0.5 * (S + S.T)
     return S
@@ -286,33 +278,27 @@ def fw_solve(
 ) -> FWSolveResult:
     """Frank-Wolfe maximization of the worst-case MMSE over the ball.
 
-    Runs ``fw_iterates`` and keeps only the gaps and the best iterate seen,
-    so the result does not grow with ``iters``; the affine estimator comes
-    from the best iterate.  Per-step linearization gaps certify
-    f* - f(S_k) <= gap_k; the iteration stops once a gap falls to
+    Runs the iterates of ``fw_iterates`` and keeps only the gaps and the
+    last iterate, so the result does not grow with ``iters``; the affine
+    estimator comes from that iterate.  It is the best one: each step
+    maximizes f on a segment that starts at the previous iterate, so f
+    never falls from one iterate to the next.  Per-step linearization gaps
+    certify f* - f(S_k) <= gap_k; the iteration stops once a gap falls to
     tol.rel_tol times the trace of the nominal, which the exact line search
     reaches in about ten steps, so ``iters`` is a cap rather than a count.
     """
-    iterates = fw_iterates(nominal, eps, iters, tol)
-    best_S, best_val = None, -math.inf
+    cov, lift = _lifted_nominal(nominal, eps, iters)
+    iterates = _fw_loop(cov, nominal.mx, eps, iters, tol)
     gaps = []
     while True:
         try:
-            state = next(iterates)
+            gaps.append(next(iterates).gap)
         except StopIteration as done:
-            last = done.value
+            S = done.value
             break
-        gaps.append(state.gap)
-        if state.value > best_val:
-            best_val, best_S = state.value, state.S
-    if last is not best_S and mmse_objective(last, nominal.mx, tol) > best_val:
-        best_S = last
-
-    _, S_xy, S_yy = _split(best_S, nominal.mx)
-    gain = _yy_solve(S_yy, S_xy.T).T
-    offset = nominal.mean_x - gain @ nominal.mean_y
-    estimator = AffineEstimator(gain=gain, offset=offset)
-    return FWSolveResult(best_S, estimator, gaps, _regularized(nominal.cov)[1])
+    gain = _schur(S, nominal.mx)[1]
+    estimator = AffineEstimator(gain=gain, offset=nominal.mean_x - gain @ nominal.mean_y)
+    return FWSolveResult(S, estimator, gaps, lift)
 
 
 class RobustMMSE:

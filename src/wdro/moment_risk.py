@@ -30,7 +30,7 @@ import numpy as np
 from ._validation import as_matrix, as_vector
 from .empirical_risk import QuadraticLoss
 from .errors import DimensionMismatch, NotPSD, NumericalFailure, UnsupportedCase
-from .numerics import DEFAULT_TOL, Tolerance, psd_sqrt, secular_root, sym_eig
+from .numerics import DEFAULT_TOL, Tolerance, lift_singular, psd_sqrt, secular_root, sym_eig
 from .transport import DiscreteDistribution, MomentPair, gelbrich_distance, moments, wasserstein_p
 
 __all__ = [
@@ -172,10 +172,10 @@ def gelbrich_risk_quadratic(
 
     The value is computed from the dual objective and cross-checked against
     the primal risk of the extremal pair.  A rank-deficient center
-    covariance is nudged by delta*I (delta reported in the result).  When
-    the boundary equation has no admissible root the multiplier is the
-    left end max(0, lam_max), where the dual is least, and ``interior`` is
-    False.
+    covariance is nudged by delta*I (``numerics.lift_singular``; delta
+    reported in the result).  When the boundary equation has no admissible
+    root the multiplier is the left end max(0, lam_max), where the dual is
+    least, and ``interior`` is False.
     """
     if center.dim != loss.dim:
         raise DimensionMismatch(
@@ -183,7 +183,6 @@ def gelbrich_risk_quadratic(
         )
     if not eps > 0:
         raise ValueError("eps must be positive")
-    m = center.dim
     mu_hat = center.mu
 
     if np.all(loss.Q == 0.0):
@@ -196,15 +195,7 @@ def gelbrich_risk_quadratic(
         extremal = MomentPair(mu_star, center.sigma)
         return GelbrichRiskResult(value, extremal, qn / eps, True, value, 0.0)
 
-    delta = 0.0
-    sigma = center.sigma
-    eig_s = np.linalg.eigvalsh(sigma)
-    if eig_s.min() <= 1e-12 * eig_s.max():
-        delta = 1e-10 * float(np.trace(sigma)) / m
-        if delta <= 0.0:
-            delta = 1e-12
-        sigma = sigma + delta * np.eye(m)
-
+    sigma, delta = lift_singular(center.sigma)
     eig = sym_eig(loss.Q, tol=tol)
     lam, V = eig.values, eig.vectors
     r = V.T @ (loss.q + loss.Q @ mu_hat)

@@ -27,6 +27,7 @@ __all__ = [
     "SpectralDecomposition",
     "sym_eig",
     "psd_sqrt",
+    "lift_singular",
 ]
 
 # Root searches stop when the Newton step or the bracket is this many ulps
@@ -162,10 +163,8 @@ def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:
     order = np.argsort(w)[::-1]
     w = w[order]
     v = v[:, order]
-    for j in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0:
-            v[:, j] = -v[:, j]
+    flip = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0
+    v[:, flip] = -v[:, flip]
     return SpectralDecomposition(values=w, vectors=v)
 
 
@@ -184,3 +183,20 @@ def psd_sqrt(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     np.clip(w, 0.0, None, out=w)
     r = (dec.vectors * np.sqrt(w)) @ dec.vectors.T
     return 0.5 * (r + r.T)
+
+
+def lift_singular(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """A covariance lifted off singularity, and the lift.
+
+    When the smallest eigenvalue of ``cov`` is at most 1e-12 times its
+    largest, returns ``cov + lift I`` with lift = 1e-10 Tr[cov] / m (1e-12
+    for a zero matrix); otherwise ``cov`` itself and a lift of 0.
+    """
+    m = cov.shape[0]
+    w = np.linalg.eigvalsh(cov)
+    if w.min() > 1e-12 * w.max():
+        return cov, 0.0
+    lift = 1e-10 * float(np.trace(cov)) / m
+    if lift <= 0.0:
+        lift = 1e-12
+    return cov + lift * np.eye(m), lift

@@ -500,7 +500,7 @@ def kr_verify(
     return _dual_check(C, Q.weights, Qp.weights, duals)
 
 
-def gelbrich_distance(m1: MomentPair, m2: MomentPair, tol: Tolerance = DEFAULT_TOL) -> float:
+def gelbrich_distance(m1: MomentPair, m2: MomentPair) -> float:
     """Gelbrich distance between two mean/covariance pairs.
 
     Equals sqrt(||mu - mu'||^2 + Tr[S + S' - 2 (S^{1/2} S' S^{1/2})^{1/2}])

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import wdro.mmse as mmse_module
+from wdro.empirical_risk import QuadraticLoss
 from wdro.errors import NotPSD, SingularBlock
 from wdro.mmse import (
     AffineEstimator,
@@ -18,6 +19,7 @@ from wdro.mmse import (
     mmse_gradient,
     mmse_objective,
 )
+from wdro.moment_risk import gelbrich_risk_quadratic
 from wdro.numerics import DEFAULT_TOL
 from wdro.transport import MomentPair, gelbrich_distance
 
@@ -108,6 +110,11 @@ def test_direction_boundary_and_floor():
         res = fw_direction(grad, sigma, eps)
         assert res.trace_residual <= 1e-8
         assert not res.repaired
+        # the maximizer of Tr[grad . D] does not change when grad is scaled
+        for s in (1e-100, 1e-20, 1e20, 1e100):
+            scaled = fw_direction(s * grad, sigma, eps)
+            assert np.max(np.abs(scaled.D - res.D)) <= 1e-12 * np.max(np.abs(res.D)), s
+            assert abs(scaled.gamma_star - s * res.gamma_star) <= 1e-12 * s * res.gamma_star, s
         lam_floor = np.linalg.eigvalsh(sigma).min()
         assert np.linalg.eigvalsh(res.D).min() >= lam_floor - 1e-8
         # the direction maximizes the linear objective among feasible points
@@ -243,10 +250,19 @@ def test_gap_decreases_and_best_value_monotone():
     assert len(states) < 500
     assert gaps[-1] <= DEFAULT_TOL.rel_tol * np.trace(cov) < min(gaps[:-1])
     values = [s.value for s in states]
+    # each step maximizes f on a segment from the iterate, so f never falls
+    assert np.all(np.diff(values) >= 0.0)
     best = np.maximum.accumulate(values)
     assert np.all(np.diff(best) >= -1e-12)
     # the gap certifies the distance to the optimum
     assert best[-1] + gaps[-1] >= max(values) - 1e-12
+    # under a cap, fw_solve keeps the generator's return value: one step on
+    for cap in (1, 2, 3):
+        iterates = fw_iterates(nominal, 0.5, iters=cap)
+        with pytest.raises(StopIteration) as done:
+            while True:
+                next(iterates)
+        assert np.array_equal(fw_solve(nominal, 0.5, iters=cap).S, done.value.value)
 
 
 def test_value_monotone_in_radius():
@@ -268,6 +284,10 @@ def test_singular_nominal_is_regularized():
     res = fw_solve(nominal, 0.2, iters=30)
     assert res.regularization > 0.0
     assert np.isfinite(res.estimator.gain).all()
+    # the same lift as the worst-case quadratic risk on the same covariance
+    loss = QuadraticLoss(np.eye(4), np.zeros(4))
+    risk = gelbrich_risk_quadratic(loss, MomentPair(np.zeros(4), cov), 0.2)
+    assert res.regularization == risk.regularization
 
 
 def test_estimator_wrapper_roundtrip():
