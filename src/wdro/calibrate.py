@@ -109,11 +109,12 @@ def eta_schedule(N: int) -> float:
     return math.exp(-math.sqrt(N))
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4B7C15) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    # on uint64 arrays, where overflow wraps silently as the hash needs
+    z = z + np.uint64(0x9E3779B97F4B7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def fold_assignments(n: int, folds: int, seed: int = 0) -> np.ndarray:
@@ -123,11 +124,10 @@ def fold_assignments(n: int, folds: int, seed: int = 0) -> np.ndarray:
     fold sizes differ by at most one and a fold can only be empty when there
     are fewer samples than folds.
     """
-    seed = seed & _MASK
-    keys = [_splitmix64(seed ^ _splitmix64(i + 1)) for i in range(n)]
+    index = np.arange(1, n + 1, dtype=np.uint64)
+    keys = _splitmix64(np.uint64(seed & _MASK) ^ _splitmix64(index))
     assign = np.empty(n, dtype=int)
-    for rank, i in enumerate(np.argsort(keys, kind="stable")):
-        assign[i] = rank % folds
+    assign[np.argsort(keys, kind="stable")] = np.arange(n) % folds
     return assign
 
 

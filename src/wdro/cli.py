@@ -470,7 +470,7 @@ def _run_wc_risk(cfg: RunConfig):
         path = "scalar_dual" if eps > 0.0 else "closed_form"
     else:
         ball = cfg.payload["ball"]
-        value, path, cells = _wc_pwa(loss, samples, ball, cfg.tol, cfg.options["method"] or "auto")
+        value, path, cells = _wc_pwa(loss, samples, ball, cfg.options["method"] or "auto")
         if cells is not None:
             # the extremal's expected loss and F at the multiplier bracket the value
             certificates["upper_bound"] = cells.upper
@@ -515,7 +515,7 @@ def _run_shrink(cfg: RunConfig):
     eps = float(cfg.options["eps"])
     res = wasserstein_shrinkage(cfg.payload["moments"], eps, cfg.tol)
     lam = res.eigen_map[:, 0]
-    residual = abs(_eq51(res.gamma_star, lam, eps, lam.size)[0])
+    residual = abs(_eq51(res.gamma_star, lam, eps, lam.size))
     return (
         {
             "mean": res.mean,
@@ -544,6 +544,7 @@ def _run_mmse(cfg: RunConfig):
         },
         {
             "final_gap": res.gaps[-1] if res.gaps else 0.0,
+            "target_met": res.target_met,
             "feasibility_residual": max(dist - eps, 0.0),
         },
     )
@@ -577,13 +578,17 @@ def _run_train(cfg: RunConfig):
             "degenerate_data": model.degenerate_data,
         }
     )
-    certs: dict = {"solver_gap": model.gap, "dual_value": model.dual_value}
+    certs: dict = {
+        "solver_gap": model.gap,
+        "dual_value": model.dual_value,
+        "target_met": model.target_met,
+    }
     try:
         loss.pieces()
     except ToolkitError:
         certs["crosscheck_diff"] = None
     else:
-        _, _, diff = dro_objective_crosscheck(model, X, y, loss, eps, norm, cfg.tol)
+        _, _, diff = dro_objective_crosscheck(model, X, y, loss, eps, norm)
         certs["crosscheck_diff"] = diff
     return results, certs
 

@@ -419,7 +419,6 @@ def _wc_pwa(
     loss: PiecewiseAffineLoss,
     samples: DiscreteDistribution,
     ball: BallSpec,
-    tol: Tolerance,
     method: str,
 ) -> tuple[float, str, Optional[_Type1]]:
     """The value, its path ("closed_form", "scalar_dual" or "cells") and the
@@ -470,7 +469,6 @@ def wc_risk_pwa(
     loss: PiecewiseAffineLoss,
     samples: DiscreteDistribution,
     ball: BallSpec,
-    tol: Tolerance = DEFAULT_TOL,
     method: str = "auto",
 ) -> float:
     """Exact worst-case expected max-affine loss over a Wasserstein ball.
@@ -485,7 +483,7 @@ def wc_risk_pwa(
     "lp"; forcing "lp" on a whole-space instance runs the cells with no
     support rows, which is useful for cross-checks.
     """
-    return _wc_pwa(loss, samples, ball, tol, method)[0]
+    return _wc_pwa(loss, samples, ball, method)[0]
 
 
 class _QuadDual(NamedTuple):
@@ -667,7 +665,6 @@ def extremal_pwa(
     loss: PiecewiseAffineLoss,
     samples: DiscreteDistribution,
     ball: BallSpec,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> ExtremalReport:
     """Extremal (or asymptotically extremal) distribution for type-1 balls.
 

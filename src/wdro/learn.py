@@ -270,7 +270,10 @@ class TrainedModel:
     ``value`` is the objective at ``weights``, ``dual_value`` the Fenchel dual
     objective at a feasible dual point (0 is always one: every objective is
     nonnegative), and ``gap = value - dual_value`` bounds how far ``value``
-    lies above the optimum.  ``iterations`` counts Newton steps.
+    lies above the optimum.  ``target_met`` says whether that gap reached
+    the training target, max(10 tol.rel_tol, 1e-12) times ``value``; when
+    it is False the gap is still a bound, only a looser one.
+    ``iterations`` counts Newton steps.
     """
 
     weights: np.ndarray
@@ -280,10 +283,19 @@ class TrainedModel:
     unattained: bool = False
     degenerate_data: bool = False
     dual_value: float = 0.0
+    target_met: bool = False
 
 
 def _dual(input_norm: NormSpec | None) -> NormSpec:
     return (input_norm or NormSpec.p_norm(2.0)).dual_spec()
+
+
+def _check_pairing(loss: UnivariateLoss, p: float) -> None:
+    if loss.kind == "squared":
+        if p != 2:
+            raise PairingMismatch("the squared loss needs a type-2 ball")
+    elif p != 1:
+        raise PairingMismatch("Lipschitz losses need a type-1 ball")
 
 
 def _check_kind(loss: UnivariateLoss, classification: bool) -> None:
@@ -348,8 +360,12 @@ def regression_objective(
     p: float,
     input_norm: NormSpec | None = None,
 ) -> float:
-    """Regularized residual loss; the squared kind composes the square."""
+    """Regularized residual loss; the squared kind composes the square.
+
+    The ball order must match the loss as in ``dro_train_regressor``.
+    """
     _check_kind(loss, classification=False)
+    _check_pairing(loss, p)
     w = as_vector(weights, "weights")
     X, y = _check_labeled(X, y, classification=False)
     return _objective(X, y, loss, eps, _dual(input_norm))(w)
@@ -543,6 +559,11 @@ def _newton(problem, w: np.ndarray, mu: float, budget: int):
     return w, budget
 
 
+def _gap_target(tol: Tolerance) -> float:
+    """The certified gap training aims for, relative to the objective."""
+    return max(_GAP_FACTOR * tol.rel_tol, _GAP_FLOOR)
+
+
 def _certified_minimize(problem, d: int, tol: Tolerance):
     """Weights, their objective, a dual value and the Newton steps taken.
 
@@ -557,7 +578,7 @@ def _certified_minimize(problem, d: int, tol: Tolerance):
     w = best_w = np.zeros(d)
     best_p = problem.primal(w)
     best_d = 0.0
-    target = max(_GAP_FACTOR * tol.rel_tol, _GAP_FLOOR)
+    target = _gap_target(tol)
     mu = problem.mu0
     steps = 0
     for _ in range(_STAGES):
@@ -600,13 +621,15 @@ def _train(problem, d: int, eps: float, tol: Tolerance, **flags) -> TrainedModel
     unattained = False
     if eps == 0.0:  # only an unpenalized objective can decrease along a ray forever
         w, value, unattained = _ray_probe(problem.primal, w, value)
+    gap = max(value - dual, 0.0)
     return TrainedModel(
         weights=w,
         value=value,
         iterations=steps,
-        gap=max(value - dual, 0.0),
+        gap=gap,
         unattained=unattained,
         dual_value=dual,
+        target_met=gap <= _gap_target(tol) * value,
         **flags,
     )
 
@@ -655,11 +678,7 @@ def dro_train_regressor(
     returned weights (see the module docstring).
     """
     _check_kind(loss, classification=False)
-    if loss.kind == "squared":
-        if p != 2:
-            raise PairingMismatch("the squared loss needs a type-2 ball")
-    elif p != 1:
-        raise PairingMismatch("Lipschitz losses need a type-1 ball")
+    _check_pairing(loss, p)
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     X, y = _check_labeled(X, y, classification=False)
@@ -679,7 +698,6 @@ def dro_objective_crosscheck(
     loss: UnivariateLoss,
     eps: float,
     input_norm: NormSpec | None = None,
-    tol: Tolerance = DEFAULT_TOL,
 ):
     """Replay a trained objective through the generic worst-case machinery.
 
@@ -708,7 +726,7 @@ def dro_objective_crosscheck(
         atoms = X - np.outer(y, w) / wn
     slopes, intercepts = np.array(pieces).T
     pwa = PiecewiseAffineLoss(zip(np.outer(slopes, w), intercepts))
-    wc = wc_risk_pwa(pwa, DiscreteDistribution(atoms), ball, tol=tol)
+    wc = wc_risk_pwa(pwa, DiscreteDistribution(atoms), ball)
     return regularized, wc, regularized - wc
 
 

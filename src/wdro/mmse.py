@@ -110,6 +110,7 @@ class FWSolveResult(NamedTuple):
     estimator: AffineEstimator
     gaps: list
     regularization: float
+    target_met: bool = False  # the last gap is at most tol.rel_tol times the trace
 
 
 def _split(S: np.ndarray, mx: int):
@@ -233,8 +234,12 @@ def _lifted_nominal(nominal: JointMoments, eps: float, iters: int):
     return lift_singular(nominal.cov)
 
 
+def _gap_target(cov: np.ndarray, tol: Tolerance) -> float:
+    return tol.rel_tol * float(np.trace(cov))
+
+
 def _fw_loop(cov: np.ndarray, mx: int, eps: float, iters: int, tol: Tolerance):
-    stop = tol.rel_tol * float(np.trace(cov))
+    stop = _gap_target(cov, tol)
     S = cov.copy()
     for k in range(iters):
         value, G = _schur(S, mx)
@@ -243,31 +248,34 @@ def _fw_loop(cov: np.ndarray, mx: int, eps: float, iters: int, tol: Tolerance):
         else:
             direction = fw_direction(_gradient(G), cov, eps, tol)
         E = direction.D - S
-        gap = _slope(S, E, mx)[0]
+        at_S = _slope(S, E, mx)
+        gap = at_S[0]
         yield FWState(S=S, k=k, value=value, gap=gap)
         if gap <= stop:
             return S
-        t = _line_search(S, E, mx)
+        t = _line_search(S, E, mx, at_S)
         S = (1.0 - t) * S + t * direction.D
         S = 0.5 * (S + S.T)
     return S
 
 
-def _line_search(S: np.ndarray, E: np.ndarray, mx: int) -> float:
+def _line_search(S: np.ndarray, E: np.ndarray, mx: int, at_S: tuple[float, float]) -> float:
     """The maximizer of f(S + t E) over t in [0, 1], f concave.
 
-    The slope at t = 0 is the gap, positive whenever this runs, so the
-    negated slope changes sign on [0, 1] unless the slope at 1 is still
-    nonnegative, and then t = 1.
+    ``at_S`` is ``_slope(S, E, mx)``, the slope and curvature at t = 0; the
+    slope there is the gap, positive whenever this runs, so the negated
+    slope changes sign on [0, 1] unless the slope at 1 is still
+    nonnegative, and then t = 1.  Neither end is evaluated twice.
     """
 
     def neg_slope(t: float) -> tuple[float, float]:
         slope, curvature = _slope(S + t * E, E, mx)
         return -slope, -curvature
 
-    if neg_slope(1.0)[0] <= 0.0:
+    at_D = neg_slope(1.0)
+    if at_D[0] <= 0.0:
         return 1.0
-    return monotone_root(neg_slope, 0.0, 1.0)
+    return monotone_root(neg_slope, 0.0, 1.0, f_lo=(-at_S[0], -at_S[1]), f_hi=at_D)
 
 
 def fw_solve(
@@ -286,6 +294,8 @@ def fw_solve(
     certify f* - f(S_k) <= gap_k; the iteration stops once a gap falls to
     tol.rel_tol times the trace of the nominal, which the exact line search
     reaches in about ten steps, so ``iters`` is a cap rather than a count.
+    ``target_met`` is False when the cap came first; the last gap is then
+    still a bound, only a looser one.
     """
     cov, lift = _lifted_nominal(nominal, eps, iters)
     iterates = _fw_loop(cov, nominal.mx, eps, iters, tol)
@@ -298,7 +308,7 @@ def fw_solve(
             break
     gain = _schur(S, nominal.mx)[1]
     estimator = AffineEstimator(gain=gain, offset=nominal.mean_x - gain @ nominal.mean_y)
-    return FWSolveResult(S, estimator, gaps, lift)
+    return FWSolveResult(S, estimator, gaps, lift, gaps[-1] <= _gap_target(cov, tol))
 
 
 class RobustMMSE:

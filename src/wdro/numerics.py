@@ -6,6 +6,17 @@ primitives in this module: a safeguarded Newton root for monotone scalar
 equations and the secular equations of ball constraints, and symmetric
 eigendecompositions.  All routines are deterministic: identical inputs and
 tolerances produce identical outputs.
+
+Every scalar root runs in ``monotone_root``, over a bracket whose end signs
+follow from a bound with a margin that rounding cannot erase, never from a
+search for a sign change.  A caller that has already evaluated an end hands
+that value over, so no point is evaluated twice:
+- ``secular_root`` starts from x0 = max(0, max poles), whose value decided
+  that a root is needed, and a right end where phi <= radius^2 / 4;
+- ``shrinkage.wasserstein_shrinkage`` solves in q = sqrt(gamma), between
+  closed-form bounds on either side of the root;
+- the Frank-Wolfe line search in ``mmse`` starts from the slopes at t = 0
+  (the gap) and t = 1 (the test for a full step), both already computed.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ __all__ = [
 
 # Root searches stop when the Newton step or the bracket is this many ulps
 # of x; the step cap lets bisection shrink any finite bracket to that width.
-_ROOT_ULPS = 4.0 * np.finfo(float).eps
+_ROOT_ULPS = 4.0 * float(np.finfo(float).eps)
 _MAX_ROOT_STEPS = 2200
 
 
@@ -58,21 +69,30 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def monotone_root(f: Callable[[float], tuple[float, float]], lo: float, hi: float) -> float:
+def monotone_root(
+    f: Callable[[float], tuple[float, float]],
+    lo: float,
+    hi: float,
+    f_lo: tuple[float, float] | None = None,
+    f_hi: tuple[float, float] | None = None,
+) -> float:
     """Root of a function that changes sign once on [lo, hi].
 
-    ``f(x)`` returns the value and the slope at x.  Each step is the Newton
-    step from the last point evaluated when it lands inside the bracket and
-    is at most half the step before last, and a bisection otherwise.  The
-    search stops on an exact zero, or when the Newton step or the bracket is
-    a few ulps of x: no absolute tolerance enters, so the root comes out to
-    the same relative accuracy at every scale.  An infinite value (a pole at
-    an end) counts by its sign.  Raises NoBracket when f(lo) and f(hi) do
-    not differ in sign.
+    ``f(x)`` returns the value and the slope at x.  A caller that has
+    already evaluated an end passes that pair as ``f_lo`` or ``f_hi``, and
+    the end is not evaluated again.  The search starts at the end with the
+    smaller |f|.  Each step is the Newton step from the last point evaluated
+    when it lands inside the bracket and is at most half the step before
+    last, and a bisection otherwise.  The search stops on an exact zero, or
+    when the Newton step or the bracket is a few ulps of x: no absolute
+    tolerance enters, so the root comes out to the same relative accuracy at
+    every scale.  An infinite value (a pole at an end) counts by its sign.
+    Returns a Python float.  Raises NoBracket when f(lo) and f(hi) do not
+    differ in sign.
     """
     lo, hi = float(lo), float(hi)
-    flo, slo = f(lo)
-    fhi, shi = f(hi)
+    flo, slo = f(lo) if f_lo is None else f_lo
+    fhi, shi = f(hi) if f_hi is None else f_hi
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -85,7 +105,7 @@ def monotone_root(f: Callable[[float], tuple[float, float]], lo: float, hi: floa
     for _ in range(_MAX_ROOT_STEPS):
         t = math.nan
         if math.isfinite(fx) and math.isfinite(sx) and sx != 0.0:
-            t = x - fx / sx
+            t = float(x - fx / sx)
             if abs(t - x) <= _ROOT_ULPS * abs(x):
                 return t
         if not (lo < t < hi and abs(t - x) <= 0.5 * abs(before)):
@@ -116,7 +136,12 @@ def secular_root(numer, poles, radius: float) -> float:
     on 1/sqrt(phi) - 1/radius, which is nearly linear in x (More and
     Sorensen, *Computing a trust region step*, 1983), over
     [x0, x0 + 2 sqrt(sum numer) / radius]: phi <= radius^2 / 4 at the right
-    end, a sign that rounding cannot erase.
+    end, a sign that rounding cannot erase.  The search starts from the
+    value at x0, which decided whether it runs, so x0 is evaluated once.
+    Only x0 can sit on a pole, where phi is infinite and 1/sqrt(phi) is 0,
+    so only its evaluation runs under ``np.errstate``; every later point
+    lies strictly right of every pole.  phi and its slope share the terms
+    numer / (x - poles) and 1 / (x - poles), summed by dot products.
     """
     numer = np.asarray(numer, dtype=float)
     poles = np.asarray(poles, dtype=float)
@@ -127,16 +152,17 @@ def secular_root(numer, poles, radius: float) -> float:
         return x0
 
     def f(x: float) -> tuple[float, float]:
-        d = x - p
-        # a pole at x0 makes phi infinite there: 1/sqrt(phi) is then 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            phi = np.sum(n / d**2)
-            root = np.sqrt(phi)
-            return float(1.0 / root - 1.0 / radius), float(np.sum(n / d**3) / (phi * root))
+        inv = 1.0 / (x - p)
+        t = n * inv
+        phi = t @ inv
+        root = phi**0.5
+        return float(1.0 / root - 1.0 / radius), float((t * inv) @ inv / (phi * root))
 
-    if f(x0)[0] >= 0.0:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        at_x0 = f(x0)
+    if at_x0[0] >= 0.0:
         return x0
-    return monotone_root(f, x0, x0 + 2.0 * math.sqrt(float(n.sum())) / radius)
+    return monotone_root(f, x0, x0 + 2.0 * math.sqrt(float(n.sum())) / radius, f_lo=at_x0)
 
 
 @dataclass(frozen=True)

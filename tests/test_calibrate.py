@@ -184,6 +184,36 @@ def test_fold_assignments_deterministic_and_balanced():
     assert counts.min() > 60
 
 
+_MASK = (1 << 64) - 1
+
+
+def _splitmix64_reference(z):
+    z = (z + 0x9E3779B97F4B7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def fold_assignments_reference(n, folds, seed=0):
+    """Per-index hashing on Python integers and a rank-by-rank deal."""
+    seed = seed & _MASK
+    keys = [_splitmix64_reference(seed ^ _splitmix64_reference(i + 1)) for i in range(n)]
+    assign = np.empty(n, dtype=int)
+    for rank, i in enumerate(np.argsort(keys, kind="stable")):
+        assign[i] = rank % folds
+    return assign
+
+
+def test_fold_assignments_match_the_per_index_reference():
+    for n in (0, 1, 2, 7, 40, 80, 500):
+        for folds in (2, 3, 5, 10):
+            for seed in (0, 7, -1, 2**63 + 5, 123456789):
+                got = fold_assignments(n, folds, seed)
+                ref = fold_assignments_reference(n, folds, seed)
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref), (n, folds, seed)
+
+
 def test_cv_radius_degenerate_grid():
     rows = np.arange(12.0).reshape(6, 2)
     picked = cv_radius(lambda tr, e: e, lambda mdl, te: 1.0, rows, [0.1], folds=2)

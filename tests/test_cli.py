@@ -276,7 +276,23 @@ def test_mmse_run(tmp_path):
     assert report["certificates"]["feasibility_residual"] <= 1e-6
     assert report["results"]["worst_case_mse"] > 0
     assert len(report["results"]["gap_history"]) <= 300
+    assert report["certificates"]["target_met"] is True
     assert main(["mmse", "--moments", joint, "--mx", "2", "--eps", "0.25"]) == 2
+
+
+def test_mmse_report_says_when_the_gap_target_was_missed(tmp_path):
+    # a rank-deficient joint covariance: Frank-Wolfe zigzags near a face and
+    # uses all 200 default iterations with the gap far above its target
+    joint = write_json(
+        tmp_path / "j.json",
+        {"mean": [0.0, 0.0, 0.0], "cov": [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    )
+    code, report = run_cli(["mmse", "--moments", joint, "--mx", "1", "--eps", "0.2"], tmp_path)
+    assert code == 0
+    certs = report["certificates"]
+    assert len(report["results"]["gap_history"]) == 200
+    assert certs["target_met"] is False
+    assert certs["final_gap"] > 1e-10 * 3.0
 
 
 def test_train_run_with_crosscheck_certificate(tmp_path):
@@ -295,6 +311,7 @@ def test_train_run_with_crosscheck_certificate(tmp_path):
     assert certs["dual_value"] <= 0.5 <= report["results"]["value"]
     assert certs["solver_gap"] == report["results"]["value"] - certs["dual_value"]
     assert certs["solver_gap"] <= 1e-8
+    assert certs["target_met"] is True
 
 
 def test_train_standardize_and_smooth_loss(tmp_path):

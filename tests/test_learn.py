@@ -270,6 +270,31 @@ def test_pairing_mismatch():
         dro_train_classifier([[1.0]], [1.0], UnivariateLoss("squared"), 0.1)
 
 
+def test_regression_objective_checks_the_ball_order():
+    X, y = [[1.0], [2.0]], [1.0, 3.0]
+    assert regression_objective([1.0], X, y, UnivariateLoss("squared"), 0.1, 2.0) > 0.0
+    assert regression_objective([1.0], X, y, UnivariateLoss("huber", 1.0), 0.1, 1.0) > 0.0
+    with pytest.raises(PairingMismatch):
+        regression_objective([1.0], X, y, UnivariateLoss("squared"), 0.1, 1.0)
+    with pytest.raises(PairingMismatch):
+        regression_objective([1.0], X, y, UnivariateLoss("huber", 1.0), 0.1, 2.0)
+
+
+def test_target_met_says_whether_the_gap_target_was_reached():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(50, 3))
+    y = X @ rng.normal(size=3) + 0.3 * rng.normal(size=50)
+    met = dro_train_regressor(X, y, UnivariateLoss("squared"), 0.1, 2.0)
+    assert met.target_met is True
+    assert met.gap <= 1e-9 * met.value
+    # at a relative radius of 1e-5 the rounding of X'r keeps the gap of the
+    # squared loss above the target; it stays a bound, and says so
+    missed = dro_train_regressor(X, y, UnivariateLoss("squared"), 1e-5, 2.0)
+    assert missed.target_met is False
+    assert missed.gap > 1e-9 * missed.value
+    assert TrainedModel(np.array([1.0]), 0.0, 0, 0.0).target_met is False
+
+
 def test_separable_logloss_flags_unattained():
     X = np.array([[1.0], [-1.0]])
     y = np.array([1.0, -1.0])

@@ -265,6 +265,21 @@ def test_gap_decreases_and_best_value_monotone():
         assert np.array_equal(fw_solve(nominal, 0.5, iters=cap).S, done.value.value)
 
 
+def test_target_met_says_whether_the_gap_target_was_reached():
+    rng = np.random.RandomState(17)
+    cov = random_feasible_S(rng, 2, 2)
+    nominal = JointMoments(2, 2, rng.randn(4), cov)
+    res = fw_solve(nominal, 0.5)
+    assert res.target_met is True
+    assert res.gaps[-1] <= DEFAULT_TOL.rel_tol * np.trace(cov)
+    capped = fw_solve(nominal, 0.5, iters=1)
+    assert capped.target_met is False
+    assert capped.gaps[-1] > DEFAULT_TOL.rel_tol * np.trace(cov)
+    # a result built by hand claims nothing
+    by_hand = mmse_module.FWSolveResult(res.S, res.estimator, res.gaps, res.regularization)
+    assert by_hand.target_met is False
+
+
 def test_value_monotone_in_radius():
     rng = np.random.RandomState(19)
     cov = random_feasible_S(rng, 2, 2)
