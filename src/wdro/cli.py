@@ -317,11 +317,10 @@ def parse_config(argv=None) -> RunConfig:
     if not 0 <= seed <= _SEED_MAX:
         raise UsageError(f"--seed must be an unsigned 64-bit integer, got {seed}")
     tol_scale = opts.pop("tol")
-    tol = DEFAULT_TOL if tol_scale is None else Tolerance(
-        abs_tol=float(tol_scale), rel_tol=float(tol_scale)
-    )
-    if not (tol.abs_tol > 0 and tol.rel_tol > 0):
+    rel_tol = DEFAULT_TOL.rel_tol if tol_scale is None else float(tol_scale)
+    if not rel_tol > 0:
         raise UsageError("--tol must be positive")
+    tol = Tolerance(rel_tol=rel_tol)
     output = opts.pop("output")
 
     payload: dict = {}
@@ -430,7 +429,7 @@ def parse_config(argv=None) -> RunConfig:
 
     options = {k: v for k, v in opts.items()}
     options["seed"] = seed
-    options["tol"] = {"abs": tol.abs_tol, "rel": tol.rel_tol}
+    options["tol"] = rel_tol
     return RunConfig(command, options, payload, tol, seed, output)
 
 
@@ -466,7 +465,7 @@ def _run_wc_risk(cfg: RunConfig):
     eps = float(cfg.options["eps"])
     certificates = {}
     if isinstance(loss, QuadraticLoss):
-        value = wc_risk_quadratic(loss, samples, eps, cfg.tol)
+        value = wc_risk_quadratic(loss, samples, eps)
         path = "scalar_dual" if eps > 0.0 else "closed_form"
     else:
         ball = cfg.payload["ball"]
@@ -492,7 +491,7 @@ def _run_gelbrich(cfg: RunConfig):
     if "other" in cfg.payload:
         return {"distance": gelbrich_distance(center, cfg.payload["other"])}, {}
     eps = float(cfg.options["eps"])
-    res = gelbrich_risk_quadratic(cfg.payload["loss"], center, eps, cfg.tol)
+    res = gelbrich_risk_quadratic(cfg.payload["loss"], center, eps)
     dist = gelbrich_distance(center, res.extremal)
     certs = {
         "dual_gap": abs(res.value - res.primal_value) if res.interior else 0.0,
@@ -513,7 +512,7 @@ def _run_gelbrich(cfg: RunConfig):
 
 def _run_shrink(cfg: RunConfig):
     eps = float(cfg.options["eps"])
-    res = wasserstein_shrinkage(cfg.payload["moments"], eps, cfg.tol)
+    res = wasserstein_shrinkage(cfg.payload["moments"], eps)
     lam = res.eigen_map[:, 0]
     residual = abs(_eq51(res.gamma_star, lam, eps, lam.size))
     return (

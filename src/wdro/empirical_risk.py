@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedCombination,
     UnsupportedSupport,
 )
-from .numerics import DEFAULT_TOL, Tolerance, monotone_root, secular_root, sym_eig
+from .numerics import monotone_root, secular_root, sym_eig
 from .simplex import LPStack
 from .transport import DiscreteDistribution
 
@@ -497,9 +497,7 @@ class _QuadDual(NamedTuple):
     eig_scale: float  # max |eigenvalue of Q|
 
 
-def _quad_scalar_dual(
-    loss: QuadraticLoss, samples: DiscreteDistribution, eps: float, tol: Tolerance
-) -> _QuadDual:
+def _quad_scalar_dual(loss: QuadraticLoss, samples: DiscreteDistribution, eps: float) -> _QuadDual:
     """Minimize g(gamma) = nominal + gamma eps^2 + sum_i w_i sum_k c_ik^2/(gamma - lam_k)
     over gamma >= max(0, lam_max), where c_i = V' (q + Q xi_i).
 
@@ -508,7 +506,7 @@ def _quad_scalar_dual(
     boundary the top eigenspace is deflated; a nonzero component there makes
     g' diverge to -inf and forces an interior minimizer.
     """
-    eig = sym_eig(loss.Q, tol=tol)
+    eig = sym_eig(loss.Q)
     lam, V = eig.values, eig.vectors
     atoms, w = samples.atoms, samples.weights
     nominal = expected_loss(loss, samples)
@@ -543,12 +541,7 @@ def _quad_scalar_dual(
     )
 
 
-def wc_risk_quadratic(
-    loss: QuadraticLoss,
-    samples: DiscreteDistribution,
-    eps: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def wc_risk_quadratic(loss: QuadraticLoss, samples: DiscreteDistribution, eps: float) -> float:
     """Worst-case quadratic loss over a type-2 Euclidean whole-space ball."""
     if samples.dim != loss.dim:
         raise DimensionMismatch(
@@ -558,14 +551,11 @@ def wc_risk_quadratic(
         raise ValueError("eps must be nonnegative")
     if eps == 0.0:
         return expected_loss(loss, samples)
-    return _quad_scalar_dual(loss, samples, eps, tol).value
+    return _quad_scalar_dual(loss, samples, eps).value
 
 
 def extremal_quadratic(
-    loss: QuadraticLoss,
-    samples: DiscreteDistribution,
-    eps: float,
-    tol: Tolerance = DEFAULT_TOL,
+    loss: QuadraticLoss, samples: DiscreteDistribution, eps: float
 ) -> ExtremalReport:
     """Worst-case distribution for the quadratic case.
 
@@ -586,7 +576,7 @@ def extremal_quadratic(
             certified_value=expected_loss(loss, samples),
             distribution=DiscreteDistribution(samples.atoms.copy(), samples.weights.copy()),
         )
-    dual = _quad_scalar_dual(loss, samples, eps, tol)
+    dual = _quad_scalar_dual(loss, samples, eps)
     shifted = samples.atoms + dual.theta
     weights = samples.weights.copy()
     needs_escape = (

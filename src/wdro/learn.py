@@ -582,9 +582,9 @@ def _certified_minimize(problem, d: int, tol: Tolerance):
     mu = problem.mu0
     steps = 0
     for _ in range(_STAGES):
-        if best_p - best_d <= target * best_p or steps >= tol.max_iter:
+        if best_p - best_d <= target * best_p:
             break
-        w, k = _newton(problem, w, mu, min(_STAGE_STEPS, tol.max_iter - steps))
+        w, k = _newton(problem, w, mu, _STAGE_STEPS)
         steps += k
         value = problem.primal(w)
         if value < best_p:

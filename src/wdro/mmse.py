@@ -164,9 +164,7 @@ def _slope(T: np.ndarray, E: np.ndarray, mx: int) -> tuple[float, float]:
     return float(slope), -2.0 * float(((R @ T_yy_inv) * R).sum())
 
 
-def fw_direction(
-    grad, nominal_cov, eps: float, tol: Tolerance = DEFAULT_TOL
-) -> FWDirection:
+def fw_direction(grad, nominal_cov, eps: float) -> FWDirection:
     """Maximize Tr[grad . D] over covariances within eps of the nominal.
 
     The gradient must be positive semidefinite, as ``mmse_gradient`` is;
@@ -177,7 +175,8 @@ def fw_direction(
     is F Sigma F, its squared distance to Sigma is Tr[(F - I) Sigma (F - I)],
     which the residual reads in the eigenbasis of grad.  Only a gradient
     that is exactly zero returns the nominal: the maximizer does not change
-    when grad is scaled by a positive factor.
+    when grad is scaled by a positive factor.  The direction is closed-form,
+    so it takes no tolerance; the input checks use fixed relative thresholds.
     """
     grad = check_symmetric(as_matrix(grad, "grad"), tol=1e-8, name="grad")
     sigma = check_psd(as_matrix(nominal_cov, "nominal_cov"), tol=1e-9, name="nominal_cov")
@@ -186,7 +185,7 @@ def fw_direction(
     if not grad.any():
         return FWDirection(sigma.copy(), math.inf, False, 0.0)
 
-    dec = sym_eig(grad, tol=tol)
+    dec = sym_eig(grad)
     g, V = dec.values, dec.vectors
     if g[-1] < -1e-9 * np.abs(g).max():
         raise NotPSD(f"grad has eigenvalue {g[-1]:.3e} below -1e-9 * scale")
@@ -246,7 +245,7 @@ def _fw_loop(cov: np.ndarray, mx: int, eps: float, iters: int, tol: Tolerance):
         if eps == 0.0:
             direction = FWDirection(cov.copy(), math.inf, False, 0.0)
         else:
-            direction = fw_direction(_gradient(G), cov, eps, tol)
+            direction = fw_direction(_gradient(G), cov, eps)
         E = direction.D - S
         at_S = _slope(S, E, mx)
         gap = at_S[0]

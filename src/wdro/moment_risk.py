@@ -114,13 +114,14 @@ class GelbrichRiskResult(NamedTuple):
 def gelbrich_hull_contains(
     ball: GelbrichBall, candidate: MomentPair, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """Membership test: Gelbrich distance to the center at most eps."""
+    """Membership test: Gelbrich distance to the center at most
+    eps + tol.rel_tol * (1 + eps)."""
     if candidate.dim != ball.center.dim:
         raise DimensionMismatch(
             f"candidate dimension {candidate.dim} differs from center {ball.center.dim}"
         )
     dist = gelbrich_distance(ball.center, candidate)
-    return dist <= ball.eps + max(tol.abs_tol, tol.rel_tol * (1.0 + ball.eps))
+    return dist <= ball.eps + tol.rel_tol * (1.0 + ball.eps)
 
 
 def projection_check(
@@ -135,7 +136,8 @@ def projection_check(
     If W_p(Q, reference) <= eps (and p >= 2, so the type-2 distance is no
     larger) then the moments of Q must lie in the Gelbrich ball around the
     moments of the reference.  Returns the truth of that implication; the
-    ball center must carry the reference moments.
+    ball center must carry the reference moments.  Premise and conclusion
+    allow eps the same slack, tol.rel_tol * (1 + eps).
     """
     if p < 2.0:
         raise ValueError("the moment projection needs order p >= 2")
@@ -146,9 +148,8 @@ def projection_check(
     ):
         raise ValueError("ball center must equal the reference distribution's moments")
     dist = wasserstein_p(Q, reference, p).distance
-    premise = dist <= ball.eps + tol.abs_tol
-    if not premise:
-        return True
+    if dist > ball.eps + tol.rel_tol * (1.0 + ball.eps):
+        return True  # the premise fails, so the implication holds
     return gelbrich_hull_contains(ball, moments(Q), tol)
 
 
@@ -156,12 +157,7 @@ def _quadratic_moment_risk(loss: QuadraticLoss, mu: np.ndarray, sigma: np.ndarra
     return float(np.sum(loss.Q * sigma) + mu @ loss.Q @ mu + 2.0 * loss.q @ mu)
 
 
-def gelbrich_risk_quadratic(
-    loss: QuadraticLoss,
-    center: MomentPair,
-    eps: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> GelbrichRiskResult:
+def gelbrich_risk_quadratic(loss: QuadraticLoss, center: MomentPair, eps: float) -> GelbrichRiskResult:
     """Worst-case quadratic loss over a Gelbrich ball of moment pairs.
 
     Solves the scalar boundary equation for the dual multiplier and returns
@@ -196,7 +192,7 @@ def gelbrich_risk_quadratic(
         return GelbrichRiskResult(value, extremal, qn / eps, True, value, 0.0)
 
     sigma, delta = lift_singular(center.sigma)
-    eig = sym_eig(loss.Q, tol=tol)
+    eig = sym_eig(loss.Q)
     lam, V = eig.values, eig.vectors
     r = V.T @ (loss.q + loss.Q @ mu_hat)
     S_t = V.T @ sigma @ V
@@ -229,13 +225,7 @@ def gelbrich_risk_quadratic(
     return GelbrichRiskResult(value, extremal, float(gamma), interior, primal, delta)
 
 
-def support_V(
-    q,
-    Qm,
-    center: MomentPair,
-    eps: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def support_V(q, Qm, center: MomentPair, eps: float) -> float:
     """Support function of the lifted moment set in (mu, second moment).
 
     sup over the hull of q' mu + Tr[Qm M] with M = Sigma + mu mu' equals the
@@ -245,21 +235,16 @@ def support_V(
     Qm = as_matrix(Qm, "Qm")
     if np.all(Qm == 0.0) and np.all(q == 0.0):
         return 0.0
-    result = gelbrich_risk_quadratic(QuadraticLoss(Qm, 0.5 * q), center, eps, tol)
+    result = gelbrich_risk_quadratic(QuadraticLoss(Qm, 0.5 * q), center, eps)
     return result.value
 
 
-def wc_risk_elliptical_quadratic(
-    loss: QuadraticLoss,
-    nominal: EllipticalSpec,
-    eps: float,
-    tol: Tolerance = DEFAULT_TOL,
-):
+def wc_risk_elliptical_quadratic(loss: QuadraticLoss, nominal: EllipticalSpec, eps: float):
     """Worst-case quadratic risk over elliptical distributions in the ball.
 
     The value depends on the nominal distribution only through its moments;
     the extremal member keeps the nominal generator.
     """
-    result = gelbrich_risk_quadratic(loss, nominal.moments, eps, tol)
+    result = gelbrich_risk_quadratic(loss, nominal.moments, eps)
     extremal = EllipticalSpec(nominal.generator, result.extremal, nominal.nu)
     return result.value, extremal

@@ -49,21 +49,19 @@ _MAX_ROOT_STEPS = 2200
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Shared tolerance bundle.
+    """The relative accuracy a solver stops at.
 
-    abs_tol and rel_tol control residual/width stopping rules; max_iter caps
-    every iterative loop.
+    rel_tol bounds the Frank-Wolfe gap (relative to the trace of the
+    nominal), the training gap (10 rel_tol relative to the objective) and
+    the transport plan's marginal error.  Input checks and eigensolver
+    guards use fixed relative thresholds of their own and do not read it.
     """
 
-    abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_iter: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if self.rel_tol < 0:
+            raise ValueError("rel_tol must be nonnegative")
 
 
 DEFAULT_TOL = Tolerance()
@@ -176,7 +174,7 @@ class SpectralDecomposition:
         return (self.vectors * self.values) @ self.vectors.T
 
 
-def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:
+def sym_eig(a) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
     Backed by LAPACK through numpy; the input is symmetrized after a symmetry
@@ -184,7 +182,7 @@ def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:
     fixed so its largest-magnitude entry is positive (first index on ties),
     which keeps outputs reproducible.
     """
-    s = check_symmetric(a, max(tol.abs_tol, 1e-9))
+    s = check_symmetric(a)
     w, v = np.linalg.eigh(s)
     order = np.argsort(w)[::-1]
     w = w[order]
@@ -194,17 +192,16 @@ def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:
     return SpectralDecomposition(values=w, vectors=v)
 
 
-def psd_sqrt(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(a) -> np.ndarray:
     """Symmetric PSD square root via the spectral decomposition.
 
-    Eigenvalues in [-psd_tol, 0) are clipped to zero; anything lower raises
-    NotPSD.  The result R satisfies R @ R ~= A and R = R.T exactly.
+    Eigenvalues in [-1e-9 max |w|, 0) are clipped to zero; anything lower
+    raises NotPSD, at any scale of A.  The result R satisfies R @ R ~= A and
+    R = R.T exactly.
     """
-    dec = sym_eig(a, tol)
+    dec = sym_eig(a)
     w = dec.values.copy()
-    scale = 1.0 + float(np.abs(w).max(initial=0.0))
-    floor = -max(tol.abs_tol, 1e-9) * scale
-    if w.min(initial=0.0) < floor:
+    if w.min(initial=0.0) < -1e-9 * float(np.abs(w).max(initial=0.0)):
         raise NotPSD(f"matrix has eigenvalue {w.min():.3e} below the PSD tolerance")
     np.clip(w, 0.0, None, out=w)
     r = (dec.vectors * np.sqrt(w)) @ dec.vectors.T

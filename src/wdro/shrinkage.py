@@ -29,7 +29,7 @@ import numpy as np
 
 from ._validation import as_samples
 from .errors import EmptySample
-from .numerics import DEFAULT_TOL, Tolerance, monotone_root, sym_eig
+from .numerics import monotone_root, sym_eig
 from .transport import MomentPair
 
 __all__ = [
@@ -82,9 +82,7 @@ def _eq50_eigenvalue(gamma: float, lam: np.ndarray) -> np.ndarray:
     return gamma * (1.0 - 2.0 * u / (s + u + (u == 0.0)))
 
 
-def wasserstein_shrinkage(
-    moments: MomentPair, eps: float, tol: Tolerance = DEFAULT_TOL
-) -> ShrinkageResult:
+def wasserstein_shrinkage(moments: MomentPair, eps: float) -> ShrinkageResult:
     """Robust maximum-likelihood mean and precision for a moment pair.
 
     The mean estimate is the sample mean.  The precision estimate is
@@ -97,7 +95,7 @@ def wasserstein_shrinkage(
     if not eps > 0:
         raise ValueError("eps must be positive; invert the covariance directly for eps = 0")
     m = moments.dim
-    dec = sym_eig(moments.sigma, tol=tol)
+    dec = sym_eig(moments.sigma)
     lam = np.clip(dec.values, 0.0, None)
     # snap numerically-zero eigenvalues to exact zero: sqrt(4*lam*gamma) has
     # infinite slope there and would otherwise amplify eigensolver noise
@@ -146,9 +144,9 @@ def wasserstein_shrinkage(
     )
 
 
-def shrinkage_from_samples(samples, eps: float, tol: Tolerance = DEFAULT_TOL) -> ShrinkageResult:
+def shrinkage_from_samples(samples, eps: float) -> ShrinkageResult:
     """Convenience composition of sample_moments and wasserstein_shrinkage."""
-    return wasserstein_shrinkage(sample_moments(samples), eps, tol)
+    return wasserstein_shrinkage(sample_moments(samples), eps)
 
 
 class WassersteinShrinkage:

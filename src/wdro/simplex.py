@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded, NumericalFailure
-from .numerics import DEFAULT_TOL
 
 __all__ = ["LPStack"]
 
@@ -189,7 +188,7 @@ class LPStack:
         free = A[:, :n_free]
         W = np.hstack([free, -free, A[:, n_free:], np.eye(k)])
         self.core = _Simplex(W, b, np.arange(n + n_free, n + n_free + k))
-        self.max_iter = max(DEFAULT_TOL.max_iter, 50 * (k + W.shape[1]))
+        self.max_iter = max(10_000, 50 * (k + W.shape[1]))
 
     def solve(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minimize with costs c, (K, n) or one (n,) row for every member.

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._validation import as_matrix, as_samples, as_vector, check_psd, check_symmetric, check_weights
+from ._validation import as_matrix, as_samples, as_vector, check_psd, check_weights
 from .convex_analysis import NormSpec, norm_eval
 from .errors import DimensionMismatch, MaxIterExceeded, NumericalFailure
 from .numerics import DEFAULT_TOL, Tolerance, psd_sqrt
@@ -167,12 +167,11 @@ class MomentPair:
 
     def __post_init__(self):
         mu = as_vector(self.mu, "mu")
-        sigma = check_symmetric(as_matrix(self.sigma, "sigma"), tol=1e-10, name="sigma")
+        sigma = check_psd(as_matrix(self.sigma, "sigma"), tol=1e-10, name="sigma")
         if sigma.shape[0] != mu.size:
             raise DimensionMismatch(
                 f"sigma is {sigma.shape[0]}x{sigma.shape[1]} but mu has size {mu.size}"
             )
-        check_psd(sigma, tol=1e-10, name="sigma")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
@@ -207,7 +206,7 @@ _DEGENERATE_STREAK = 50
 
 
 def _transport_simplex(
-    C: np.ndarray, a: np.ndarray, b: np.ndarray, root: int, max_iter: int
+    C: np.ndarray, a: np.ndarray, b: np.ndarray, root: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Transportation simplex: min <C, X> over couplings X of a and b.
 
@@ -221,10 +220,12 @@ def _transport_simplex(
     the subtree that the dropped cell cut off.  After a streak of degenerate
     pivots, and until a pivot moves mass again, the entering cell is the
     lowest flat index that may enter (Bland's rule); a cycle consists of
-    degenerate pivots only, so the method cannot cycle.  Returns the plan
-    and the row and column potentials.
+    degenerate pivots only, so the method cannot cycle.  More than
+    max(10_000, 50 (N + M)) pivots raise ``MaxIterExceeded``.  Returns the
+    plan and the row and column potentials.
     """
     N, M = C.shape
+    max_pivots = max(10_000, 50 * (N + M))
     cost = C.tolist()
     adj = [set() for _ in range(N + M)]
     flow = {}
@@ -318,7 +319,7 @@ def _transport_simplex(
             k = price(P[:N, None] + P[N:] + W[:N, None], W[N:])
             if k < 0:
                 break
-        if pivots == max_iter:
+        if pivots == max_pivots:
             raise MaxIterExceeded("transport simplex exceeded its pivot budget")
         pivots += 1
         i, j = divmod(k, M)
@@ -390,16 +391,16 @@ def wasserstein_p(
 
     Solves the transportation problem on the N x M cost matrix with the
     transportation simplex (see ``_transport_simplex``); more than
-    ``tol.max_iter`` pivots raise ``MaxIterExceeded``.  Both atom sets are
-    sorted by their first coordinate before the northwest-corner start.  On
-    the line (m = 1) that start is the quantile coupling, which is already
-    optimal; in higher dimension it begins nearer the optimum than the input
-    order does and saves pivots.  Optimality is decided with the potentials'
-    rounding errors recovered exactly, so a reduced cost counts as negative
-    below -16 eps * C_ij, relative to the cell's own cost: the answer does
-    not depend on the scale of the atoms, and cells whose costs lie many
-    orders below max C are still priced right.  The potentials are pinned
-    by psi[M-1] = 0.
+    max(10_000, 50 (N + M)) pivots raise ``MaxIterExceeded``, a cap set by
+    the input alone.  Both atom sets are sorted by their first coordinate
+    before the northwest-corner start.  On the line (m = 1) that start is
+    the quantile coupling, which is already optimal; in higher dimension it
+    begins nearer the optimum than the input order does and saves pivots.
+    Optimality is decided with the potentials' rounding errors recovered
+    exactly, so a reduced cost counts as negative below -16 eps * C_ij,
+    relative to the cell's own cost: the answer does not depend on the
+    scale of the atoms, and cells whose costs lie many orders below max C
+    are still priced right.  The potentials are pinned by psi[M-1] = 0.
 
     Before returning, three checks run on the cost matrix, and a failed one
     raises ``NumericalFailure``: the plan's marginals (within
@@ -407,8 +408,8 @@ def wasserstein_p(
     feasibility psi_j - phi_i <= C_ij of the returned potentials, cell by
     cell within 32 eps * (C_ij + |phi_i| + |psi_j|), the rounding those
     numbers carry; and the gap between primal and dual value, within the
-    rounding of the two sums and never more than
-    max(tol.abs_tol, 1e-8 * (1 + value)).
+    rounding of the two sums and never more than 1e-8 * (1 + value).
+    ``tol.rel_tol`` enters only the marginal check.
     """
     if not isinstance(Q, DiscreteDistribution) or not isinstance(Qp, DiscreteDistribution):
         raise TypeError("wasserstein_p expects DiscreteDistribution inputs")
@@ -424,7 +425,7 @@ def wasserstein_p(
     rows = np.argsort(Q.atoms[:, 0], kind="stable")
     cols = np.argsort(Qp.atoms[:, 0], kind="stable")
     x_s, u_s, v_s = _transport_simplex(
-        C[np.ix_(rows, cols)], a[rows], b[cols], int(np.argmax(cols == M - 1)), tol.max_iter
+        C[np.ix_(rows, cols)], a[rows], b[cols], int(np.argmax(cols == M - 1))
     )
     x = np.empty((N, M))
     x[np.ix_(rows, cols)] = x_s
@@ -463,7 +464,7 @@ def wasserstein_p(
     roundoff = (N + M + 4) * np.finfo(float).eps * (value + abs_u @ a + abs_v @ b)
     roundoff += abs_u @ row_err + abs_v @ col_err
     gap = value - check.dual_value
-    if abs(gap) > min(roundoff, max(tol.abs_tol, 1e-8 * (1.0 + value))):
+    if abs(gap) > min(roundoff, 1e-8 * (1.0 + value)):
         raise NumericalFailure(f"transport duality gap {gap:.3e} exceeds tolerance")
 
     return TransportResult(distance=value ** (1.0 / p), plan=plan, duals=duals)

@@ -75,6 +75,10 @@ def test_seed_and_tol_validation(tmp_path):
         parse_config(["shrink", "--input", cov, "--eps", "1", "--tol", "0"])
     cfg = parse_config(["shrink", "--input", cov, "--eps", "1", "--seed", str(2**64 - 1)])
     assert cfg.seed == 2**64 - 1
+    assert cfg.options["tol"] == 1e-10
+    cfg = parse_config(["shrink", "--input", cov, "--eps", "1", "--tol", "1e-6"])
+    assert cfg.options["tol"] == 1e-6
+    assert cfg.tol.rel_tol == 1e-6
 
 
 def test_missing_file_and_bad_csv(tmp_path, capsys):

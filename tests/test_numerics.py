@@ -1,8 +1,14 @@
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import wdro
 from wdro.errors import NoBracket, NotPSD, NotSymmetric
-from wdro.numerics import monotone_root, psd_sqrt, secular_root, sym_eig
+from wdro.numerics import Tolerance, monotone_root, psd_sqrt, secular_root, sym_eig
 
 
 def test_monotone_root_simple():
@@ -89,7 +95,37 @@ def test_psd_sqrt_clips_tiny_negative():
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSD):
         psd_sqrt(np.diag([1.0, -0.5]))
+    # the PSD floor is relative to the largest eigenvalue, at every scale
+    for s in 10.0 ** np.arange(-14, 9):
+        with pytest.raises(NotPSD):
+            psd_sqrt(s * np.diag([1.0, -0.5]))
+        root = psd_sqrt(s * np.diag([1.0, -1e-11]))
+        assert np.abs(root - np.diag([np.sqrt(s), 0.0])).max() <= 1e-15 * np.sqrt(s)
 
 
 def test_identity_sqrt_exact():
     assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
+
+
+def test_tolerance_is_one_relative_accuracy_read_by_seven_functions():
+    # a tolerance only the solvers read: no absolute floor, no iteration cap,
+    # and no tol parameter that merely passes it on
+    assert [f.name for f in dataclasses.fields(Tolerance)] == ["rel_tol"]
+    takes_tol = set()
+    for info in pkgutil.iter_modules(wdro.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"wdro.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and "tol" in inspect.signature(obj).parameters:
+                takes_tol.add(f"{info.name}.{name}")
+    assert takes_tol == {
+        "transport.wasserstein_p",
+        "mmse.fw_iterates",
+        "mmse.fw_solve",
+        "learn.dro_train_classifier",
+        "learn.dro_train_regressor",
+        "moment_risk.gelbrich_hull_contains",
+        "moment_risk.projection_check",
+    }

