@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD, NotSymmetric
+from .errors import DimensionMismatch, NotSymmetric
 
 __all__ = [
     "as_vector",
     "as_matrix",
     "as_samples",
     "check_symmetric",
-    "check_psd",
     "check_weights",
 ]
 
@@ -55,17 +54,6 @@ def check_symmetric(a, tol: float = 1e-9, name: str = "A") -> np.ndarray:
     if np.abs(a - a.T).max(initial=0.0) > tol * np.abs(a).max(initial=0.0):
         raise NotSymmetric(f"{name} is not symmetric within tolerance {tol} relative to its entries")
     return 0.5 * (a + a.T)
-
-
-def check_psd(a, tol: float = 1e-9, name: str = "A") -> np.ndarray:
-    """Symmetrize and verify eigenvalues >= -tol * max |eigenvalue|; returns
-    the symmetrized matrix."""
-    s = check_symmetric(a, tol, name)
-    w = np.linalg.eigvalsh(s)
-    scale = np.abs(w).max(initial=0.0)
-    if w.min(initial=0.0) < -tol * scale:
-        raise NotPSD(f"{name} has eigenvalue {w.min():.3e} below -{tol} * {scale:.3e}")
-    return s
 
 
 def check_weights(w, tol: float = 1e-12, name: str = "weights") -> np.ndarray:

@@ -39,7 +39,7 @@ from .errors import NumericalFailure, ToolkitError, UsageError
 from .learn import UnivariateLoss, dro_objective_crosscheck, dro_train_classifier, dro_train_regressor
 from .mmse import JointMoments, fw_solve, mmse_objective
 from .moment_risk import gelbrich_risk_quadratic
-from .numerics import DEFAULT_TOL, Tolerance, lift_singular
+from .numerics import DEFAULT_TOL, Tolerance
 from .shrinkage import _eq51, sample_moments, wasserstein_shrinkage
 from .transport import DiscreteDistribution, MomentPair, gelbrich_distance, kr_verify, wasserstein_p
 from .convex_analysis import NormSpec, SetSpec
@@ -532,7 +532,8 @@ def _run_mmse(cfg: RunConfig):
     iters = int(cfg.options["iters"]) if cfg.options["iters"] is not None else 200
     res = fw_solve(joint, eps, iters=iters, tol=cfg.tol)
     zero = np.zeros(joint.cov.shape[0])
-    dist = gelbrich_distance(MomentPair(zero, res.S), MomentPair(zero, lift_singular(joint.cov)[0]))
+    lifted = joint.cov + res.regularization * np.eye(zero.size)
+    dist = gelbrich_distance(MomentPair(zero, res.S), MomentPair(zero, lifted))
     return (
         {
             "gain": res.estimator.gain,

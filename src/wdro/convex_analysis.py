@@ -15,12 +15,13 @@ from typing import Iterable
 
 import numpy as np
 
-from ._validation import as_matrix, as_vector, check_psd
+from ._validation import as_matrix, as_vector
 from .errors import (
     DimensionMismatch,
     InfeasibleSet,
     UnsupportedCombination,
 )
+from .numerics import psd_eig
 from .simplex import LPStack
 
 __all__ = [
@@ -78,8 +79,8 @@ class NormSpec:
 
     @staticmethod
     def weighted(A, p: float) -> "NormSpec":
-        A = check_psd(A, name="A")
-        if np.linalg.eigvalsh(A).min() <= 0:
+        A, dec = psd_eig(A, name="A")
+        if not dec.values[-1] > 1e-12 * dec.values[0]:
             raise ValueError("weight matrix must be positive definite")
         if not (p >= 1.0):
             raise ValueError("norm order must satisfy p >= 1")

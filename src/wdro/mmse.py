@@ -29,9 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validation import as_matrix, as_vector, check_psd, check_symmetric
+from ._validation import as_matrix, as_vector, check_symmetric
 from .errors import NoBracket, NotPSD, SingularBlock
-from .numerics import DEFAULT_TOL, Tolerance, lift_singular, monotone_root, secular_root, sym_eig
+from .numerics import (
+    DEFAULT_TOL, SpectralDecomposition, Tolerance, lift_singular, monotone_root, psd_eig, secular_root
+)
 
 __all__ = [
     "JointMoments",
@@ -50,20 +52,22 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class JointMoments:
-    """Joint mean and covariance of a signal/observation pair (x, y)."""
+    """Joint mean and covariance of a signal/observation pair (x, y), and its spectrum."""
 
     mx: int
     my: int
     mean: np.ndarray
     cov: np.ndarray
+    spectrum: SpectralDecomposition = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         mean = as_vector(self.mean, "mean")
-        cov = check_psd(as_matrix(self.cov, "cov"), tol=1e-9, name="cov")
+        cov, spectrum = psd_eig(as_matrix(self.cov, "cov"), name="cov")
         if mean.size != self.mx + self.my or cov.shape[0] != mean.size:
             raise ValueError("mean/cov sizes must match mx + my")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def mean_x(self) -> np.ndarray:
@@ -177,15 +181,21 @@ def fw_direction(grad, nominal_cov, eps: float) -> FWDirection:
     that is exactly zero returns the nominal: the maximizer does not change
     when grad is scaled by a positive factor.  The direction is closed-form,
     so it takes no tolerance; the input checks use fixed relative thresholds.
+    ``fw_solve`` skips them: its nominal was checked in ``JointMoments`` and
+    its gradients are symmetric by construction.
     """
     grad = check_symmetric(as_matrix(grad, "grad"), tol=1e-8, name="grad")
-    sigma = check_psd(as_matrix(nominal_cov, "nominal_cov"), tol=1e-9, name="nominal_cov")
+    sigma = psd_eig(as_matrix(nominal_cov, "nominal_cov"), name="nominal_cov")[0]
     if not eps > 0:
         raise ValueError("eps must be positive")
+    return _direction(grad, sigma, eps)
+
+
+def _direction(grad: np.ndarray, sigma: np.ndarray, eps: float) -> FWDirection:
     if not grad.any():
         return FWDirection(sigma.copy(), math.inf, False, 0.0)
 
-    dec = sym_eig(grad)
+    dec = SpectralDecomposition.of(grad)
     g, V = dec.values, dec.vectors
     if g[-1] < -1e-9 * np.abs(g).max():
         raise NotPSD(f"grad has eigenvalue {g[-1]:.3e} below -1e-9 * scale")
@@ -230,7 +240,7 @@ def _lifted_nominal(nominal: JointMoments, eps: float, iters: int):
         raise ValueError("eps must be nonnegative")
     if iters < 1:
         raise ValueError("need at least one iteration")
-    return lift_singular(nominal.cov)
+    return lift_singular(nominal.cov, nominal.spectrum)
 
 
 def _gap_target(cov: np.ndarray, tol: Tolerance) -> float:
@@ -245,7 +255,7 @@ def _fw_loop(cov: np.ndarray, mx: int, eps: float, iters: int, tol: Tolerance):
         if eps == 0.0:
             direction = FWDirection(cov.copy(), math.inf, False, 0.0)
         else:
-            direction = fw_direction(_gradient(G), cov, eps)
+            direction = _direction(_gradient(G), cov, eps)
         E = direction.D - S
         at_S = _slope(S, E, mx)
         gap = at_S[0]

@@ -30,7 +30,7 @@ import numpy as np
 from ._validation import as_matrix, as_vector
 from .empirical_risk import QuadraticLoss
 from .errors import DimensionMismatch, NotPSD, NumericalFailure, UnsupportedCase
-from .numerics import DEFAULT_TOL, Tolerance, lift_singular, psd_sqrt, secular_root, sym_eig
+from .numerics import DEFAULT_TOL, Tolerance, lift_singular, secular_root, sym_eig
 from .transport import DiscreteDistribution, MomentPair, gelbrich_distance, moments, wasserstein_p
 
 __all__ = [
@@ -84,15 +84,14 @@ class EllipticalSpec:
     def sample(self, rng: np.random.RandomState, n: int) -> np.ndarray:
         if self.generator != "gaussian":
             raise UnsupportedCase("sampling is implemented for the Gaussian generator only")
-        root = psd_sqrt(self.moments.sigma)
+        root = self.moments.spectrum.sqrt()
         return self.moments.mu[None, :] + rng.randn(n, self.moments.dim) @ root.T
 
     def logpdf(self, x) -> float:
         if self.generator != "gaussian":
             raise UnsupportedCase("densities are implemented for the Gaussian generator only")
         x = as_vector(x, "x")
-        sigma = self.moments.sigma
-        eig = sym_eig(sigma)
+        eig = self.moments.spectrum
         if eig.values.min() <= 0:
             raise NotPSD("a density requires a positive definite covariance")
         diff = eig.vectors.T @ (x - self.moments.mu)
@@ -168,10 +167,10 @@ def gelbrich_risk_quadratic(loss: QuadraticLoss, center: MomentPair, eps: float)
 
     The value is computed from the dual objective and cross-checked against
     the primal risk of the extremal pair.  A rank-deficient center
-    covariance is nudged by delta*I (``numerics.lift_singular``; delta
-    reported in the result).  When the boundary equation has no admissible
-    root the multiplier is the left end max(0, lam_max), where the dual is
-    least, and ``interior`` is False.
+    covariance is nudged by delta*I (``numerics.lift_singular`` on its stored
+    spectrum; delta reported in the result).  When the boundary equation
+    has no admissible root the multiplier is the left end max(0, lam_max),
+    where the dual is least, and ``interior`` is False.
     """
     if center.dim != loss.dim:
         raise DimensionMismatch(
@@ -191,7 +190,7 @@ def gelbrich_risk_quadratic(loss: QuadraticLoss, center: MomentPair, eps: float)
         extremal = MomentPair(mu_star, center.sigma)
         return GelbrichRiskResult(value, extremal, qn / eps, True, value, 0.0)
 
-    sigma, delta = lift_singular(center.sigma)
+    sigma, delta = lift_singular(center.sigma, center.spectrum)
     eig = sym_eig(loss.Q)
     lam, V = eig.values, eig.vectors
     r = V.T @ (loss.q + loss.Q @ mu_hat)

@@ -5,7 +5,10 @@ directions, the trust-region steps of robust training) reduces to the
 primitives in this module: a safeguarded Newton root for monotone scalar
 equations and the secular equations of ball constraints, and symmetric
 eigendecompositions.  All routines are deterministic: identical inputs and
-tolerances produce identical outputs.
+tolerances produce identical outputs.  A covariance is decomposed once, by
+the ``psd_eig`` check of ``MomentPair`` or ``JointMoments``, which keep it as
+``spectrum``: square roots, lifts off singularity, densities and the
+shrinkage map read it from there.
 
 Every scalar root runs in ``monotone_root``, over a bracket whose end signs
 follow from a bound with a margin that rounding cannot erase, never from a
@@ -27,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._validation import check_symmetric
+from . import _validation
 from .errors import MaxIterExceeded, NoBracket, NotPSD, NumericalFailure
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
     "secular_root",
     "SpectralDecomposition",
     "sym_eig",
+    "psd_eig",
     "psd_sqrt",
     "lift_singular",
 ]
@@ -170,53 +174,59 @@ class SpectralDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
+    @classmethod
+    def of(cls, s: np.ndarray) -> "SpectralDecomposition":
+        """Decomposition of a symmetric matrix by LAPACK: eigenvalues descending, each
+        eigenvector's largest-magnitude entry positive (first index on ties)."""
+        w, v = np.linalg.eigh(s)
+        order = np.argsort(w)[::-1]
+        w = w[order]
+        v = v[:, order]
+        flip = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0
+        v[:, flip] = -v[:, flip]
+        return cls(values=w, vectors=v)
+
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.T
 
+    def sqrt(self) -> np.ndarray:
+        """Symmetric square root, negative eigenvalues clipped to zero."""
+        r = (self.vectors * np.sqrt(np.clip(self.values, 0.0, None))) @ self.vectors.T
+        return 0.5 * (r + r.T)
+
 
 def sym_eig(a) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
+    """``SpectralDecomposition.of`` a matrix, symmetrized after a symmetry check."""
+    return SpectralDecomposition.of(_validation.check_symmetric(a))
 
-    Backed by LAPACK through numpy; the input is symmetrized after a symmetry
-    check, eigenvalues are sorted descending, and each eigenvector's sign is
-    fixed so its largest-magnitude entry is positive (first index on ties),
-    which keeps outputs reproducible.
-    """
-    s = check_symmetric(a)
-    w, v = np.linalg.eigh(s)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
-    flip = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])] < 0
-    v[:, flip] = -v[:, flip]
-    return SpectralDecomposition(values=w, vectors=v)
+
+def psd_eig(a, rel: float = 1e-9, name: str = "A") -> tuple[np.ndarray, SpectralDecomposition]:
+    """A symmetrized PSD matrix and its decomposition, from one ``eigh``.  Raises
+    NotSymmetric when |A - A'| exceeds rel times the largest entry, NotPSD when
+    an eigenvalue is below -rel times the largest |eigenvalue|."""
+    s = _validation.check_symmetric(a, rel, name)
+    dec = SpectralDecomposition.of(s)
+    w, scale = dec.values, float(np.abs(dec.values).max(initial=0.0))
+    if w.min(initial=0.0) < -rel * scale:
+        raise NotPSD(f"{name} has eigenvalue {w.min():.3e} below -{rel} * {scale:.3e}")
+    return s, dec
 
 
 def psd_sqrt(a) -> np.ndarray:
-    """Symmetric PSD square root via the spectral decomposition.
-
-    Eigenvalues in [-1e-9 max |w|, 0) are clipped to zero; anything lower
-    raises NotPSD, at any scale of A.  The result R satisfies R @ R ~= A and
-    R = R.T exactly.
-    """
-    dec = sym_eig(a)
-    w = dec.values.copy()
-    if w.min(initial=0.0) < -1e-9 * float(np.abs(w).max(initial=0.0)):
-        raise NotPSD(f"matrix has eigenvalue {w.min():.3e} below the PSD tolerance")
-    np.clip(w, 0.0, None, out=w)
-    r = (dec.vectors * np.sqrt(w)) @ dec.vectors.T
-    return 0.5 * (r + r.T)
+    """Symmetric PSD square root R of A: R @ R ~= A and R = R.T exactly.
+    Eigenvalues in [-1e-9 max |w|, 0) count as zero; lower ones raise NotPSD."""
+    return psd_eig(a)[1].sqrt()
 
 
-def lift_singular(cov: np.ndarray) -> tuple[np.ndarray, float]:
+def lift_singular(cov: np.ndarray, spectrum: SpectralDecomposition) -> tuple[np.ndarray, float]:
     """A covariance lifted off singularity, and the lift.
 
-    When the smallest eigenvalue of ``cov`` is at most 1e-12 times its
-    largest, returns ``cov + lift I`` with lift = 1e-10 Tr[cov] / m (1e-12
-    for a zero matrix); otherwise ``cov`` itself and a lift of 0.
+    When the least eigenvalue in ``spectrum`` (the stored decomposition of
+    ``cov``) is at most 1e-12 times the largest, returns ``cov + lift I`` with
+    lift = 1e-10 Tr[cov] / m (1e-12 for a zero matrix); else ``cov``, 0.
     """
     m = cov.shape[0]
-    w = np.linalg.eigvalsh(cov)
+    w = spectrum.values
     if w.min() > 1e-12 * w.max():
         return cov, 0.0
     lift = 1e-10 * float(np.trace(cov)) / m

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._validation import as_samples
 from .errors import EmptySample
-from .numerics import monotone_root, sym_eig
+from .numerics import monotone_root
 from .transport import MomentPair
 
 __all__ = [
@@ -95,7 +95,7 @@ def wasserstein_shrinkage(moments: MomentPair, eps: float) -> ShrinkageResult:
     if not eps > 0:
         raise ValueError("eps must be positive; invert the covariance directly for eps = 0")
     m = moments.dim
-    dec = sym_eig(moments.sigma)
+    dec = moments.spectrum
     lam = np.clip(dec.values, 0.0, None)
     # snap numerically-zero eigenvalues to exact zero: sqrt(4*lam*gamma) has
     # infinite slope there and would otherwise amplify eigensolver noise

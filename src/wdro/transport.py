@@ -26,10 +26,10 @@ from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._validation import as_matrix, as_samples, as_vector, check_psd, check_weights
+from ._validation import as_matrix, as_samples, as_vector, check_weights
 from .convex_analysis import NormSpec, norm_eval
 from .errors import DimensionMismatch, MaxIterExceeded, NumericalFailure
-from .numerics import DEFAULT_TOL, Tolerance, psd_sqrt
+from .numerics import DEFAULT_TOL, SpectralDecomposition, Tolerance, psd_eig
 
 __all__ = [
     "DiscreteDistribution",
@@ -160,20 +160,22 @@ class KRResult(NamedTuple):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MomentPair:
-    """Mean vector and positive semidefinite covariance matrix."""
+    """Mean vector and positive semidefinite covariance matrix, and its spectrum."""
 
     mu: np.ndarray
     sigma: np.ndarray
+    spectrum: SpectralDecomposition = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         mu = as_vector(self.mu, "mu")
-        sigma = check_psd(as_matrix(self.sigma, "sigma"), tol=1e-10, name="sigma")
+        sigma, spectrum = psd_eig(as_matrix(self.sigma, "sigma"), rel=1e-10, name="sigma")
         if sigma.shape[0] != mu.size:
             raise DimensionMismatch(
                 f"sigma is {sigma.shape[0]}x{sigma.shape[1]} but mu has size {mu.size}"
             )
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -513,8 +515,8 @@ def gelbrich_distance(m1: MomentPair, m2: MomentPair) -> float:
         raise DimensionMismatch(f"moment dimensions differ: {m1.dim} vs {m2.dim}")
     # Tr[(S^{1/2} S' S^{1/2})^{1/2}] equals the nuclear norm of
     # S^{1/2} S'^{1/2}, which avoids a second nested matrix square root
-    r1 = psd_sqrt(m1.sigma)
-    r2 = psd_sqrt(m2.sigma)
+    r1 = m1.spectrum.sqrt()
+    r2 = m2.spectrum.sqrt()
     cross = float(np.sum(np.linalg.svd(r1 @ r2, compute_uv=False)))
     trace_term = float(np.trace(m1.sigma) + np.trace(m2.sigma)) - 2.0 * cross
     scale = float(np.trace(m1.sigma) + np.trace(m2.sigma))

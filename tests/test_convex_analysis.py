@@ -30,6 +30,19 @@ def random_norms(rng, dim):
         yield NormSpec.block_max([NormSpec.p_norm(math.inf), NormSpec.p_norm(2)], [1, dim - 1])
 
 
+def test_weighted_norm_rejects_singular_weights_at_every_scale():
+    # rank-2 PSD 3x3 matrices pass a PSD check with rounding-level smallest
+    # eigenvalues of either sign; positive definiteness is judged relative
+    # to the largest eigenvalue, so every one of them is refused
+    for seed in range(20):
+        B = np.random.RandomState(seed).randn(3, 2)
+        for s in 10.0 ** np.arange(-8, 9):
+            with pytest.raises(ValueError, match="positive definite"):
+                NormSpec.weighted(s * (B @ B.T), 2)
+            # a well-conditioned weight matrix still constructs
+            assert NormSpec.weighted(s * (B @ B.T + 3.0 * np.eye(3)), 2).kind == "weighted"
+
+
 def test_dual_norm_table_rows():
     assert dual_norm_eval(NormSpec.p_norm(1), [1.0, -2.0]) == 2.0
     assert abs(dual_norm_eval(NormSpec.p_norm(2), [3.0, 4.0]) - 5.0) <= 1e-12

@@ -303,6 +303,17 @@ def test_singular_nominal_is_regularized():
     loss = QuadraticLoss(np.eye(4), np.zeros(4))
     risk = gelbrich_risk_quadratic(loss, MomentPair(np.zeros(4), cov), 0.2)
     assert res.regularization == risk.regularization
+    # the lift is decided on the stored spectrum, relative to its largest
+    # eigenvalue, so it holds at every scale: a rank-deficient nominal is
+    # lifted by the same amount in both places, a full-rank one is not
+    B = np.random.RandomState(41).randn(4, 3)
+    for s in 10.0 ** np.arange(-12, 9):
+        for cov, lifted in ((s * (B @ B.T), True), (s * (B @ B.T + 0.1 * np.eye(4)), False)):
+            res = fw_solve(JointMoments(2, 2, np.zeros(4), cov), 0.2 * math.sqrt(s), iters=30)
+            risk = gelbrich_risk_quadratic(loss, MomentPair(np.zeros(4), cov), 0.2 * math.sqrt(s))
+            assert (res.regularization > 0.0) == lifted
+            assert res.regularization == risk.regularization
+            assert res.regularization == (1e-10 * np.trace(cov) / 4 if lifted else 0.0)
 
 
 def test_estimator_wrapper_roundtrip():

@@ -322,6 +322,16 @@ def test_rank_deficient_center_is_regularized():
     assert abs(res.value - res_full.value) < 1e-4
     full = MomentPair([0.0, 0.0], np.eye(2))
     assert gelbrich_risk_quadratic(loss, full, 0.5).regularization == 0.0
+    # the decision reads the center's stored spectrum, relative to its
+    # largest eigenvalue, at every scale
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+    for s in 10.0 ** np.arange(-12, 9):
+        eps = 0.5 * math.sqrt(s)
+        singular = MomentPair([0.0, 0.0], s * rotation @ np.diag([1.0, 0.0]) @ rotation.T)
+        res = gelbrich_risk_quadratic(loss, singular, eps)
+        assert res.regularization == 1e-10 * np.trace(singular.sigma) / 2
+        full = MomentPair([0.0, 0.0], s * rotation @ np.diag([1.0, 1e-6]) @ rotation.T)
+        assert gelbrich_risk_quadratic(loss, full, eps).regularization == 0.0
 
 
 def test_rejects_bad_inputs():

@@ -1,0 +1,87 @@
+"""Each checked covariance is decomposed once, by the type that checked it.
+
+``MomentPair`` and ``JointMoments`` keep the decomposition their PSD check
+computes as ``spectrum``; these tests count the eigendecompositions numpy
+is asked for once such an object exists.
+"""
+
+import numpy as np
+import pytest
+
+from wdro.empirical_risk import QuadraticLoss
+from wdro.mmse import JointMoments, fw_solve
+from wdro.moment_risk import gelbrich_risk_quadratic
+from wdro.numerics import sym_eig
+from wdro.shrinkage import wasserstein_shrinkage
+from wdro.transport import MomentPair, gelbrich_distance
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """The matrices passed to np.linalg.eigh and eigvalsh, by function name."""
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, seen in calls.items():
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, _seen=seen, **kwargs):
+            _seen.append(np.array(a, dtype=float))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def _pair(seed, m, rank=None):
+    rng = np.random.RandomState(seed)
+    B = rng.randn(m, m if rank is None else rank)
+    return MomentPair(rng.randn(m), B @ B.T)
+
+
+def test_spectrum_is_the_decomposition_sym_eig_computes():
+    for seed, rank in ((0, None), (1, 2), (2, 4)):
+        pair = _pair(seed, 4, rank)
+        fresh = sym_eig(pair.sigma)
+        assert np.array_equal(pair.spectrum.values, fresh.values)
+        assert np.array_equal(pair.spectrum.vectors, fresh.vectors)
+    joint = JointMoments(1, 3, np.zeros(4), pair.sigma)
+    assert np.array_equal(joint.spectrum.values, pair.spectrum.values)
+    assert np.array_equal(joint.spectrum.vectors, pair.spectrum.vectors)
+
+
+def test_shrinkage_and_gelbrich_distance_decompose_nothing(decomposed):
+    a, b = _pair(3, 5), _pair(4, 5, rank=3)
+    decomposed["eigh"].clear()
+    decomposed["eigvalsh"].clear()
+    wasserstein_shrinkage(a, 0.3)
+    wasserstein_shrinkage(b, 0.3)
+    gelbrich_distance(a, b)
+    assert decomposed == {"eigh": [], "eigvalsh": []}
+
+
+def test_gelbrich_risk_decomposes_the_loss_not_the_center(decomposed):
+    loss = QuadraticLoss(np.diag([1.0, 2.0, -0.5]), np.array([0.5, 0.0, -1.0]))
+    for rank in (None, 2):
+        center = _pair(5, 3, rank)
+        decomposed["eigh"].clear()
+        decomposed["eigvalsh"].clear()
+        res = gelbrich_risk_quadratic(loss, center, 0.4)
+        # the loss, and the extremal pair's own check when it is built
+        Q, extremal = decomposed["eigh"]
+        assert np.array_equal(Q, loss.Q)
+        assert np.array_equal(extremal, res.extremal.sigma)
+        assert decomposed["eigvalsh"] == []
+
+
+def test_frank_wolfe_decomposes_one_gradient_per_iterate(decomposed):
+    for rank in (None, 3):
+        rng = np.random.RandomState(6)
+        B = rng.randn(5, 5 if rank is None else rank)
+        nominal = JointMoments(2, 3, rng.randn(5), B @ B.T)
+        decomposed["eigh"].clear()
+        decomposed["eigvalsh"].clear()
+        res = fw_solve(nominal, 0.3, iters=40)
+        # one eigh per iterate, of the gradient; the only other spectra are
+        # the observation blocks the objective checks for singularity
+        assert len(decomposed["eigh"]) == len(res.gaps)
+        assert all(g.shape == (5, 5) and np.array_equal(g[:2, :2], np.eye(2)) for g in decomposed["eigh"])
+        assert all(s.shape == (3, 3) for s in decomposed["eigvalsh"])
