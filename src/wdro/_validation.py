@@ -12,6 +12,7 @@ __all__ = [
     "as_samples",
     "check_symmetric",
     "check_weights",
+    "ParamsMixin",
 ]
 
 
@@ -64,3 +65,21 @@ def check_weights(w, tol: float = 1e-12, name: str = "weights") -> np.ndarray:
     if abs(total - 1.0) > max(tol, 1e-12 * len(w)):
         raise ValueError(f"{name} must sum to one, got {total!r}")
     return np.clip(w, 0.0, None)
+
+
+class ParamsMixin:
+    """get_params and set_params over the parameters a wrapper names in _PARAMS."""
+
+    _PARAMS: tuple = ()
+
+    def get_params(self, deep: bool = True) -> dict:
+        return {key: getattr(self, key) for key in self._PARAMS}
+
+    def set_params(self, **params):
+        """Set the given parameters; an unknown key raises before any is set."""
+        for key in params:
+            if key not in self._PARAMS:
+                raise ValueError(f"unknown parameter {key!r}")
+        for key, value in params.items():
+            setattr(self, key, value)
+        return self

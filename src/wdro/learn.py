@@ -31,6 +31,13 @@ eps = 0, moved onto A'alpha = 0).  It stops once primal - dual is at most
 tolerance); primal - dual bounds the suboptimality of the returned
 weights either way.
 
+Each objective is defined once, by the problem object that ``_problem``
+builds from the checked data: ``_Risk`` for the Lipschitz losses and
+``_SqrtLasso`` for the squared loss.  Its ``primal`` is what the public
+objectives return, what training reports as ``value`` and what the
+crosscheck replays; the same object gives the Newton steps and the dual,
+so the gap always compares an objective with its own dual.
+
 The same reduction runs backwards: at a fixed weight vector the trained
 loss is piecewise affine in the perturbed input, so its worst-case risk
 can be priced independently with the generic worst-case machinery.  The
@@ -44,7 +51,7 @@ import math
 
 import numpy as np
 
-from ._validation import as_samples, as_vector
+from ._validation import ParamsMixin, as_samples, as_vector
 from .convex_analysis import NormSpec, norm_eval
 from .empirical_risk import BallSpec, PiecewiseAffineLoss, wc_risk_pwa
 from .transport import DiscreteDistribution
@@ -286,10 +293,6 @@ class TrainedModel:
     target_met: bool = False
 
 
-def _dual(input_norm: NormSpec | None) -> NormSpec:
-    return (input_norm or NormSpec.p_norm(2.0)).dual_spec()
-
-
 def _check_pairing(loss: UnivariateLoss, p: float) -> None:
     if loss.kind == "squared":
         if p != 2:
@@ -316,31 +319,6 @@ def _check_labeled(X, y, classification: bool):
     return X, y
 
 
-def _objective(X: np.ndarray, y: np.ndarray, loss: UnivariateLoss, eps: float, dual: NormSpec):
-    """The regularized training objective as a function of the weights.
-
-    Classification kinds average L over the margins y * Xw, regression kinds
-    over the residuals Xw - y, plus eps * Lip(L) * ||w||_*.  The squared
-    loss instead gives (root mean squared residual + eps * ||w||_*)^2.
-    """
-    n = X.shape[0]
-    if loss.kind == "squared":
-
-        def fun(w):
-            r = X @ w - y
-            return float((math.sqrt(np.mean(r**2)) + eps * norm_eval(dual, w)) ** 2)
-
-        return fun
-
-    penalty = eps * loss.lipschitz
-
-    def fun(w):
-        z = y * (X @ w) if loss.is_classification else X @ w - y
-        return float(loss.value(z).sum() / n + penalty * norm_eval(dual, w))
-
-    return fun
-
-
 def classification_objective(
     weights, X, y, loss: UnivariateLoss, eps: float, input_norm: NormSpec | None = None
 ) -> float:
@@ -348,7 +326,7 @@ def classification_objective(
     _check_kind(loss, classification=True)
     w = as_vector(weights, "weights")
     X, y = _check_labeled(X, y, classification=True)
-    return _objective(X, y, loss, eps, _dual(input_norm))(w)
+    return _problem(X, y, loss, eps, input_norm).primal(w)
 
 
 def regression_objective(
@@ -368,7 +346,7 @@ def regression_objective(
     _check_pairing(loss, p)
     w = as_vector(weights, "weights")
     X, y = _check_labeled(X, y, classification=False)
-    return _objective(X, y, loss, eps, _dual(input_norm))(w)
+    return _problem(X, y, loss, eps, input_norm).primal(w)
 
 
 def _smooth_norm(norm: NormSpec, w: np.ndarray, nu: float):
@@ -453,13 +431,21 @@ def _row_scale(A: np.ndarray) -> float:
 
 
 class _Risk:
-    """Average loss of z = Aw + c plus lam ||w||_*, and its Fenchel dual."""
+    """Average loss of z = Aw + c plus lam ||w||_*, its smoothing and its Fenchel dual.
 
-    def __init__(self, fun, A, c, loss: UnivariateLoss, lam: float, input_norm: NormSpec):
-        self.primal, self.A, self.c, self.loss, self.lam = fun, A, c, loss, lam
+    Classification takes the margins (A = diag(y) X, c = 0), regression the
+    residuals (A = X, c = -y); lam = eps * Lip(L).
+    """
+
+    def __init__(self, A, c, loss: UnivariateLoss, lam: float, input_norm: NormSpec):
+        self.A, self.c, self.loss, self.lam = A, c, loss, lam
         self.input_norm, self.dual_norm = input_norm, input_norm.dual_spec()
         self.scale = _row_scale(A)
         self.mu0 = float(np.mean(loss.value(c)))  # the objective at w = 0
+
+    def primal(self, w: np.ndarray) -> float:
+        z = self.A @ w + self.c
+        return float(self.loss.value(z).sum() / z.size + self.lam * norm_eval(self.dual_norm, w))
 
     def smoothed(self, w: np.ndarray, mu: float):
         A, N = self.A, self.A.shape[0]
@@ -479,17 +465,23 @@ class _Risk:
 
 
 class _SqrtLasso:
-    """(||Xw - y|| / sqrt(N) + eps ||w||_*)^2 through the square-root lasso and its dual.
+    """(||Xw - y|| / sqrt(N) + eps ||w||_*)^2, the squared loss over a type-2 ball.
 
-    The root mean square is smoothed as sqrt(||Xw - y||^2 / N + mu^2).
+    ``primal`` is that square.  The Newton steps and the dual work on the
+    square-root lasso inside it, whose root mean square is smoothed as
+    sqrt(||Xw - y||^2 / N + mu^2).
     """
 
-    def __init__(self, fun, X, y, eps: float, input_norm: NormSpec):
-        self.primal, self.X, self.y, self.eps = fun, X, y, eps
+    def __init__(self, X, y, eps: float, input_norm: NormSpec):
+        self.X, self.y, self.eps = X, y, eps
         self.input_norm, self.dual_norm = input_norm, input_norm.dual_spec()
         self.gram = X.T @ X / X.shape[0]
         self.scale = _row_scale(X)
         self.mu0 = math.sqrt(float(np.mean(y * y)))  # the root mean square at w = 0
+
+    def primal(self, w: np.ndarray) -> float:
+        r = self.X @ w - self.y
+        return float((math.sqrt(np.mean(r**2)) + self.eps * norm_eval(self.dual_norm, w)) ** 2)
 
     def _residual(self, w: np.ndarray, mu: float):
         r = self.X @ w - self.y
@@ -512,6 +504,23 @@ class _SqrtLasso:
         if beta is None:
             return -math.inf
         return max(-float(beta @ self.y) / math.sqrt(N), 0.0) ** 2
+
+
+def _problem(X: np.ndarray, y: np.ndarray, loss: UnivariateLoss, eps: float,
+             input_norm: NormSpec | None):
+    """The training problem of loss at radius eps on checked X and y.
+
+    The input norm defaults to the 2-norm.  Classification kinds average L
+    over the margins y * Xw, regression kinds over the residuals Xw - y,
+    plus eps * Lip(L) * ||w||_*; the squared loss gives
+    (root mean squared residual + eps * ||w||_*)^2 instead.
+    """
+    norm = input_norm or NormSpec.p_norm(2.0)
+    if loss.kind == "squared":
+        return _SqrtLasso(X, y, eps, norm)
+    if loss.is_classification:
+        return _Risk(y[:, None] * X, np.zeros(y.size), loss, eps * loss.lipschitz, norm)
+    return _Risk(X, -y, loss, eps * loss.lipschitz, norm)
 
 
 def _newton(problem, w: np.ndarray, mu: float, budget: int):
@@ -651,9 +660,7 @@ def dro_train_classifier(
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     X, y = _check_labeled(X, y, classification=True)
-    norm = input_norm or NormSpec.p_norm(2.0)
-    fun = _objective(X, y, loss, eps, norm.dual_spec())
-    problem = _Risk(fun, y[:, None] * X, np.zeros(y.size), loss, eps * loss.lipschitz, norm)
+    problem = _problem(X, y, loss, eps, input_norm)
     model = _train(problem, X.shape[1], eps, tol, degenerate_data=bool(np.unique(y).size == 1))
     # a strictly positive loss evaluating to numerical zero can only mean
     # the infimum is approached along a ray, never reached
@@ -682,13 +689,7 @@ def dro_train_regressor(
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     X, y = _check_labeled(X, y, classification=False)
-    norm = input_norm or NormSpec.p_norm(2.0)
-    fun = _objective(X, y, loss, eps, norm.dual_spec())
-    if loss.kind == "squared":
-        problem = _SqrtLasso(fun, X, y, eps, norm)
-    else:
-        problem = _Risk(fun, X, -y, loss, eps * loss.lipschitz, norm)
-    return _train(problem, X.shape[1], eps, tol)
+    return _train(_problem(X, y, loss, eps, input_norm), X.shape[1], eps, tol)
 
 
 def dro_objective_crosscheck(
@@ -710,43 +711,31 @@ def dro_objective_crosscheck(
     """
     pieces = loss.pieces()  # raises UnsupportedLoss for smooth kinds
     w = as_vector(model.weights, "weights")
-    norm = input_norm or NormSpec.p_norm(2.0)
-    ball = BallSpec(eps, 1.0, norm=norm)
+    X, y = _check_labeled(X, y, loss.is_classification)
+    problem = _problem(X, y, loss, eps, input_norm)
+    regularized = problem.primal(w)
     if loss.is_classification:
-        X, y = _check_labeled(X, y, classification=True)
-        regularized = classification_objective(w, X, y, loss, eps, input_norm)
-        atoms = y[:, None] * X
+        atoms = problem.A  # the atoms y * x
     else:
-        X, y = _check_labeled(X, y, classification=False)
-        regularized = regression_objective(w, X, y, loss, eps, 1.0, input_norm)
         wn = float(w @ w)
-        if wn <= 1e-24:
-            nominal = float(np.mean(loss.value(-y)))
-            return regularized, nominal, regularized - nominal
+        if wn <= 1e-24:  # no shift: the risk is the nominal loss at w = 0
+            return regularized, problem.mu0, regularized - problem.mu0
         atoms = X - np.outer(y, w) / wn
     slopes, intercepts = np.array(pieces).T
     pwa = PiecewiseAffineLoss(zip(np.outer(slopes, w), intercepts))
-    wc = wc_risk_pwa(pwa, DiscreteDistribution(atoms), ball)
+    wc = wc_risk_pwa(pwa, DiscreteDistribution(atoms), BallSpec(eps, 1.0, norm=problem.input_norm))
     return regularized, wc, regularized - wc
 
 
-class RobustLinearClassifier:
+class RobustLinearClassifier(ParamsMixin):
     """Estimator-style wrapper around dro_train_classifier."""
+
+    _PARAMS = ("eps", "loss", "delta")
 
     def __init__(self, eps: float = 0.1, loss: str = "hinge", delta: float | None = None):
         self.eps = eps
         self.loss = loss
         self.delta = delta
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"eps": self.eps, "loss": self.loss, "delta": self.delta}
-
-    def set_params(self, **params) -> "RobustLinearClassifier":
-        for key, value in params.items():
-            if key not in ("eps", "loss", "delta"):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def fit(self, X, y) -> "RobustLinearClassifier":
         model = dro_train_classifier(X, y, UnivariateLoss(self.loss, self.delta), self.eps)
@@ -763,23 +752,15 @@ class RobustLinearClassifier:
         return np.where(scores >= 0.0, 1.0, -1.0)
 
 
-class RobustLinearRegressor:
+class RobustLinearRegressor(ParamsMixin):
     """Estimator-style wrapper around dro_train_regressor."""
+
+    _PARAMS = ("eps", "loss", "delta")
 
     def __init__(self, eps: float = 0.1, loss: str = "squared", delta: float | None = None):
         self.eps = eps
         self.loss = loss
         self.delta = delta
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"eps": self.eps, "loss": self.loss, "delta": self.delta}
-
-    def set_params(self, **params) -> "RobustLinearRegressor":
-        for key, value in params.items():
-            if key not in ("eps", "loss", "delta"):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def fit(self, X, y) -> "RobustLinearRegressor":
         loss = UnivariateLoss(self.loss, self.delta)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validation import as_matrix, as_vector, check_symmetric
+from ._validation import ParamsMixin, as_matrix, as_vector, check_symmetric
 from .errors import NoBracket, NotPSD, SingularBlock
 from .numerics import (
     DEFAULT_TOL, SpectralDecomposition, Tolerance, lift_singular, monotone_root, psd_eig, secular_root
@@ -320,22 +320,14 @@ def fw_solve(
     return FWSolveResult(S, estimator, gaps, lift, gaps[-1] <= _gap_target(cov, tol))
 
 
-class RobustMMSE:
+class RobustMMSE(ParamsMixin):
     """Estimator-style wrapper fitting joint sample moments, then fw_solve."""
+
+    _PARAMS = ("eps", "iters")
 
     def __init__(self, eps: float = 0.1, iters: int = 200):
         self.eps = eps
         self.iters = iters
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"eps": self.eps, "iters": self.iters}
-
-    def set_params(self, **params) -> "RobustMMSE":
-        for key, value in params.items():
-            if key not in ("eps", "iters"):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def fit(self, X, Y) -> "RobustMMSE":
         from .shrinkage import sample_moments

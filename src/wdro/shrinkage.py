@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from ._validation import as_samples
+from ._validation import ParamsMixin, as_samples
 from .errors import EmptySample
 from .numerics import monotone_root
 from .transport import MomentPair
@@ -149,21 +149,13 @@ def shrinkage_from_samples(samples, eps: float) -> ShrinkageResult:
     return wasserstein_shrinkage(sample_moments(samples), eps)
 
 
-class WassersteinShrinkage:
+class WassersteinShrinkage(ParamsMixin):
     """Estimator-style wrapper: fit(X) exposes location_ and precision_."""
+
+    _PARAMS = ("eps",)
 
     def __init__(self, eps: float = 0.1):
         self.eps = eps
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"eps": self.eps}
-
-    def set_params(self, **params) -> "WassersteinShrinkage":
-        for key, value in params.items():
-            if key not in ("eps",):
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def fit(self, X, y=None) -> "WassersteinShrinkage":
         result = shrinkage_from_samples(X, self.eps)

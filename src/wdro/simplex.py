@@ -92,8 +92,9 @@ class _Simplex:
             # the rank-one updates drift, and a drifted inverse can price a
             # wrong vertex optimal
             done = act[~priced]
-            redo = done[(self.stale[done] > 0) & (confirmed[done] < 2)]
-            status[np.setdiff1d(done, redo)] = _OPTIMAL
+            again = (self.stale[done] > 0) & (confirmed[done] < 2)
+            redo = done[again]
+            status[done[~again]] = _OPTIMAL
             if redo.size:
                 self._refactor(redo)
                 confirmed[redo] += 1

@@ -196,10 +196,11 @@ def _pairwise_costs(
 # far atoms), and there C_ij - u_i - v_j cancels almost all of their digits.
 # The fast pass prices with the rounded potentials and lets a cell enter only
 # where its reduced cost is negative beyond any rounding they can carry:
-# below -_ROUNDOFF * C_ij - 2 (_ROUNDOFF + (N + M) eps) max |u, v|.  When it
-# finds no cell, the exact pass recovers each potential's rounding error lo
-# (TwoSum along the tree), forms (C_ij - (u_i + v_j)) - (lo_i + lo_j), whose
-# first sum is exact where u_i and v_j cancel, and lets a cell enter below
+# below -_ROUNDOFF * C_ij - 2 (_ROUNDOFF + (N + M) eps) max |u, v|.  Each
+# potential carries its rounding error lo, recovered by TwoSum in the same
+# tree walk that sets the potential.  When the fast pass finds no cell, the
+# exact pass forms (C_ij - (u_i + v_j)) - (lo_i + lo_j), whose first sum is
+# exact where u_i and v_j cancel, and lets a cell enter below
 # -_ROUNDOFF * C_ij less eps^2-sized terms.  Both rules scale with the data,
 # and the exact one is relative to the cell's own cost.
 _ROUNDOFF = 16 * np.finfo(float).eps
@@ -215,7 +216,10 @@ def _transport_simplex(
     Nodes 0..N-1 are the rows and N..N+M-1 the columns; a basic cell (i, j)
     is the tree edge between nodes i and N + j.  The tree hangs from column
     ``root``, whose potential is 0, and every other node's potential follows
-    from its parent edge through u_i + v_j = C_ij.  A pivot brings in the
+    from its parent edge through u_i + v_j = C_ij, together with its
+    rounding error (TwoSum of that subtraction, less the parent's error), so
+    that potential plus error is the alternating path sum of costs up to
+    eps^2-sized terms per tree edge.  A pivot brings in the
     cell of most negative reduced cost (net of the allowances described at
     ``_ROUNDOFF``; lowest flat index on ties), pushes mass around the cycle
     it closes, drops the blocking cell of lowest flat index, and rehangs only
@@ -255,6 +259,7 @@ def _transport_simplex(
     parent = [-1] * (N + M)
     depth = [0] * (N + M)
     pot = [0.0] * (N + M)
+    lo = [0.0] * (N + M)
 
     def cell(n: int) -> Tuple[int, int]:
         """The basic cell joining node n to its parent."""
@@ -265,33 +270,22 @@ def _transport_simplex(
         parent[node] = par
         if par >= 0:
             depth[node] = depth[par] + 1
-            r, c = cell(node)
-            pot[node] = cost[r][c] - pot[par]
         members = [node]
         for n in members:  # grows while it is walked: breadth first
-            pn, dn, pot_n = parent[n], depth[n] + 1, pot[n]
+            pn = parent[n]
+            if pn >= 0:
+                # pot = C - pot[pn] and lo = its TwoSum error - lo[pn]
+                cij = cost[n][pn - N] if n < N else cost[pn][n - N]
+                s = cij - pot[pn]
+                z = s - cij
+                pot[n], lo[n] = s, (cij - (s - z)) - (pot[pn] + z) - lo[pn]
+            dn = depth[n] + 1
             for w in adj[n]:
                 if w != pn:
                     parent[w] = n
                     depth[w] = dn
-                    pot[w] = (cost[n][w - N] if n < N else cost[w][n - N]) - pot_n
                     members.append(w)
         return members
-
-    def rounding_errors() -> np.ndarray:
-        """lo such that pot + lo is each node's alternating path sum of costs.
-
-        pot[n] is the rounded cost minus pot[parent]; TwoSum recovers that
-        subtraction's error exactly, and lo subtracts the parent's lo, so
-        pot + lo is exact up to eps^2-sized terms per tree edge.
-        """
-        lo = [0.0] * (N + M)
-        for n in sorted(range(N + M), key=depth.__getitem__)[1:]:  # root first
-            r, c = cell(n)
-            pn, cij, s = parent[n], cost[r][c], pot[n]
-            z = s - cij
-            lo[n] = (cij - (s - z)) - (pot[pn] + z) - lo[pn]
-        return np.array(lo)
 
     root = N + root
     hang(root, -1)
@@ -316,8 +310,7 @@ def _transport_simplex(
             W = P - (_ROUNDOFF + (N + M) * eps) * big
             k = price(W[:N, None], W[N:])
         if k < 0:
-            lo = rounding_errors()
-            W = lo - _ROUNDOFF * ((N + M) * eps) ** 2 * big
+            W = np.array(lo) - _ROUNDOFF * ((N + M) * eps) ** 2 * big
             k = price(P[:N, None] + P[N:] + W[:N, None], W[N:])
             if k < 0:
                 break

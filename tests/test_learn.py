@@ -1,5 +1,6 @@
 """Tests for robust linear classification and regression."""
 
+import itertools
 import math
 
 import numpy as np
@@ -251,12 +252,25 @@ def test_objective_convexity_certificate():
 
 
 def test_value_reproducible_from_weights():
+    # the reported value is the public objective at the returned weights,
+    # to the last bit, for every loss kind
     rng = np.random.RandomState(15)
     X = rng.randn(10, 2)
-    y = np.where(rng.rand(10) < 0.5, -1.0, 1.0)
-    model = dro_train_classifier(X, y, UnivariateLoss("hinge"), 0.2)
-    again = classification_objective(model.weights, X, y, UnivariateLoss("hinge"), 0.2)
-    assert abs(again - model.value) < 1e-9
+    labels = np.where(rng.rand(10) < 0.5, -1.0, 1.0)
+    targets = X @ np.array([1.0, -0.5]) + 0.3 * rng.randn(10)
+    kinds = [("hinge", None), ("smooth_hinge", None), ("logloss", None), ("squared", None),
+             ("huber", 0.5), ("eps_insensitive", 0.2), ("pinball", 0.3)]
+    for (kind, delta), norm in itertools.product(kinds, (None, NormSpec.p_norm(1.0))):
+        loss = UnivariateLoss(kind, delta)
+        if loss.is_classification:
+            model = dro_train_classifier(X, labels, loss, 0.2, input_norm=norm)
+            again = classification_objective(model.weights, X, labels, loss, 0.2, norm)
+        else:
+            p = 2.0 if kind == "squared" else 1.0
+            model = dro_train_regressor(X, targets, loss, 0.2, p, input_norm=norm)
+            again = regression_objective(model.weights, X, targets, loss, 0.2, p, norm)
+        assert again == model.value, (kind, norm)
+        assert model.target_met, (kind, norm)
 
 
 def test_pairing_mismatch():
@@ -316,12 +330,19 @@ def test_wrappers():
     assert clf.eps == 0.2
     with pytest.raises(ValueError):
         clf.set_params(nope=1)
+    # an unknown key sets nothing, not even the keys before it
+    with pytest.raises(ValueError):
+        clf.set_params(eps=0.5, loss="logloss", nope=1)
+    assert clf.get_params() == {"eps": 0.2, "loss": "hinge", "delta": None}
 
     yr = X @ np.array([0.5, 2.0]) + 0.05 * rng.randn(60)
     reg = RobustLinearRegressor(eps=0.01).fit(X, yr)
     pred = reg.predict(X)
     assert float(np.mean((pred - yr) ** 2)) < 0.1
     assert reg.get_params()["eps"] == 0.01
+    with pytest.raises(ValueError):
+        reg.set_params(delta=0.5, nope=1)
+    assert reg.get_params() == {"eps": 0.01, "loss": "squared", "delta": None}
 
 
 def test_label_validation():

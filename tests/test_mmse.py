@@ -330,6 +330,10 @@ def test_estimator_wrapper_roundtrip():
     assert resid < base  # using Y helps
     with pytest.raises(ValueError):
         RobustMMSE().set_params(bogus=1)
+    # an unknown key sets nothing, not even the keys before it
+    with pytest.raises(ValueError):
+        est.set_params(eps=0.5, iters=7, bogus=1)
+    assert est.get_params() == {"eps": 0.1, "iters": 100}
     with pytest.raises(ValueError):
         RobustMMSE().fit(X, Y[:10])
 

@@ -172,3 +172,7 @@ def test_estimator_wrapper_and_composition():
     assert est.eps == 0.5
     with pytest.raises(ValueError):
         est.set_params(radius=1.0)
+    # an unknown key sets nothing, not even the keys before it
+    with pytest.raises(ValueError):
+        est.set_params(eps=0.7, radius=1.0)
+    assert est.get_params() == {"eps": 0.5}
