@@ -22,7 +22,7 @@ def as_vector(x, name: str = "x") -> np.ndarray:
         v = v.reshape(1)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be a vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
@@ -31,7 +31,7 @@ def as_matrix(x, name: str = "A") -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be a matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -43,7 +43,7 @@ def as_samples(x, name: str = "samples") -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 1- or 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -59,12 +59,12 @@ def check_symmetric(a, tol: float = 1e-9, name: str = "A") -> np.ndarray:
 
 def check_weights(w, tol: float = 1e-12, name: str = "weights") -> np.ndarray:
     w = as_vector(w, name)
-    if np.any(w < -tol):
+    if (w < -tol).any():
         raise ValueError(f"{name} must be nonnegative")
     total = float(w.sum())
     if abs(total - 1.0) > max(tol, 1e-12 * len(w)):
         raise ValueError(f"{name} must sum to one, got {total!r}")
-    return np.clip(w, 0.0, None)
+    return w.clip(0.0)
 
 
 class ParamsMixin:

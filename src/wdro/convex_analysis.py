@@ -163,7 +163,7 @@ def norm_eval(norm: NormSpec, x) -> float | np.ndarray:
     norms of its m-vectors.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("x contains non-finite entries")
     vals = _norm_rows(norm, x)
     return float(vals) if x.ndim == 1 else vals

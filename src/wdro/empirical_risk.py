@@ -644,10 +644,14 @@ def _type1_extremal(
         theta[order[:k]] = lo.theta[order[:k]]
         split = order[k]
         moved = np.vstack([atoms + theta, atoms[split] + lo.theta[split]])
+        # the moved part keeps share * w[split] to the last bit and the
+        # weights are not renormalized: a part moved far away must fill
+        # exactly the deficit it leaves, or W1 pays the difference times
+        # the distance
         weights = np.append(w, share * w[split])
-        weights[split] *= 1.0 - share
+        weights[split] -= weights[-1]
     keep = weights > 0.0
-    dist = DiscreteDistribution(moved[keep], weights[keep] / weights[keep].sum())
+    dist = DiscreteDistribution(moved[keep], weights[keep])
     return ExtremalReport(kind="attained", certified_value=cells.value, distribution=dist)
 
 

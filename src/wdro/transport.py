@@ -13,7 +13,9 @@ Every answer is checked against its own cost matrix before it is returned:
 the plan's marginals, dual feasibility of the potentials and the gap
 between the primal value and the dual value  psi . w' - phi . w, each
 within the rounding that the compared numbers carry, so the checks scale
-with the atoms.  The module also provides the Gelbrich lower
+with the atoms.  The dual value is summed exactly (``math.fsum``) on the
+potentials shifted to the heaviest column, where a far atom of tiny mass
+does not make its terms cancel.  The module also provides the Gelbrich lower
 bound on the type-2 distance, which depends on the two distributions only
 through their means and covariance matrices.
 """
@@ -202,10 +204,19 @@ def _pairwise_costs(
 # exact pass forms (C_ij - (u_i + v_j)) - (lo_i + lo_j), whose first sum is
 # exact where u_i and v_j cancel, and lets a cell enter below
 # -_ROUNDOFF * C_ij less eps^2-sized terms.  Both rules scale with the data,
-# and the exact one is relative to the cell's own cost.
-_ROUNDOFF = 16 * np.finfo(float).eps
+# and the exact one is relative to the cell's own cost.  The fast pass
+# searches blocks (block search pricing, the default of LEMON's network
+# simplex): blocks of whole rows of at least _BLOCK_CELLS cells, so one
+# numpy pass prices each, taken in turn from the block after the one that
+# gave the last entering cell; the first block with a cell that may enter
+# gives its most negative one.  A matrix of fewer than 2 _BLOCK_CELLS cells
+# is one block, priced whole.  Only the exact pass, over every cell, ends the
+# method, and Bland's rule prices every cell in it.
+_EPS = float(np.finfo(float).eps)
+_ROUNDOFF = 16 * _EPS
 # Consecutive degenerate pivots after which pricing switches to Bland's rule.
 _DEGENERATE_STREAK = 50
+_BLOCK_CELLS = 4096
 
 
 def _transport_simplex(
@@ -215,104 +226,144 @@ def _transport_simplex(
 
     Nodes 0..N-1 are the rows and N..N+M-1 the columns; a basic cell (i, j)
     is the tree edge between nodes i and N + j.  The tree hangs from column
-    ``root``, whose potential is 0, and every other node's potential follows
-    from its parent edge through u_i + v_j = C_ij, together with its
+    ``root``, whose potential is 0, and is kept in per-node lists: every
+    other node n holds its parent, its depth, the flow ``up[n]`` and cost
+    ``cup[n]`` of its parent edge, its children, its potential, which
+    follows from u_i + v_j = C_ij on the parent edge, and the potential's
     rounding error (TwoSum of that subtraction, less the parent's error), so
     that potential plus error is the alternating path sum of costs up to
-    eps^2-sized terms per tree edge.  A pivot brings in the
-    cell of most negative reduced cost (net of the allowances described at
-    ``_ROUNDOFF``; lowest flat index on ties), pushes mass around the cycle
-    it closes, drops the blocking cell of lowest flat index, and rehangs only
-    the subtree that the dropped cell cut off.  After a streak of degenerate
-    pivots, and until a pivot moves mass again, the entering cell is the
-    lowest flat index that may enter (Bland's rule); a cycle consists of
-    degenerate pivots only, so the method cannot cycle.  More than
-    max(10_000, 50 (N + M)) pivots raise ``MaxIterExceeded``.  Returns the
-    plan and the row and column potentials.
+    eps^2-sized terms per tree edge.  The northwest corner builds the
+    first tree, which is then rehung from ``root``.
+
+    A pivot brings in a cell of negative reduced cost: the most negative one
+    of the first block that has one, and the lowest flat index among equals
+    (see ``_ROUNDOFF`` for the blocks and the allowances).  It pushes mass
+    around the cycle the cell closes, where the row nodes on the row side
+    and the column nodes on the column side lose, and drops the blocking
+    edge of lowest flat index.  The path from the entering endpoint up to
+    the dropped edge reverses, each flow moving one edge down, and only the
+    subtree that the dropped edge cut off is walked again.  After a streak
+    of degenerate pivots, and until a pivot moves mass again, the entering
+    cell is the lowest flat index that may enter (Bland's rule); a cycle
+    consists of degenerate pivots only, so the method cannot cycle.  More
+    than max(10_000, 50 (N + M)) pivots raise ``MaxIterExceeded``.
+
+    Returns the plan, as the row indices, column indices and masses of the
+    N + M - 1 basic cells, and the row and column potentials.  The masses
+    are not the pivots' running flows: each is the excess of row over
+    column weight on the far side of its edge from the heaviest column,
+    summed exactly enough (double-double) to be that sum rounded once.
     """
     N, M = C.shape
-    max_pivots = max(10_000, 50 * (N + M))
-    cost = C.tolist()
-    adj = [set() for _ in range(N + M)]
-    flow = {}
+    nodes = N + M
+    max_pivots = max(10_000, 50 * nodes)
+    parent = [-1] * nodes
+    depth = [0] * nodes
+    up = [0.0] * nodes
+    cup = [0.0] * nodes
+    kids = [[] for _ in range(nodes)]
+    pot = [0.0] * nodes
+    lo = [0.0] * nodes
+
+    def reroot(e: int, par: int, f: float, c: float, stop: int) -> None:
+        """Hang ``e`` from ``par`` by an edge of flow f and cost c, reversing
+        the path from e up to ``stop``, whose parent edge is dropped."""
+        n = e
+        while True:
+            pn, fn, cn = parent[n], up[n], cup[n]
+            if pn >= 0:
+                kids[pn].remove(n)
+            if par >= 0:
+                kids[par].append(n)
+            parent[n], up[n], cup[n] = par, f, c
+            if n == stop:
+                return
+            par, f, c, n = n, fn, cn, pn
+
+    def hang(members: list, big: float) -> float:
+        """Set depth, potential and its error of the given nodes and all
+        below them, and return the larger of big and the largest |potential|
+        set."""
+        for n in members:  # grows while it is walked: breadth first
+            pn = parent[n]
+            c, q = cup[n], pot[pn]
+            s = c - q
+            z = s - c
+            pot[n], lo[n] = s, (c - (s - z)) - (q + z) - lo[pn]
+            depth[n] = depth[pn] + 1
+            members += kids[n]
+            if s > big:
+                big = s
+            elif -s > big:
+                big = -s
+        return big
 
     # Northwest corner: each cell exhausts its row or its column (on a tie,
-    # the row) and moves one step, so N + M - 1 cells form a spanning tree.
+    # the row) and moves one step, so N + M - 1 cells form a spanning tree;
+    # each cell hangs its new node from the other side's current node.
     i = j = 0
     ra, rb = float(a[0]), float(b[0])
+    node, att = N, 0
     while True:
-        t = min(ra, rb)
-        flow[i, j] = t
-        adj[i].add(N + j)
-        adj[N + j].add(i)
-        if i == N - 1 and j == M - 1:
-            break
+        t = rb if rb < ra else ra
+        parent[node], up[node], cup[node] = att, t, C.item(i, j)
+        kids[att].append(node)
         ra -= t
         rb -= t
         if j == M - 1 or (i < N - 1 and ra <= rb):
+            if i == N - 1:
+                break
             i += 1
             ra = float(a[i])
+            node, att = i, N + j
         else:
             j += 1
             rb = float(b[j])
-
-    parent = [-1] * (N + M)
-    depth = [0] * (N + M)
-    pot = [0.0] * (N + M)
-    lo = [0.0] * (N + M)
-
-    def cell(n: int) -> Tuple[int, int]:
-        """The basic cell joining node n to its parent."""
-        return (n, parent[n] - N) if n < N else (parent[n], n - N)
-
-    def hang(node: int, par: int) -> list:
-        """Hang the component of ``node`` below ``par``; returns its nodes."""
-        parent[node] = par
-        if par >= 0:
-            depth[node] = depth[par] + 1
-        members = [node]
-        for n in members:  # grows while it is walked: breadth first
-            pn = parent[n]
-            if pn >= 0:
-                # pot = C - pot[pn] and lo = its TwoSum error - lo[pn]
-                cij = cost[n][pn - N] if n < N else cost[pn][n - N]
-                s = cij - pot[pn]
-                z = s - cij
-                pot[n], lo[n] = s, (cij - (s - z)) - (pot[pn] + z) - lo[pn]
-            dn = depth[n] + 1
-            for w in adj[n]:
-                if w != pn:
-                    parent[w] = n
-                    depth[w] = dn
-                    members.append(w)
-        return members
-
+            node, att = N + j, i
     root = N + root
-    hang(root, -1)
-    P = np.array(pot)
-    big = float(np.abs(P).max())  # an upper bound on |u|, |v| from here on
-    eps = np.finfo(float).eps
+    reroot(root, -1, 0.0, 0.0, 0)
+    big = hang(list(kids[root]), 0.0)  # an upper bound on |u|, |v| from here on
+    fast, exact = _ROUNDOFF + nodes * _EPS, _ROUNDOFF * (nodes * _EPS) ** 2
     C_up = C * (1.0 + _ROUNDOFF)
     S = np.empty((N, M))
+    W = np.empty(nodes)  # the potentials less the fast pass's allowance
+    # the fast pass prices blocks of whole rows of at least _BLOCK_CELLS
+    # cells, from the block after the last one that gave a cell
+    nb = max(1, N // -(-_BLOCK_CELLS // M))
+    blocks = []
+    for t in range(nb):
+        r0, r1 = N * t // nb, N * (t + 1) // nb
+        blocks.append((r0, W[r0:r1, None], C_up[r0:r1], S[r0:r1]))
+    cols = W[N:]
+    sub = np.subtract
+    start = 0
 
-    def price(rows: np.ndarray, cols: np.ndarray) -> int:
-        """A cell where S = C_up - rows - cols < 0 (see above), else -1."""
-        np.subtract(C_up, rows, out=S)
-        np.subtract(S, cols, out=S)
-        k = int(np.argmax(S < 0.0) if streak > _DEGENERATE_STREAK else np.argmin(S))
-        return k if S.flat[k] < 0.0 else -1
+    def flat(n: int) -> int:
+        """Flat index of the cell joining node n to its parent."""
+        return n * M + parent[n] - N if n < N else parent[n] * M + n - N
 
     pivots = 0
     streak = 0
     while True:
         k = -1
         if streak <= _DEGENERATE_STREAK:  # Bland's rule needs every cell that may enter
-            W = P - (_ROUNDOFF + (N + M) * eps) * big
-            k = price(W[:N, None], W[N:])
+            sub(pot, fast * big, out=W)
+            for t in range(nb):
+                r0, rows, Cb, Sb = blocks[(start + t) % nb]
+                sub(Cb, rows, out=Sb)
+                sub(Sb, cols, out=Sb)
+                kb = Sb.argmin()
+                if Sb.item(kb) < 0.0:
+                    k = r0 * M + int(kb)
+                    start = (start + t + 1) % nb
+                    break
         if k < 0:
-            W = np.array(lo) - _ROUNDOFF * ((N + M) * eps) ** 2 * big
-            k = price(P[:N, None] + P[N:] + W[:N, None], W[N:])
-            if k < 0:
+            P = np.array(pot)
+            L = np.array(lo) - exact * big
+            sub(C_up, P[:N, None] + P[N:] + L[:N, None], out=S)
+            sub(S, L[N:], out=S)
+            k = int(np.argmax(S < 0.0) if streak > _DEGENERATE_STREAK else S.argmin())
+            if S.item(k) >= 0.0:
                 break
         if pivots == max_pivots:
             raise MaxIterExceeded("transport simplex exceeded its pivot budget")
@@ -320,59 +371,102 @@ def _transport_simplex(
         i, j = divmod(k, M)
 
         # the cycle: both endpoints climb to their common ancestor; the edges
-        # met on each side alternate between losing and gaining mass
+        # met on each side alternate between losing and gaining mass, and the
+        # losers are the row nodes on the row side and the column nodes on
+        # the column side
         x, y = i, N + j
         side_x, side_y = [], []
-        while depth[x] > depth[y]:
+        dx, dy = depth[x], depth[y]
+        while dx > dy:
             side_x.append(x)
             x = parent[x]
-        while depth[y] > depth[x]:
+            dx -= 1
+        while dy > dx:
             side_y.append(y)
             y = parent[y]
+            dy -= 1
         while x != y:
             side_x.append(x)
             x = parent[x]
             side_y.append(y)
             y = parent[y]
 
-        losing = [(cell(n), n) for n in side_x[0::2] + side_y[0::2]]
-        theta, leave, q = min((flow[c], c, n) for c, n in losing)
-        for c, _ in losing:
-            flow[c] = max(flow[c] - theta, 0.0)
-        for n in side_x[1::2] + side_y[1::2]:
-            flow[cell(n)] += theta
-        del flow[leave]
-        flow[i, j] = theta
-        streak = streak + 1 if theta == 0.0 else 0
+        losing = side_x[0::2] + side_y[0::2]
+        flows = [up[n] for n in losing]
+        theta = min(flows)
+        if flows.count(theta) == 1:
+            q = losing[flows.index(theta)]
+        else:
+            q = min((n for n, f in zip(losing, flows) if f == theta), key=flat)
+        if theta > 0.0:
+            for n in losing:
+                up[n] -= theta
+            for n in side_x[1::2] + side_y[1::2]:
+                up[n] += theta
+            streak = 0
+        else:
+            streak += 1
 
         # dropping q's parent edge cuts q's subtree loose; it holds the
         # entering endpoint on q's side of the cycle and rehangs from it
-        e, other = (i, N + j) if q in side_x else (N + j, i)
-        adj[q].discard(parent[q])
-        adj[parent[q]].discard(q)
-        adj[e].add(other)
-        adj[other].add(e)
-        moved = hang(e, other)
-        P[moved] = changed = [pot[n] for n in moved]
-        big = max(big, max(changed), -min(changed))
+        e, other = (i, N + j) if q < N else (N + j, i)
+        reroot(e, other, theta, C.item(k), q)
+        big = hang([e], big)
 
-    plan = np.zeros((N, M))
-    rows, cols = zip(*flow)
-    plan[rows, cols] = list(flow.values())
-    P += lo
-    return plan, P[:N], P[N:]
+    # The masses, from the weights: with the tree hung from the heaviest
+    # column, each edge carries the excess of row over column weight below
+    # it, summed in double-double (TwoSum), so each is its exact value
+    # rounded once and the weights' own imbalance falls on the heaviest
+    # column.  The pivots' masses carry the rounding of every mass they met,
+    # which a far column's cost would multiply.
+    top = N + int(b.argmax())
+    reroot(top, -1, 0.0, 0.0, root)
+    order = [top]
+    for n in order:  # grows while it is walked: parents before children
+        order += kids[n]
+    hi = a.tolist() + (-b).tolist()
+    er = [0.0] * nodes
+    cells, mass = [], []
+    for n in reversed(order[1:]):
+        pn = parent[n]
+        s, q = hi[n], hi[pn]
+        t = q + s
+        z = t - q
+        er[pn] += er[n] + ((q - (t - z)) + (s - z))
+        hi[pn] = t
+        if n < N:
+            cells += (n, pn - N)
+            mass.append(s + er[n])
+        else:
+            cells += (pn, n - N)
+            mass.append(-(s + er[n]))
+    i_b, j_b = np.array(cells).reshape(-1, 2).T
+    P = np.array(pot) + lo
+    return (i_b, j_b, np.array(mass)), P[:N], P[N:]
 
 
-def _dual_check(C: np.ndarray, a: np.ndarray, b: np.ndarray, duals: DualPotentials) -> KRResult:
-    """Pairwise feasibility psi_j - phi_i <= C_ij, cell by cell within
-    2 _ROUNDOFF (C_ij + |phi_i| + |psi_j|), the rounding those numbers carry."""
-    slack = duals.psi[None, :] - duals.phi[:, None] - C
-    excess = slack - 2.0 * _ROUNDOFF * (C + np.abs(duals.phi)[:, None] + np.abs(duals.psi))
-    i, j = divmod(int(np.argmax(excess)), C.shape[1])
-    dual_value = float(duals.psi @ b - duals.phi @ a)
-    if excess[i, j] > 0.0:
-        return KRResult(False, dual_value, (i, j), float(slack[i, j]))
-    return KRResult(True, dual_value, None, max(float(slack.max()), 0.0))
+def _excess(C: np.ndarray, w: np.ndarray, size: np.ndarray) -> Tuple[int, int, float]:
+    """The cell where u_i + v_j - C_ij most exceeds its rounding allowance
+    2 _ROUNDOFF (C_ij + size_i + size_{N+j}), and that excess; w holds u
+    and then v, and size the magnitudes the allowance counts for each."""
+    N, M = C.shape
+    r = 2.0 * _ROUNDOFF
+    B = w - r * size
+    E = B[:N, None] + B[N:]
+    E -= (1.0 + r) * C
+    k = int(E.argmax())
+    return k // M, k % M, E.item(k)
+
+
+def _shifted(u: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """u + c and v - c in one array, with c = v at the heaviest column.
+
+    Pinned at an atom far from the others, every potential is about its
+    distance, and a dual sum in that frame cancels terms far above its
+    value; at the heaviest column the potentials that carry mass are small.
+    """
+    c = v[b.argmax()]
+    return np.concatenate((u + c, v - c))
 
 
 def wasserstein_p(
@@ -396,15 +490,22 @@ def wasserstein_p(
     relative to the cell's own cost: the answer does not depend on the
     scale of the atoms, and cells whose costs lie many orders below max C
     are still priced right.  The potentials are pinned by psi[M-1] = 0.
+    Each plan mass is an exact sum of weights rounded once, so an atom of
+    tiny mass far from the others is moved with all its digits; a mass
+    below (N + M) eps times the smaller weight of its cell is rounding
+    noise of those weights and is dropped.
 
     Before returning, three checks run on the cost matrix, and a failed one
     raises ``NumericalFailure``: the plan's marginals (within
     max(tol.rel_tol, 1e-12) plus the weights' own imbalance); dual
-    feasibility psi_j - phi_i <= C_ij of the returned potentials, cell by
-    cell within 32 eps * (C_ij + |phi_i| + |psi_j|), the rounding those
-    numbers carry; and the gap between primal and dual value, within the
-    rounding of the two sums and never more than 1e-8 * (1 + value).
-    ``tol.rel_tol`` enters only the marginal check.
+    feasibility psi_j - phi_i <= C_ij of the potentials shifted to the
+    heaviest column, cell by cell within 32 eps * (C_ij + |phi_i| + |psi_j|)
+    summed over the returned and the shifted potentials, the rounding those
+    numbers carry; and the gap between the primal value and the dual value
+    of the shifted potentials, summed with ``math.fsum``, within the
+    rounding of the two sums and of the potentials in both frames, and
+    never more than 1e-8 * (1 + value).  ``tol.rel_tol`` enters only the
+    marginal check.
     """
     if not isinstance(Q, DiscreteDistribution) or not isinstance(Qp, DiscreteDistribution):
         raise TypeError("wasserstein_p expects DiscreteDistribution inputs")
@@ -419,49 +520,58 @@ def wasserstein_p(
 
     rows = np.argsort(Q.atoms[:, 0], kind="stable")
     cols = np.argsort(Qp.atoms[:, 0], kind="stable")
-    x_s, u_s, v_s = _transport_simplex(
-        C[np.ix_(rows, cols)], a[rows], b[cols], int(np.argmax(cols == M - 1))
+    (i_b, j_b, mass), u_s, v_s = _transport_simplex(
+        C[rows[:, None], cols], a[rows], b[cols], int((cols == M - 1).argmax())
     )
-    x = np.empty((N, M))
-    x[np.ix_(rows, cols)] = x_s
     u, v = np.empty(N), np.empty(M)
     u[rows], v[cols] = u_s, v_s
 
-    # Rounding leaves masses around 1e-17 on cells that should carry none;
-    # summed against nonzero costs they lift the value of a zero-cost
-    # instance to ~1e-16, which the p-th root amplifies.  Genuine plan
-    # entries are masses and sit many orders above this floor.
-    x[x < 1e-13 * max(float(x.max(initial=0.0)), 1e-300)] = 0.0
-    value = max(float(np.sum(C * x)), 0.0)
-    duals = DualPotentials(phi=-u, psi=v)
+    # Each mass is an exact sum of weights rounded once (see
+    # _transport_simplex), and weights normalized apart disagree in their
+    # last bits, so a cell may carry that disagreement.  A mass below the
+    # rounding that its row's and column's weights carry, (N + M) eps times
+    # the smaller of the two, is that noise: against far costs it would move
+    # the value, and the p-th root amplifies it near zero.  A tiny weight
+    # keeps its whole mass.
+    i_b, j_b = rows[i_b], cols[j_b]
+    mass[mass < (N + M) * _EPS * np.minimum(a[i_b], b[j_b])] = 0.0
+    x = np.zeros((N, M))
+    x[i_b, j_b] = mass
+    value = max(float((C * x).sum()), 0.0)
 
     # Weights sum to one only within check_weights' slack, and the plan
     # cannot match marginals whose totals differ.
-    row_err = np.abs(x.sum(axis=1) - a)
-    col_err = np.abs(x.sum(axis=0) - b)
-    marginal_error = float(max(row_err.max(), col_err.max()))
+    ab = np.concatenate((a, b))
+    err = np.abs(np.concatenate((x.sum(axis=1), x.sum(axis=0))) - ab)
+    marginal_error = float(err.max())
     if marginal_error > max(tol.rel_tol, 1e-12) + abs(float(a.sum() - b.sum())):
         raise NumericalFailure(f"transport plan misses its marginals by {marginal_error:.3e}")
-    cells = np.flatnonzero(x)
-    plan = TransportPlan(cells, x.flat[cells], (N, M), marginal_error)
-    abs_u, abs_v = np.abs(u), np.abs(v)
-    # The exact pass leaves slack below 16 eps * C_ij; rounding the
-    # potentials and recomputing the slack add a few ulps of each term.
-    check = _dual_check(C, a, b, duals)
-    if not check.is_feasible:
+
+    # Feasibility and the gap are checked on the shifted potentials.  The
+    # exact pass leaves slack below 16 eps * C_ij; rounding the returned
+    # potentials, shifting them and recomputing the slack add a few ulps of
+    # each term in both frames.
+    w = _shifted(u, v, b)
+    abs_w = np.abs(w)
+    size = abs_w + np.abs(np.concatenate((u, v)))
+    i, j, excess = _excess(C, w, size)
+    if excess > 0.0:
         raise NumericalFailure(
-            f"potentials violate psi_j - phi_i <= C_ij at {check.violating_pair} "
-            f"by {check.violation:.3e}"
+            f"potentials violate psi_j - phi_i <= C_ij at {(i, j)} "
+            f"by {w[i] + w[N + j] - C[i, j]:.3e}"
         )
-    # On basic cells C_ij = u_i + v_j up to one rounding, so the primal and
-    # dual sums differ by their rounding plus the potentials times the
-    # plan's marginal errors.
-    roundoff = (N + M + 4) * np.finfo(float).eps * (value + abs_u @ a + abs_v @ b)
-    roundoff += abs_u @ row_err + abs_v @ col_err
-    gap = value - check.dual_value
+    # On basic cells C_ij = u_i + v_j up to the rounding of the returned
+    # potentials, so the primal and the dual sum differ by their rounding in
+    # both frames plus the potentials times the plan's marginal errors.
+    roundoff = (N + M + 4) * _EPS * (value + size @ ab) + abs_w @ err
+    gap = value - math.fsum((w * ab).tolist())
     if abs(gap) > min(roundoff, 1e-8 * (1.0 + value)):
         raise NumericalFailure(f"transport duality gap {gap:.3e} exceeds tolerance")
 
+    x = x.ravel()
+    cells = x.nonzero()[0]
+    plan = TransportPlan(cells, x[cells], (N, M), marginal_error)
+    duals = DualPotentials(phi=-u, psi=v)
     return TransportResult(distance=value ** (1.0 / p), plan=plan, duals=duals)
 
 
@@ -479,11 +589,13 @@ def kr_verify(
     32 eps * (C_ij + |phi_i| + |psi_j|), as ``wasserstein_p`` checks before
     it returns: an error in a cell whose cost lies far below the largest
     one is seen, and potentials that ``wasserstein_p`` returns pass at any
-    scale.  The returned value
-    ``psi . w' - phi . w`` is then a certified lower bound on the p-th power
-    of the type-p distance.  The check uses only the atoms and the
-    potentials, never the solver that produced them.  On violation the
-    worst pair and its slack excess are reported instead of raising.
+    scale.  The returned value ``psi . w' - phi . w``, summed with
+    ``math.fsum`` on the potentials shifted to the heaviest column, is then
+    a certified lower bound on the p-th power of the type-p distance,
+    accurate also beside a far atom of tiny mass.  The check uses only the
+    atoms and the potentials, never the solver that produced them.  On
+    violation the worst pair and its slack excess are reported instead of
+    raising.
     ``norm=None`` is the 2-norm, as in ``wasserstein_p``.
     """
     if Q.dim != Qp.dim:
@@ -493,7 +605,14 @@ def kr_verify(
     if not (p >= 1.0 and math.isfinite(p)):
         raise ValueError("order p must be finite and >= 1")
     C = _pairwise_costs(Q, Qp, p, norm)
-    return _dual_check(C, Q.weights, Qp.weights, duals)
+    w = np.concatenate((-duals.phi, duals.psi))
+    i, j, excess = _excess(C, w, np.abs(w))
+    slack = duals.psi[j] - duals.phi[i] - C[i, j]
+    shifted = _shifted(w[: Q.n_atoms], duals.psi, Qp.weights)
+    dual_value = math.fsum((shifted * np.concatenate((Q.weights, Qp.weights))).tolist())
+    if excess > 0.0:
+        return KRResult(False, dual_value, (i, j), float(slack))
+    return KRResult(True, dual_value, None, max(float((duals.psi - duals.phi[:, None] - C).max()), 0.0))
 
 
 def gelbrich_distance(m1: MomentPair, m2: MomentPair) -> float:

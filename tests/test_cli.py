@@ -170,8 +170,8 @@ def test_wc_risk_cells_report_brackets_the_value(tmp_path):
 
 
 def test_wc_risk_cells_report_a_far_box(tmp_path):
-    """A box 1e8 beyond the data: the value and its bounds are reported even
-    where the W1 distance of the extremal cannot be certified."""
+    """A box 1e8 beyond the data: the value, its bounds and the W1 budget the
+    extremal spends are all reported."""
     rng = np.random.default_rng([0, 41])
     samples = write_json(tmp_path / "s.json", {"atoms": rng.uniform(-1.0, 1.0, size=(6, 2)).tolist()})
     loss = write_json(
@@ -190,7 +190,7 @@ def test_wc_risk_cells_report_a_far_box(tmp_path):
     value, certs = report["results"]["value"], report["certificates"]
     assert abs(certs["lower_bound"] - value) <= 1e-9 * abs(value)
     assert abs(certs["upper_bound"] - value) <= 1e-9 * abs(value)
-    assert certs.get("budget_residual", 0.0) <= 1e-9 * 1e-6
+    assert certs["budget_residual"] <= 1e-9 * 1e-6
 
 
 def test_wc_risk_reports_its_path(tmp_path):

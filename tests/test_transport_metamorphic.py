@@ -1,8 +1,10 @@
-"""Metamorphic tests of ``wasserstein_p``: scaling, translation, relabelling, size.
+"""Metamorphic tests of ``wasserstein_p``: scaling, translation, relabelling,
+size and spread.
 
 Each test transforms the input in a way whose effect on the answer is known
 exactly, so no reference solver is needed: W_p is positively homogeneous,
-translation invariant and blind to the order of the atoms.
+translation invariant and blind to the order of the atoms, and moving a
+small mass to one far atom costs that mass times the cheapest way there.
 """
 
 import time
@@ -80,3 +82,42 @@ def test_two_hundred_atoms_each_solve_fast_with_checked_duals():
     checked = kr_verify(Q, Qp, NormSpec.p_norm(2), res.duals, p=2.0)
     assert checked.is_feasible
     assert abs(checked.dual_value - res.distance**2) <= 1e-10 * res.distance**2
+
+
+def cheapest_routes(P, p, q):
+    """Cheapest cost between every two points, routed through the others,
+    with ||x - y||_q^p per leg (Floyd-Warshall)."""
+    D = np.linalg.norm(P[:, None, :] - P[None, :, :], ord=q, axis=-1) ** p
+    for k in range(len(P)):
+        D = np.minimum(D, D[:, k : k + 1] + D[k : k + 1, :])
+    return D
+
+
+@pytest.mark.parametrize("q", [1, np.inf], ids=["1-norm", "inf-norm"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_a_small_mass_moved_far_away_costs_its_route(p, q):
+    # Q' is Q with 0.3 / L of atom 0's mass moved to an atom at (L, 0).  With
+    # potentials pinned at that far atom, every other potential is about
+    # L^p, yet W_p^p is the moved mass times the cheapest route from atom 0
+    # to the far atom through the other atoms (for p = 1 the straight leg):
+    # any plan moves that mass along such a route, and minus the cheapest
+    # cost to the far atom is a feasible psi (and phi) that attains it.
+    norm = NormSpec.p_norm(q)
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 5])
+        X = rng.uniform(-1.0, 1.0, size=(6, 2))
+        w = rng.uniform(0.2, 1.0, 6)
+        w /= w.sum()
+        for L in 10.0 ** np.arange(2, 13):
+            kept = w[0] - 0.3 / L
+            moved = w[0] - kept  # exact, so that the two weight vectors balance exactly
+            Y = np.vstack([X, [[L, 0.0]]])
+            res = wasserstein_p(
+                DiscreteDistribution(X, w),
+                DiscreteDistribution(Y, np.concatenate([[kept], w[1:], [moved]])),
+                p,
+                norm,
+            )
+            ref = moved * cheapest_routes(Y, p, q)[0, 6]
+            assert abs(res.distance**p - ref) <= 1e-14 * ref, (seed, L)
+            assert res.duals.psi[-1] == 0.0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
+import wdro.transport as transport
 from wdro.convex_analysis import NormSpec
 from wdro.transport import DiscreteDistribution, kr_verify, wasserstein_p
 
@@ -186,3 +187,41 @@ def test_near_clusters_beside_far_atoms_match_the_cluster_alone(seed):
         block = costs(X[:n], Y[:n], p, 2)
         ref = highs_value(block / block.max(), a[:n], b[:n]) * block.max()
         assert_matches(X, a, Y, b, p, ref)
+
+
+# The fast pass prices one block while N < 2 ceil(_BLOCK_CELLS / M) and
+# blocks of whole rows from there on.
+M_EDGE = 64
+N_EDGE = 2 * -(-transport._BLOCK_CELLS // M_EDGE)
+
+
+@pytest.mark.parametrize("N", [N_EDGE - 1, N_EDGE], ids=["one block", "two blocks"])
+@pytest.mark.parametrize("m", [2, 5])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_block_pricing_edge_matches_highs(N, m, p):
+    rng = np.random.default_rng([N, m, int(p), 71])
+    X, Y = rng.normal(size=(N, m)), rng.normal(size=(M_EDGE, m)) + 0.3
+    a, b = normalized(rng.uniform(0.2, 1.0, N)), normalized(rng.uniform(0.2, 1.0, M_EDGE))
+    Q, Qp = DiscreteDistribution(X, a), DiscreteDistribution(Y, b)
+    res = wasserstein_p(Q, Qp, p)
+    ref = highs_value(costs(Q.atoms, Qp.atoms, p, 2), Q.weights, Qp.weights)
+    assert abs(res.distance**p - ref) <= 1e-10 * ref
+    assert kr_verify(Q, Qp, NormSpec.p_norm(2), res.duals, p=p).is_feasible
+
+
+@pytest.mark.parametrize("streak", [transport._DEGENERATE_STREAK, 0])
+def test_lattice_across_the_block_edge_matches_highs_under_blands_rule(monkeypatch, streak):
+    # uniform weights on a 5 x 5 lattice: runs of degenerate pivots long
+    # enough to switch the pricing to Bland's rule, at once where the streak
+    # limit is 0; N = M = 91 prices one block and 92 two
+    monkeypatch.setattr(transport, "_DEGENERATE_STREAK", streak)
+    for n in (91, 92):
+        rng = np.random.default_rng([n, 5, 1])
+        X = rng.integers(0, 5, size=(n, 2)).astype(float)
+        Y = rng.integers(0, 5, size=(n, 2)).astype(float)
+        Q, Qp = DiscreteDistribution.from_samples(X), DiscreteDistribution.from_samples(Y)
+        for q in (2, 1):
+            ref = highs_value(costs(X, Y, 1.0, q), Q.weights, Qp.weights)
+            res = wasserstein_p(Q, Qp, 1.0, NormSpec.p_norm(q))
+            assert abs(res.distance - ref) <= 1e-10 * ref
+            assert kr_verify(Q, Qp, NormSpec.p_norm(q), res.duals).is_feasible
