@@ -46,9 +46,6 @@ from .convex_analysis import NormSpec, SetSpec
 
 COMMANDS = ("transport", "wc-risk", "gelbrich", "shrink", "mmse", "train", "calibrate")
 
-_SEED_MAX = 2**64 - 1
-
-
 @dataclasses.dataclass
 class RunConfig:
     """A validated invocation: scalars for the report echo, parsed payloads."""
@@ -57,7 +54,6 @@ class RunConfig:
     options: dict
     payload: dict
     tol: Tolerance
-    seed: int
     output: str | None
 
 
@@ -207,7 +203,6 @@ def _parse_loss(path: str):
 def _build_parser() -> _Parser:
     shared = _Parser(add_help=False)
     shared.add_argument("--tol", type=float, default=None)
-    shared.add_argument("--seed", type=int, default=None)
     shared.add_argument("--output", default=None)
     shared.add_argument("--config", default=None)
 
@@ -312,10 +307,6 @@ def parse_config(argv=None) -> RunConfig:
     command = args.command
     opts = _merge_config_file(args)
 
-    seed = opts.pop("seed")
-    seed = 0 if seed is None else int(seed)
-    if not 0 <= seed <= _SEED_MAX:
-        raise UsageError(f"--seed must be an unsigned 64-bit integer, got {seed}")
     tol_scale = opts.pop("tol")
     rel_tol = DEFAULT_TOL.rel_tol if tol_scale is None else float(tol_scale)
     if not rel_tol > 0:
@@ -428,9 +419,8 @@ def parse_config(argv=None) -> RunConfig:
                 raise UsageError(str(exc)) from exc
 
     options = {k: v for k, v in opts.items()}
-    options["seed"] = seed
     options["tol"] = rel_tol
-    return RunConfig(command, options, payload, tol, seed, output)
+    return RunConfig(command, options, payload, tol, output)
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,9 @@ class SetSpec:
         d = as_vector(d, "d")
         if C.shape[0] != d.size:
             raise DimensionMismatch("C and d row counts differ")
+        if C.shape[0] == 0:
+            m = C.shape[1]
+            raise ValueError(f"a polyhedron needs at least one face; for R^{m} use SetSpec.whole({m})")
         return SetSpec(
             kind="polyhedron", dim=C.shape[1], C=tuple(map(tuple, C)), d=tuple(d)
         )

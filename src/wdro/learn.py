@@ -29,7 +29,10 @@ derivatives at the current margins, scaled into the constraint (for
 eps = 0, moved onto A'alpha = 0).  It stops once primal - dual is at most
 10 * tol.rel_tol of the objective (1e-9 relative at the default
 tolerance); primal - dual bounds the suboptimality of the returned
-weights either way.
+weights either way.  Unpenalized logloss has no minimizer on completely
+separated data: training stops at the first stage whose weights separate
+every sample and flags them ``unattained``.  Quasi-separated data, where
+some margins stay at 0, are not detected.
 
 Each objective is defined once, by the problem object that ``_problem``
 builds from the checked data: ``_Risk`` for the Lipschitz losses and
@@ -73,8 +76,6 @@ __all__ = [
 _CLASSIFICATION = ("hinge", "smooth_hinge", "logloss")
 _REGRESSION = ("squared", "huber", "eps_insensitive", "pinball")
 _PIECEWISE = ("hinge", "eps_insensitive", "pinball")
-_NORM_CAP = 1e6
-_RAY_GAIN = 1e-6
 # Training stops at a certified gap of _GAP_FACTOR * tol.rel_tol times the
 # objective, never asking for less than _GAP_FLOOR, which the rounding of
 # the primal and dual sums can still show.
@@ -280,7 +281,9 @@ class TrainedModel:
     lies above the optimum.  ``target_met`` says whether that gap reached
     the training target, max(10 tol.rel_tol, 1e-12) times ``value``; when
     it is False the gap is still a bound, only a looser one.
-    ``iterations`` counts Newton steps.
+    ``iterations`` counts Newton steps.  ``unattained`` says that the
+    weights separate every sample: the objective falls to its infimum 0
+    along them and no weights attain it; ``dual_value`` is then 0.
     """
 
     weights: np.ndarray
@@ -463,6 +466,25 @@ class _Risk:
             return -math.inf
         return float(np.mean(alpha * self.c - self.loss.conjugate(alpha)))
 
+    def separating_ray(self, w: np.ndarray):
+        """w scaled to an objective of at most _GAP_FLOOR mu0 if its margins
+        show that no weights attain the infimum, otherwise None.
+
+        Unpenalized, a loss that never reaches its infimum 0 (logloss, with
+        c = 0) has no minimizer on completely separated data (Albert and
+        Anderson, Biometrika 1984).  Margins A w all above the rounding of
+        A @ w witness that: along t w the objective falls to 0 and never
+        reaches it.  As log1p(exp(-z)) <= exp(-z), it is at most exp(-t m)
+        at t w, for m the least margin, which fixes t.
+        """
+        if self.lam > 0.0 or self.loss.attains_infimum:
+            return None
+        rounding = w.size * np.finfo(float).eps * (np.abs(self.A) @ np.abs(w))
+        least = float((self.A @ w - rounding).min())
+        if not least > 0.0:
+            return None
+        return w * (-math.log(_GAP_FLOOR * self.mu0) / least)
+
 
 class _SqrtLasso:
     """(||Xw - y|| / sqrt(N) + eps ||w||_*)^2, the squared loss over a type-2 ball.
@@ -504,6 +526,9 @@ class _SqrtLasso:
         if beta is None:
             return -math.inf
         return max(-float(beta @ self.y) / math.sqrt(N), 0.0) ** 2
+
+    def separating_ray(self, w: np.ndarray):
+        return None  # a convex quadratic bounded below attains its infimum
 
 
 def _problem(X: np.ndarray, y: np.ndarray, loss: UnivariateLoss, eps: float,
@@ -568,13 +593,8 @@ def _newton(problem, w: np.ndarray, mu: float, budget: int):
     return w, budget
 
 
-def _gap_target(tol: Tolerance) -> float:
-    """The certified gap training aims for, relative to the objective."""
-    return max(_GAP_FACTOR * tol.rel_tol, _GAP_FLOOR)
-
-
-def _certified_minimize(problem, d: int, tol: Tolerance):
-    """Weights, their objective, a dual value and the Newton steps taken.
+def _train(problem, d: int, tol: Tolerance, **flags) -> TrainedModel:
+    """Minimize the problem's primal with a certified gap.
 
     Stage by stage the smoothing mu shrinks by _SHRINK from the problem's
     mu0 (the size of the loss at w = 0, so the first stage smooths on the
@@ -582,63 +602,40 @@ def _certified_minimize(problem, d: int, tol: Tolerance):
     dual value is taken at them.  The loop stops once
     primal - dual <= max(10 tol.rel_tol, 1e-12) * primal (1e-9 relative at
     the default tolerance), or after _STAGES stages; the gap it returns is
-    a bound either way.
+    a bound either way.  It stops early at weights along which the
+    objective falls to an unattained infimum 0 (``separating_ray``); the
+    dual value is then 0, which alpha = 0 attains.
     """
     w = best_w = np.zeros(d)
     best_p = problem.primal(w)
     best_d = 0.0
-    target = _gap_target(tol)
+    target = max(_GAP_FACTOR * tol.rel_tol, _GAP_FLOOR)
     mu = problem.mu0
     steps = 0
+    unattained = False
     for _ in range(_STAGES):
         if best_p - best_d <= target * best_p:
             break
         w, k = _newton(problem, w, mu, _STAGE_STEPS)
         steps += k
+        ray = problem.separating_ray(w)
+        if ray is not None:
+            best_w, best_p, best_d, unattained = ray, problem.primal(ray), 0.0, True
+            break
         value = problem.primal(w)
         if value < best_p:
             best_w, best_p = w, value
         best_d = max(best_d, problem.dual_value(w, mu))
         mu *= _SHRINK
-    return best_w, best_p, best_d, steps
-
-
-def _ray_probe(fun, w: np.ndarray, value: float):
-    """Chase improvement along the ray t*w; flag unattained at the norm cap.
-
-    Doubling w must cut the objective by more than _RAY_GAIN of itself to go
-    on: where the gap is certified no step can, and along a ray into an
-    unattained infimum each doubling about squares a logistic objective.
-    """
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        return w, value, False
-    best_w, best_val = w, value
-    scale = 2.0
-    while scale * norm <= _NORM_CAP:
-        cand = scale * w
-        val = fun(cand)
-        if val >= best_val * (1.0 - _RAY_GAIN):
-            return best_w, best_val, False
-        best_w, best_val = cand, val
-        scale *= 2.0
-    return best_w, best_val, True
-
-
-def _train(problem, d: int, eps: float, tol: Tolerance, **flags) -> TrainedModel:
-    w, value, dual, steps = _certified_minimize(problem, d, tol)
-    unattained = False
-    if eps == 0.0:  # only an unpenalized objective can decrease along a ray forever
-        w, value, unattained = _ray_probe(problem.primal, w, value)
-    gap = max(value - dual, 0.0)
+    gap = max(best_p - best_d, 0.0)
     return TrainedModel(
-        weights=w,
-        value=value,
+        weights=best_w,
+        value=best_p,
         iterations=steps,
         gap=gap,
         unattained=unattained,
-        dual_value=dual,
-        target_met=gap <= _gap_target(tol) * value,
+        dual_value=best_d,
+        target_met=gap <= target * best_p,
         **flags,
     )
 
@@ -661,12 +658,7 @@ def dro_train_classifier(
         raise ValueError("eps must be nonnegative")
     X, y = _check_labeled(X, y, classification=True)
     problem = _problem(X, y, loss, eps, input_norm)
-    model = _train(problem, X.shape[1], eps, tol, degenerate_data=bool(np.unique(y).size == 1))
-    # a strictly positive loss evaluating to numerical zero can only mean
-    # the infimum is approached along a ray, never reached
-    if model.value <= 1e-280 and not loss.attains_infimum and np.linalg.norm(model.weights) > 0:
-        model = dataclasses.replace(model, unattained=True)
-    return model
+    return _train(problem, X.shape[1], tol, degenerate_data=bool(np.unique(y).size == 1))
 
 
 def dro_train_regressor(
@@ -689,7 +681,7 @@ def dro_train_regressor(
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     X, y = _check_labeled(X, y, classification=False)
-    return _train(_problem(X, y, loss, eps, input_norm), X.shape[1], eps, tol)
+    return _train(_problem(X, y, loss, eps, input_norm), X.shape[1], tol)
 
 
 def dro_objective_crosscheck(

@@ -151,6 +151,11 @@ def test_support_empty_polyhedron_raises():
         support_function_eval(S, [1.0])
 
 
+def test_polyhedron_without_faces_is_refused():
+    with pytest.raises(ValueError, match=r"SetSpec\.whole\(2\)"):
+        SetSpec.polyhedron(np.zeros((0, 2)), np.zeros(0))
+
+
 def test_support_intersection_box_and_halfplane():
     box = SetSpec.polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
     half = SetSpec.polyhedron([[1.0, 0.0]], [0.25])

@@ -318,6 +318,40 @@ def test_separable_logloss_flags_unattained():
     assert np.linalg.norm(model.weights) <= 2e6
 
 
+def _separated(case):
+    if case == "pair":
+        return np.array([[1.0], [-1.0]]), np.array([1.0, -1.0])
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(200, 5))
+    return X, np.where(X @ rng.normal(size=5) >= 0.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("case", ["pair", "seeded_200x5"])
+def test_completely_separated_logloss_stops_after_one_stage(case):
+    X, y = _separated(case)
+    model = dro_train_classifier(X, y, UnivariateLoss("logloss"), 0.0)
+    assert model.unattained
+    assert model.iterations <= 60
+    assert np.all(y * (X @ model.weights) > 0.0)
+    assert model.value <= 1e-12 * math.log(2.0)
+    assert model.value == classification_objective(model.weights, X, y, UnivariateLoss("logloss"), 0.0)
+    # alpha = 0 is the dual point; the gap is the whole value, above the target
+    assert model.dual_value == 0.0
+    assert model.gap == model.value
+    assert model.target_met is False
+
+
+def test_quasi_separated_logloss_is_not_flagged():
+    # the first sample is separated, the other two lie on every hyperplane
+    # through 0: the infimum 2/3 log 2 is unattained but not detected, and
+    # the gap still certifies the value
+    X, y = np.array([[1.0], [0.0], [0.0]]), np.array([1.0, 1.0, -1.0])
+    model = dro_train_classifier(X, y, UnivariateLoss("logloss"), 0.0)
+    assert not model.unattained
+    assert abs(model.value - 2.0 / 3.0 * math.log(2.0)) <= 1e-9
+    assert model.gap <= 1e-9 * model.value
+
+
 def test_wrappers():
     rng = np.random.RandomState(17)
     X = rng.randn(60, 2)
