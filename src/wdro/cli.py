@@ -464,7 +464,10 @@ def _run_wc_risk(cfg: RunConfig):
             rep = _type1_extremal(loss, samples, ball, cells)
             if rep.kind == "attained":
                 certificates["lower_bound"] = expected_loss(loss, rep.distribution)
-                spent = wasserstein_p(rep.distribution, samples, 1.0, ball.norm, cfg.tol).distance
+                # W1 is symmetric; with the samples as Q, the extremal's far
+                # atoms are columns, and the pin at its heaviest column keeps
+                # the potentials that carry mass small
+                spent = wasserstein_p(samples, rep.distribution, 1.0, ball.norm, cfg.tol).distance
                 certificates["budget_residual"] = spent - eps
     nominal = expected_loss(loss, samples)
     certificates["robustness_margin"] = value - nominal

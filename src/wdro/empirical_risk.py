@@ -241,9 +241,13 @@ def _check_inputs(loss_dim: int, samples: DiscreteDistribution, ball: BallSpec) 
         )
     support = ball.support_for(samples.dim)
     if support.kind == "polyhedron":
-        for i, atom in enumerate(samples.atoms):
-            if not support.contains(atom, tol=1e-9):
-                raise ValueError(f"sample atom {i} lies outside the support set")
+        # SetSpec.contains on every atom at once: each row within
+        # 1e-9 (|C| |x| + |d|)
+        X, C, d = samples.atoms, support.C_matrix(), support.d_vector()
+        inside = X @ C.T - d <= 1e-9 * (np.abs(X) @ np.abs(C).T + np.abs(d))
+        outside = ~inside.all(axis=1)
+        if outside.any():
+            raise ValueError(f"sample atom {outside.argmax()} lies outside the support set")
     return support
 
 

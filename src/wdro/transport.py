@@ -5,7 +5,7 @@ couplings of the two atom sets.  It is solved by the transportation (u-v)
 simplex on the N x M cost matrix: the basis is a spanning tree of N + M - 1
 cells of the bipartite row/column graph, started by the northwest-corner
 rule, and the tree's potentials are the Kantorovich potentials (phi, psi),
-normalized so that psi[M-1] = 0 and
+normalized so that psi = 0 at the first heaviest atom of Q' and
 
     psi_j - phi_i <= ||xi_i - xi'_j||^p   for every atom pair.
 
@@ -13,9 +13,9 @@ Every answer is checked against its own cost matrix before it is returned:
 the plan's marginals, dual feasibility of the potentials and the gap
 between the primal value and the dual value  psi . w' - phi . w, each
 within the rounding that the compared numbers carry, so the checks scale
-with the atoms.  The dual value is summed exactly (``math.fsum``) on the
-potentials shifted to the heaviest column, where a far atom of tiny mass
-does not make its terms cancel.  The module also provides the Gelbrich lower
+with the atoms.  The dual value is summed exactly (``math.fsum``), and
+with the pin at the heaviest atom a far atom of tiny mass does not make
+its terms cancel.  The module also provides the Gelbrich lower
 bound on the type-2 distance, which depends on the two distributions only
 through their means and covariance matrices.
 """
@@ -226,14 +226,14 @@ def _transport_simplex(
 
     Nodes 0..N-1 are the rows and N..N+M-1 the columns; a basic cell (i, j)
     is the tree edge between nodes i and N + j.  The tree hangs from column
-    ``root``, whose potential is 0, and is kept in per-node lists: every
-    other node n holds its parent, its depth, the flow ``up[n]`` and cost
-    ``cup[n]`` of its parent edge, its children, its potential, which
-    follows from u_i + v_j = C_ij on the parent edge, and the potential's
-    rounding error (TwoSum of that subtraction, less the parent's error), so
-    that potential plus error is the alternating path sum of costs up to
-    eps^2-sized terms per tree edge.  The northwest corner builds the
-    first tree, which is then rehung from ``root``.
+    ``root``, a heaviest column, whose potential is 0, and is kept in
+    per-node lists: every other node n holds its parent, its depth, the flow
+    ``up[n]`` and cost ``cup[n]`` of its parent edge, its children, its
+    potential, which follows from u_i + v_j = C_ij on the parent edge, and
+    the potential's rounding error (TwoSum of that subtraction, less the
+    parent's error), so that potential plus error is the alternating path
+    sum of costs up to eps^2-sized terms per tree edge.  The northwest
+    corner builds the first tree, which is then rehung from ``root``.
 
     A pivot brings in a cell of negative reduced cost: the most negative one
     of the first block that has one, and the lowest flat index among equals
@@ -251,8 +251,8 @@ def _transport_simplex(
     Returns the plan, as the row indices, column indices and masses of the
     N + M - 1 basic cells, and the row and column potentials.  The masses
     are not the pivots' running flows: each is the excess of row over
-    column weight on the far side of its edge from the heaviest column,
-    summed exactly enough (double-double) to be that sum rounded once.
+    column weight on the far side of its edge from ``root``, summed exactly
+    enough (double-double) to be that sum rounded once.
     """
     N, M = C.shape
     nodes = N + M
@@ -419,9 +419,7 @@ def _transport_simplex(
     # rounded once and the weights' own imbalance falls on the heaviest
     # column.  The pivots' masses carry the rounding of every mass they met,
     # which a far column's cost would multiply.
-    top = N + int(b.argmax())
-    reroot(top, -1, 0.0, 0.0, root)
-    order = [top]
+    order = [root]
     for n in order:  # grows while it is walked: parents before children
         order += kids[n]
     hi = a.tolist() + (-b).tolist()
@@ -445,13 +443,13 @@ def _transport_simplex(
     return (i_b, j_b, np.array(mass)), P[:N], P[N:]
 
 
-def _excess(C: np.ndarray, w: np.ndarray, size: np.ndarray) -> Tuple[int, int, float]:
+def _excess(C: np.ndarray, w: np.ndarray) -> Tuple[int, int, float]:
     """The cell where u_i + v_j - C_ij most exceeds its rounding allowance
-    2 _ROUNDOFF (C_ij + size_i + size_{N+j}), and that excess; w holds u
-    and then v, and size the magnitudes the allowance counts for each."""
+    2 _ROUNDOFF (C_ij + |u_i| + |v_j|), and that excess; w holds u and
+    then v."""
     N, M = C.shape
     r = 2.0 * _ROUNDOFF
-    B = w - r * size
+    B = w - r * np.abs(w)
     E = B[:N, None] + B[N:]
     E -= (1.0 + r) * C
     k = int(E.argmax())
@@ -461,9 +459,10 @@ def _excess(C: np.ndarray, w: np.ndarray, size: np.ndarray) -> Tuple[int, int, f
 def _shifted(u: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
     """u + c and v - c in one array, with c = v at the heaviest column.
 
-    Pinned at an atom far from the others, every potential is about its
-    distance, and a dual sum in that frame cancels terms far above its
-    value; at the heaviest column the potentials that carry mass are small.
+    ``kr_verify`` takes potentials in any frame.  Pinned at a far atom,
+    every potential is about its distance and a dual sum cancels terms far
+    above its value; at the heaviest column, where ``wasserstein_p`` pins
+    its own, the potentials that carry mass are small.
     """
     c = v[b.argmax()]
     return np.concatenate((u + c, v - c))
@@ -489,7 +488,9 @@ def wasserstein_p(
     exactly, so a reduced cost counts as negative below -16 eps * C_ij,
     relative to the cell's own cost: the answer does not depend on the
     scale of the atoms, and cells whose costs lie many orders below max C
-    are still priced right.  The potentials are pinned by psi[M-1] = 0.
+    are still priced right.  The simplex's tree hangs from the first
+    heaviest column of ``Qp``, where the potentials are pinned,
+    psi[Qp.weights.argmax()] = 0, so those that carry mass stay small.
     Each plan mass is an exact sum of weights rounded once, so an atom of
     tiny mass far from the others is moved with all its digits; a mass
     below (N + M) eps times the smaller weight of its cell is rounding
@@ -498,14 +499,12 @@ def wasserstein_p(
     Before returning, three checks run on the cost matrix, and a failed one
     raises ``NumericalFailure``: the plan's marginals (within
     max(tol.rel_tol, 1e-12) plus the weights' own imbalance); dual
-    feasibility psi_j - phi_i <= C_ij of the potentials shifted to the
-    heaviest column, cell by cell within 32 eps * (C_ij + |phi_i| + |psi_j|)
-    summed over the returned and the shifted potentials, the rounding those
+    feasibility psi_j - phi_i <= C_ij of the returned potentials, cell by
+    cell within 32 eps * (C_ij + |phi_i| + |psi_j|), the rounding those
     numbers carry; and the gap between the primal value and the dual value
-    of the shifted potentials, summed with ``math.fsum``, within the
-    rounding of the two sums and of the potentials in both frames, and
-    never more than 1e-8 * (1 + value).  ``tol.rel_tol`` enters only the
-    marginal check.
+    of the returned potentials, summed with ``math.fsum``, within the
+    rounding of the two sums and of the potentials, and never more than
+    1e-8 * (1 + value).  ``tol.rel_tol`` enters only the marginal check.
     """
     if not isinstance(Q, DiscreteDistribution) or not isinstance(Qp, DiscreteDistribution):
         raise TypeError("wasserstein_p expects DiscreteDistribution inputs")
@@ -521,7 +520,7 @@ def wasserstein_p(
     rows = np.argsort(Q.atoms[:, 0], kind="stable")
     cols = np.argsort(Qp.atoms[:, 0], kind="stable")
     (i_b, j_b, mass), u_s, v_s = _transport_simplex(
-        C[rows[:, None], cols], a[rows], b[cols], int((cols == M - 1).argmax())
+        C[rows[:, None], cols], a[rows], b[cols], int((cols == b.argmax()).argmax())
     )
     u, v = np.empty(N), np.empty(M)
     u[rows], v[cols] = u_s, v_s
@@ -547,23 +546,21 @@ def wasserstein_p(
     if marginal_error > max(tol.rel_tol, 1e-12) + abs(float(a.sum() - b.sum())):
         raise NumericalFailure(f"transport plan misses its marginals by {marginal_error:.3e}")
 
-    # Feasibility and the gap are checked on the shifted potentials.  The
-    # exact pass leaves slack below 16 eps * C_ij; rounding the returned
-    # potentials, shifting them and recomputing the slack add a few ulps of
-    # each term in both frames.
-    w = _shifted(u, v, b)
-    abs_w = np.abs(w)
-    size = abs_w + np.abs(np.concatenate((u, v)))
-    i, j, excess = _excess(C, w, size)
+    # Feasibility and the gap are checked on the returned potentials.  The
+    # exact pass leaves slack below 16 eps * C_ij; rounding the potentials
+    # and recomputing the slack add a few ulps of each term.
+    w = np.concatenate((u, v))
+    i, j, excess = _excess(C, w)
     if excess > 0.0:
         raise NumericalFailure(
             f"potentials violate psi_j - phi_i <= C_ij at {(i, j)} "
             f"by {w[i] + w[N + j] - C[i, j]:.3e}"
         )
-    # On basic cells C_ij = u_i + v_j up to the rounding of the returned
-    # potentials, so the primal and the dual sum differ by their rounding in
-    # both frames plus the potentials times the plan's marginal errors.
-    roundoff = (N + M + 4) * _EPS * (value + size @ ab) + abs_w @ err
+    # On basic cells C_ij = u_i + v_j up to the rounding of the potentials,
+    # so the primal and the dual sum differ by their rounding plus the
+    # potentials times the plan's marginal errors.
+    abs_w = np.abs(w)
+    roundoff = (N + M + 4) * _EPS * (value + abs_w @ ab) + abs_w @ err
     gap = value - math.fsum((w * ab).tolist())
     if abs(gap) > min(roundoff, 1e-8 * (1.0 + value)):
         raise NumericalFailure(f"transport duality gap {gap:.3e} exceeds tolerance")
@@ -606,7 +603,7 @@ def kr_verify(
         raise ValueError("order p must be finite and >= 1")
     C = _pairwise_costs(Q, Qp, p, norm)
     w = np.concatenate((-duals.phi, duals.psi))
-    i, j, excess = _excess(C, w, np.abs(w))
+    i, j, excess = _excess(C, w)
     slack = duals.psi[j] - duals.phi[i] - C[i, j]
     shifted = _shifted(w[: Q.n_atoms], duals.psi, Qp.weights)
     dual_value = math.fsum((shifted * np.concatenate((Q.weights, Qp.weights))).tolist())

@@ -168,27 +168,28 @@ def test_wc_risk_cells_report_brackets_the_value(tmp_path):
 
 
 def test_wc_risk_cells_report_a_far_box(tmp_path):
-    """A box 1e8 beyond the data: the value, its bounds and the W1 budget the
+    """A box far beyond the data: the value, its bounds and the W1 budget the
     extremal spends are all reported."""
-    rng = np.random.default_rng([0, 41])
-    samples = write_json(tmp_path / "s.json", {"atoms": rng.uniform(-1.0, 1.0, size=(6, 2)).tolist()})
-    loss = write_json(
-        tmp_path / "l.json",
-        {"kind": "pwa", "slopes": rng.normal(size=(3, 2)).tolist(), "intercepts": rng.normal(size=3).tolist()},
-    )
-    box = {"kind": "polyhedron", "C": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], "d": [1e8] * 4}
-    support = write_json(tmp_path / "box.json", box)
     norm = write_json(tmp_path / "norm.json", {"kind": "p", "p": 1.0})
-    code, report = run_cli(
-        ["wc-risk", "--samples", samples, "--loss", loss, "--eps", "1e-6", "--p", "1",
-         "--norm", norm, "--support", support],
-        tmp_path,
-    )
-    assert code == 0 and report["error"] is None
-    value, certs = report["results"]["value"], report["certificates"]
-    assert abs(certs["lower_bound"] - value) <= 1e-9 * abs(value)
-    assert abs(certs["upper_bound"] - value) <= 1e-9 * abs(value)
-    assert certs["budget_residual"] <= 1e-9 * 1e-6
+    for seed, half_width in [(0, 1e8), (11, 1e10)]:
+        rng = np.random.default_rng([seed, 41])
+        samples = write_json(tmp_path / "s.json", {"atoms": rng.uniform(-1.0, 1.0, size=(6, 2)).tolist()})
+        loss = write_json(
+            tmp_path / "l.json",
+            {"kind": "pwa", "slopes": rng.normal(size=(3, 2)).tolist(), "intercepts": rng.normal(size=3).tolist()},
+        )
+        box = {"kind": "polyhedron", "C": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], "d": [half_width] * 4}
+        support = write_json(tmp_path / "box.json", box)
+        code, report = run_cli(
+            ["wc-risk", "--samples", samples, "--loss", loss, "--eps", "1e-6", "--p", "1",
+             "--norm", norm, "--support", support],
+            tmp_path,
+        )
+        assert code == 0 and report["error"] is None, (seed, half_width, report["error"])
+        value, certs = report["results"]["value"], report["certificates"]
+        assert abs(certs["lower_bound"] - value) <= 1e-9 * abs(value)
+        assert abs(certs["upper_bound"] - value) <= 1e-9 * abs(value)
+        assert certs["budget_residual"] <= 1e-9 * 1e-6
 
 
 def test_wc_risk_reports_its_path(tmp_path):

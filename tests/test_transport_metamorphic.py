@@ -5,12 +5,16 @@ Each test transforms the input in a way whose effect on the answer is known
 exactly, so no reference solver is needed: W_p is positively homogeneous,
 translation invariant and blind to the order of the atoms, and moving a
 small mass to one far atom costs that mass times the cheapest way there.
+Where a far atom sits beside near atoms that do not balance, the returned
+potentials must certify the distance at every spread, and at moderate
+spreads the distance must agree with HiGHS (``scipy.optimize.linprog``).
 """
 
 import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from wdro.convex_analysis import NormSpec
 from wdro.transport import DiscreteDistribution, kr_verify, wasserstein_p
@@ -63,7 +67,8 @@ def test_permutation_equivariance():
             res = wasserstein_p(Qr, Qc, p)
             assert abs(res.distance - ref.distance) <= 1e-12 * ref.distance
             assert np.max(np.abs(res.plan.matrix - ref.plan.matrix[np.ix_(r, c)])) <= 1e-12
-            # psi is pinned at the last atom, which the relabelling moves
+            # psi is pinned at the heaviest atom, which the relabelling
+            # carries along; the check allows any common shift all the same
             shift = res.duals.psi[-1] - ref.duals.psi[c[-1]]
             scale = 1e-10 * (1.0 + np.max(np.abs(ref.duals.psi)))
             assert np.max(np.abs(res.duals.psi - ref.duals.psi[c] - shift)) <= scale
@@ -97,8 +102,8 @@ def cheapest_routes(P, p, q):
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_a_small_mass_moved_far_away_costs_its_route(p, q):
     # Q' is Q with 0.3 / L of atom 0's mass moved to an atom at (L, 0).  With
-    # potentials pinned at that far atom, every other potential is about
-    # L^p, yet W_p^p is the moved mass times the cheapest route from atom 0
+    # potentials pinned at the heaviest atom, the far atom's is about L^p,
+    # yet W_p^p is the moved mass times the cheapest route from atom 0
     # to the far atom through the other atoms (for p = 1 the straight leg):
     # any plan moves that mass along such a route, and minus the cheapest
     # cost to the far atom is a feasible psi (and phi) that attains it.
@@ -112,12 +117,51 @@ def test_a_small_mass_moved_far_away_costs_its_route(p, q):
             kept = w[0] - 0.3 / L
             moved = w[0] - kept  # exact, so that the two weight vectors balance exactly
             Y = np.vstack([X, [[L, 0.0]]])
-            res = wasserstein_p(
-                DiscreteDistribution(X, w),
-                DiscreteDistribution(Y, np.concatenate([[kept], w[1:], [moved]])),
-                p,
-                norm,
-            )
+            b = np.concatenate([[kept], w[1:], [moved]])
+            res = wasserstein_p(DiscreteDistribution(X, w), DiscreteDistribution(Y, b), p, norm)
             ref = moved * cheapest_routes(Y, p, q)[0, 6]
             assert abs(res.distance**p - ref) <= 1e-14 * ref, (seed, L)
-            assert res.duals.psi[-1] == 0.0
+            assert res.duals.psi[b.argmax()] == 0.0
+
+
+def far_family(seed, L):
+    """Q is 6 seeded 2-D atoms; Q' is 6 other seeded atoms, whose non-uniform
+    weights are scaled by 1 - 0.3 / L, and an atom at (L, 0) that takes the
+    rest, so the near atoms of Q' do not balance those of Q exactly."""
+    rng = np.random.default_rng([seed, 7])
+    X, a = rng.uniform(-1.0, 1.0, size=(6, 2)), rng.uniform(0.2, 1.0, 6)
+    Y, b = rng.uniform(-1.0, 1.0, size=(6, 2)), rng.uniform(0.2, 1.0, 6)
+    b *= (1.0 - 0.3 / L) / b.sum()
+    Qp = DiscreteDistribution(np.vstack([Y, [[L, 0.0]]]), np.append(b, 1.0 - b.sum()))
+    return DiscreteDistribution(X, a / a.sum()), Qp
+
+
+def highs_value(C, a, b):
+    N, M = C.shape
+    A_eq = np.vstack([np.kron(np.eye(N), np.ones(M)), np.kron(np.ones(N), np.eye(M))])
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("q", [1, np.inf], ids=["1-norm", "inf-norm"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_a_far_atom_beside_unbalanced_near_atoms_is_certified(p, q):
+    # Pinned at the far atom, every potential would be about L^p and carry
+    # L^p eps of rounding, which the dual sum inherits; pinned at the
+    # heaviest atom, the potentials that carry mass are small, and the
+    # returned ones certify the distance at every L.
+    norm = NormSpec.p_norm(q)
+    for seed in range(12):
+        for L in 10.0 ** np.arange(2, 13):
+            Q, Qp = far_family(seed, L)
+            res = wasserstein_p(Q, Qp, p, norm)
+            value = res.distance**p
+            checked = kr_verify(Q, Qp, norm, res.duals, p=p)
+            assert checked.is_feasible, (seed, L)
+            assert abs(checked.dual_value - value) <= 1e-14 * value, (seed, L)
+            assert res.duals.psi[Qp.weights.argmax()] == 0.0
+            if L <= 1e4:
+                C = np.linalg.norm(Q.atoms[:, None] - Qp.atoms[None], ord=q, axis=-1) ** p
+                ref = highs_value(C, Q.weights, Qp.weights)
+                assert abs(value - ref) <= 1e-12 * ref, (seed, L)
