@@ -562,6 +562,8 @@ def _run_train(cfg: RunConfig):
             "weights": model.weights,
             "value": model.value,
             "iterations": model.iterations,
+            "stages": model.stages,
+            "finish": model.finish,
             "unattained": model.unattained,
             "degenerate_data": model.degenerate_data,
         }

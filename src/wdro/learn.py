@@ -29,10 +29,25 @@ derivatives at the current margins, scaled into the constraint (for
 eps = 0, moved onto A'alpha = 0).  It stops once primal - dual is at most
 10 * tol.rel_tol of the objective (1e-9 relative at the default
 tolerance); primal - dual bounds the suboptimality of the returned
-weights either way.  Unpenalized logloss has no minimizer on completely
-separated data: training stops at the first stage whose weights separate
-every sample and flags them ``unattained``.  Quasi-separated data, where
-some margins stay at 0, are not detected.
+weights either way.
+
+Hinge, pinball and eps-insensitive training under a 1- or inf-norm input
+ball is a linear program (the dual norm is the inf- or 1-norm), whose
+optimum is a vertex fixed by d active kinks; smoothing identifies them
+long before mu is small (Hare and Lewis, *Identifying active constraints
+via partial smoothness and prox-regularity*, J. Convex Anal. 2004).  From
+the third stage on, training solves the square system of the d kinks
+nearest to active for that vertex, and its transpose for the kink
+multipliers; the vertex is kept only if the gap to the dual point built
+from those multipliers meets the same target, so the certificate still
+does not depend on how the weights were found.  Degenerate data, with
+more than d samples on kinks, make the square system singular or its
+multipliers infeasible, and the stages go on.
+
+Unpenalized logloss has no minimizer on completely separated data:
+training stops at the first stage whose weights separate every sample and
+flags them ``unattained``.  Quasi-separated data, where some margins stay
+at 0, are not detected.
 
 Each objective is defined once, by the problem object that ``_problem``
 builds from the checked data: ``_Risk`` for the Lipschitz losses and
@@ -84,6 +99,7 @@ _GAP_FLOOR = 1e-12
 _SHRINK = 0.2  # smoothing factor per stage
 _STAGES = 23  # mu0 down to 1e-16 mu0, the relative rounding of the data
 _STAGE_STEPS = 60  # Newton steps per stage
+_VERTEX_STAGE = 3  # the first stage after which an LP tries its vertex
 _NEWTON_STOP = 1e-26  # relative decrement that ends a stage
 _QUADRATIC = 1e-10  # relative decrement below which f cannot judge a step
 _ARMIJO = 1e-4
@@ -281,7 +297,10 @@ class TrainedModel:
     lies above the optimum.  ``target_met`` says whether that gap reached
     the training target, max(10 tol.rel_tol, 1e-12) times ``value``; when
     it is False the gap is still a bound, only a looser one.
-    ``iterations`` counts Newton steps.  ``unattained`` says that the
+    ``iterations`` counts Newton steps and ``stages`` smoothing stages.
+    ``finish`` is ``"active_pieces"`` when training ended at the vertex of
+    a piecewise-affine loss under a polyhedral dual norm, solved from its
+    active kinks, and ``"smoothing"`` otherwise.  ``unattained`` says that the
     weights separate every sample: the objective falls to its infimum 0
     along them and no weights attain it; ``dual_value`` is then 0.
     """
@@ -294,6 +313,8 @@ class TrainedModel:
     degenerate_data: bool = False
     dual_value: float = 0.0
     target_met: bool = False
+    stages: int = 0
+    finish: str = "smoothing"
 
 
 def _check_pairing(loss: UnivariateLoss, p: float) -> None:
@@ -304,7 +325,14 @@ def _check_pairing(loss: UnivariateLoss, p: float) -> None:
         raise PairingMismatch("Lipschitz losses need a type-1 ball")
 
 
+def _check_loss(loss) -> None:
+    if not isinstance(loss, UnivariateLoss):
+        hint = f', such as UnivariateLoss("{loss}")' if isinstance(loss, str) else ""
+        raise UnsupportedLoss(f"loss must be a UnivariateLoss{hint}, not {type(loss).__name__}")
+
+
 def _check_kind(loss: UnivariateLoss, classification: bool) -> None:
+    _check_loss(loss)
     if loss.is_classification != classification:
         task = "classification" if classification else "regression"
         raise UnsupportedLoss(f"{loss.kind} is not a {task} loss")
@@ -460,11 +488,86 @@ class _Risk:
         return float(f), g, H
 
     def dual_value(self, w: np.ndarray, mu: float) -> float:
-        alpha = self.loss.smoothed(self.A @ w + self.c, mu)[1]
+        return self._dual(self.loss.smoothed(self.A @ w + self.c, mu)[1])
+
+    def _dual(self, alpha: np.ndarray) -> float:
+        """The Fenchel dual objective at alpha moved into the constraint."""
         alpha = _into_ball(alpha, self.A, self.lam, self.input_norm, *self.loss.dual_domain)
         if alpha is None:
             return -math.inf
         return float(np.mean(alpha * self.c - self.loss.conjugate(alpha)))
+
+    def vertex(self, w: np.ndarray, mu: float):
+        """The LP vertex on the d kinks nearest to active at w and the dual
+        value of its multipliers, or None when the problem is no LP or the
+        kinks fix no vertex.
+
+        The candidates are the samples' kinks a_i'w + c_i = t_j and the
+        kinks of the dual norm: the zero coordinates of the 1-norm, or the
+        coordinates tied with the largest of the inf-norm.  Each is ranked by
+        how deep inside its slope interval the smoothing at mu puts its
+        multiplier, in widths of that interval: a sample's Moreau derivative
+        on the ramp t_j + mu [s_j, s_j+1], a coordinate's entry of the
+        smoothed norm's gradient, or its share of the tie with the largest
+        entry.  Samples off their ramps follow, nearest first.  The chosen
+        rows, scaled to unit length, form the square system M w = r.  Its
+        transpose gives the kink multipliers alpha_K and the free
+        subgradient entries of the norm, while every other sample keeps the
+        slope of its piece at the vertex; alpha_K is clipped to its slope
+        interval before the dual value is taken.
+        """
+        loss, norm, lam = self.loss, self.dual_norm, self.lam
+        if loss.kind not in _PIECEWISE or norm.kind not in ("p", "scaled") or norm.p not in (1.0, math.inf):
+            return None
+        A, c = self.A, self.c
+        N, d = A.shape
+        s, t = loss._slopes, loss._kinks
+        z = A @ w + c
+        # the signed distance of each margin from the ramp of each kink, in
+        # ramp widths: -min(share below, share above) on the ramp
+        off = np.maximum(t + mu * s[:-1] - z[:, None], z[:, None] - t - mu * s[1:]) / (mu * np.diff(s))
+        j = off.argmin(axis=1)
+        size = np.sqrt((A * A).sum(axis=1))
+        size[size == 0.0] = 1.0
+        M, r, score = A / size[:, None], (t[j] - c) / size, off[np.arange(N), j]
+        if lam > 0.0:
+            # the multipliers of the smoothed norm, as in _smooth_norm
+            a, nu = np.abs(w), mu / self.scale
+            if norm.p == 1.0:  # the kinks w_k = 0, multiplier w_k / hypot(w_k, nu) in [-1, 1]
+                rows, depth = np.eye(d), 0.5 * (1.0 - a / np.hypot(a, nu))
+            else:  # the kinks sign_k w_k = sign_top w_top, a share of the largest entry's weight
+                top = int(a.argmax())
+                sign = np.where(w >= 0.0, 1.0, -1.0)
+                rows = np.diag(sign)
+                rows[:, top] -= sign[top]
+                ratio = np.exp((np.delete(a, top) - a[top]) / nu)
+                rows, depth = np.delete(rows, top, axis=0) / math.sqrt(2.0), ratio / (1.0 + ratio)
+            M, r = np.vstack([M, rows]), np.concatenate([r, np.zeros(depth.size)])
+            score = np.concatenate([score, -depth])
+        if score.size < d:
+            return None
+        pick = np.sort(np.argsort(score, kind="stable")[:d])
+        K = pick[pick < N]
+        try:
+            wv = np.linalg.solve(M[pick], r[pick])
+            alpha = loss.subgrad(A @ wv + c)  # the slopes off the kinks
+            alpha[K] = 0.0
+            b = -(alpha @ A) / N
+            if lam > 0.0:  # less the fixed part of the norm's subgradient
+                if norm.p == 1.0:
+                    g0 = np.sign(wv)
+                    g0[pick[pick >= N] - N] = 0.0
+                else:
+                    g0 = np.zeros(d)
+                    g0[top] = sign[top]
+                b -= lam * (norm.alpha if norm.kind == "scaled" else 1.0) * g0
+            u = np.linalg.solve(M[pick].T, b)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(wv)):
+            return None
+        alpha[K] = np.clip(N * u[: K.size] / size[K], s[j[K]], s[j[K] + 1])
+        return wv, self._dual(alpha)
 
     def separating_ray(self, w: np.ndarray):
         """w scaled to an objective of at most _GAP_FLOOR mu0 if its margins
@@ -529,6 +632,9 @@ class _SqrtLasso:
 
     def separating_ray(self, w: np.ndarray):
         return None  # a convex quadratic bounded below attains its infimum
+
+    def vertex(self, w: np.ndarray, mu: float):
+        return None  # the square-root lasso is no LP
 
 
 def _problem(X: np.ndarray, y: np.ndarray, loss: UnivariateLoss, eps: float,
@@ -599,7 +705,12 @@ def _train(problem, d: int, tol: Tolerance, **flags) -> TrainedModel:
     Stage by stage the smoothing mu shrinks by _SHRINK from the problem's
     mu0 (the size of the loss at w = 0, so the first stage smooths on the
     scale of the data), Newton runs from the last stage's weights, and the
-    dual value is taken at them.  The loop stops once
+    dual value is taken at them.  From stage _VERTEX_STAGE on, a problem that
+    is a linear program also offers the vertex on the kinks nearest to
+    active at the stage's weights (``vertex``), with the dual value of its
+    multipliers; training finishes there (``finish="active_pieces"``) when
+    that vertex's gap meets the target, and otherwise goes on from the
+    stage's weights as if it had not been tried.  The loop stops once
     primal - dual <= max(10 tol.rel_tol, 1e-12) * primal (1e-9 relative at
     the default tolerance), or after _STAGES stages; the gap it returns is
     a bound either way.  It stops early at weights along which the
@@ -611,13 +722,13 @@ def _train(problem, d: int, tol: Tolerance, **flags) -> TrainedModel:
     best_d = 0.0
     target = max(_GAP_FACTOR * tol.rel_tol, _GAP_FLOOR)
     mu = problem.mu0
-    steps = 0
+    steps = stages = 0
     unattained = False
-    for _ in range(_STAGES):
-        if best_p - best_d <= target * best_p:
-            break
+    finish = "smoothing"
+    while stages < _STAGES and best_p - best_d > target * best_p:
         w, k = _newton(problem, w, mu, _STAGE_STEPS)
         steps += k
+        stages += 1
         ray = problem.separating_ray(w)
         if ray is not None:
             best_w, best_p, best_d, unattained = ray, problem.primal(ray), 0.0, True
@@ -626,6 +737,14 @@ def _train(problem, d: int, tol: Tolerance, **flags) -> TrainedModel:
         if value < best_p:
             best_w, best_p = w, value
         best_d = max(best_d, problem.dual_value(w, mu))
+        vertex = None
+        if stages >= _VERTEX_STAGE and best_p - best_d > target * best_p:
+            vertex = problem.vertex(w, mu)
+        if vertex is not None:
+            wv, dv = vertex
+            pv = problem.primal(wv)
+            if pv - dv <= target * pv:
+                best_w, best_p, best_d, finish = wv, pv, max(best_d, dv), "active_pieces"
         mu *= _SHRINK
     gap = max(best_p - best_d, 0.0)
     return TrainedModel(
@@ -636,6 +755,8 @@ def _train(problem, d: int, tol: Tolerance, **flags) -> TrainedModel:
         unattained=unattained,
         dual_value=best_d,
         target_met=gap <= target * best_p,
+        stages=stages,
+        finish=finish,
         **flags,
     )
 
@@ -701,6 +822,7 @@ def dro_objective_crosscheck(
     piecewise description covers all samples.  Returns (regularized value,
     worst-case value, difference).
     """
+    _check_loss(loss)
     pieces = loss.pieces()  # raises UnsupportedLoss for smooth kinds
     w = as_vector(model.weights, "weights")
     X, y = _check_labeled(X, y, loss.is_classification)

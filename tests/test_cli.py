@@ -347,6 +347,24 @@ def test_train_regression_run(tmp_path):
     assert main(["train", "--input", data, "--loss", "absolute", "--eps", "0.1"]) == 2
 
 
+def test_train_report_says_how_training_finished(tmp_path):
+    rows = [[0.5, 1.0, 1.2], [-0.3, -1.0, -0.7], [1.2, 0.4, 2.0], [0.1, -0.6, 0.3], [0.7, -0.2, 0.9], [-0.9, 0.3, -1.4]]
+    data = write_csv(tmp_path / "d.csv", rows)
+    norm = write_json(tmp_path / "l1.json", {"kind": "p", "p": 1})
+    args = ["train", "--input", data, "--loss", "pinball", "--delta", "0.3", "--p", "1", "--eps", "0.2"]
+    # a 1-norm input ball makes pinball training a linear program
+    code, report = run_cli(args + ["--norm", norm], tmp_path)
+    assert code == 0
+    assert report["results"]["finish"] == "active_pieces"
+    assert report["results"]["stages"] >= 3
+    assert report["certificates"]["solver_gap"] <= 1e-12 * report["results"]["value"]
+    # the default 2-norm ball keeps the smoothing to the end
+    code, report = run_cli(args, tmp_path)
+    assert code == 0
+    assert report["results"]["finish"] == "smoothing"
+    assert report["certificates"]["target_met"] is True
+
+
 def test_calibrate_runs_and_p_equals_half_dim_fails(tmp_path, capsys):
     code, report = run_cli(
         [

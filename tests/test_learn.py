@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,23 @@ def test_loss_parameter_validation():
         UnivariateLoss("squared").lipschitz
     with pytest.raises(UnsupportedLoss):
         UnivariateLoss("logloss").pieces()
+
+
+def test_a_loss_name_is_refused_with_the_loss_to_build():
+    X, y, w = [[1.0], [-1.0]], [1.0, -1.0], [0.5]
+    model = dro_train_classifier(X, y, UnivariateLoss("hinge"), 0.1)
+    calls = (
+        lambda: dro_train_classifier(X, y, "hinge", 0.1),
+        lambda: dro_train_regressor(X, y, "hinge", 0.1, 1.0),
+        lambda: classification_objective(w, X, y, "hinge", 0.1),
+        lambda: regression_objective(w, X, y, "hinge", 0.1, 1.0),
+        lambda: dro_objective_crosscheck(model, X, y, "hinge", 0.1),
+    )
+    for call in calls:
+        with pytest.raises(UnsupportedLoss, match=re.escape('UnivariateLoss("hinge")')):
+            call()
+    with pytest.raises(UnsupportedLoss, match="not NoneType"):
+        dro_train_classifier(X, y, None, 0.1)
 
 
 def test_classifier_single_sample_examples():

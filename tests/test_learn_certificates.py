@@ -148,3 +148,81 @@ def test_a_thousand_samples_in_ten_dimensions_certify_quickly():
     model = dro_train_classifier(X, y, loss, 0.05, input_norm=norm)
     assert time.perf_counter() - start < 1.0
     assert model.gap <= 1e-6 * model.value
+
+
+PIECEWISE = [("hinge", None), ("pinball", 0.3), ("eps_insensitive", 0.2)]
+
+
+@pytest.mark.parametrize("kind, delta", PIECEWISE)
+@pytest.mark.parametrize("input_p", [1.0, math.inf])
+@pytest.mark.parametrize("N, d", [(50, 2), (50, 10), (300, 2), (300, 10)])
+def test_piecewise_training_finishes_at_the_lp_vertex(kind, delta, input_p, N, d):
+    # a 1- or inf-norm input ball makes the problem an LP, finished at its vertex
+    loss, norm = UnivariateLoss(kind, delta), NormSpec.p_norm(input_p)
+    for seed in range(3):
+        rng = np.random.default_rng([seed, N, d, int(input_p == 1.0)])
+        X, y = _data(rng, kind, N, d)
+        eps = float(rng.uniform(0.05, 0.3))
+        model = _assert_certified(loss, X, y, eps, norm, _lp_weights(loss, X, y, eps, input_p))
+        assert model.finish == "active_pieces"
+        assert 3 <= model.stages < 23
+
+
+@pytest.mark.parametrize("kind, delta", PIECEWISE)
+@pytest.mark.parametrize("input_p", [1.0, math.inf])
+def test_the_vertex_finish_is_metamorphic(kind, delta, input_p):
+    """Permuted rows, and inputs scaled by 2^30 or 2^-30, still finish at a
+    certified vertex of the same problem.
+
+    The radius scales with the inputs, and so do y and the kinks of the
+    eps-insensitive loss, so each scaled problem is the original one with
+    weights divided by s (hinge) or objective multiplied by s (regression).
+    """
+    rng = np.random.default_rng([19, int(input_p == 1.0), len(kind)])
+    norm = NormSpec.p_norm(input_p)
+    X, y = _data(rng, kind, 120, 5)
+    eps = float(rng.uniform(0.05, 0.3))
+    loss = UnivariateLoss(kind, delta)
+    base = _assert_certified(loss, X, y, eps, norm, _lp_weights(loss, X, y, eps, input_p))
+    assert base.finish == "active_pieces"
+    order = rng.permutation(X.shape[0])
+    model = _train(loss, X[order], y[order], eps, norm)
+    assert model.finish == "active_pieces"
+    assert model.gap <= TARGET * model.value
+    assert abs(model.value - base.value) <= model.gap + base.gap + 8.0 * ULP * base.value
+    for s in (2.0**30, 2.0**-30):
+        if loss.is_classification:
+            scaled, ys, factor = loss, y, 1.0
+        else:
+            scaled, ys, factor = UnivariateLoss(kind, delta * s if kind == "eps_insensitive" else delta), s * y, s
+        model = _train(scaled, s * X, ys, s * eps, norm)
+        assert model.finish == "active_pieces"
+        assert model.gap <= TARGET * model.value
+        assert model.value == _objective(scaled, s * X, ys, s * eps, norm, model.weights)
+        value, gap = model.value / factor, model.gap / factor
+        assert abs(value - base.value) <= gap + base.gap + 8.0 * ULP * base.value
+
+
+@pytest.mark.parametrize("input_p", [1.0, math.inf])
+def test_more_than_d_samples_on_kinks_fall_back_to_the_smoothing(input_p):
+    """Degenerate data refuse the vertex, and the smoothing stages certify."""
+    norm = NormSpec.p_norm(input_p)
+    # integer data on which the best line y = 1 + x fits 8 of the 11 samples
+    # exactly, 4 copies of each of two rows: with d = 2 the square system
+    # picks two copies of one row and is singular
+    x = np.array([0.0] * 4 + [1.0] * 4 + [-1.0, 2.0, 0.5])
+    X = np.column_stack([np.ones(x.size), x])
+    y = np.array([1.0] * 4 + [2.0] * 4 + [1.0, 1.0, 3.0])
+    for loss in (UnivariateLoss("pinball", 0.5), UnivariateLoss("eps_insensitive", 0.0)):
+        model = _assert_certified(loss, X, y, 0.05, norm, _lp_weights(loss, X, y, 0.05, input_p))
+        assert model.finish == "smoothing"
+        assert np.allclose(model.weights, [1.0, 1.0], rtol=0.0, atol=1e-6)
+    # the median of 7 values, 5 of them equal: with d = 1 the square system
+    # takes one of the 5 residuals on the kink and leaves the other four on
+    # the slope -1/2, so the one it solves for needs a multiplier outside
+    # [-1/2, 1/2] and the dual point falls far short
+    X, y = np.ones((7, 1)), np.array([1.0] * 5 + [0.0, 2.0])
+    loss = UnivariateLoss("pinball", 0.5)
+    model = _assert_certified(loss, X, y, 0.05, norm, _lp_weights(loss, X, y, 0.05, input_p))
+    assert model.finish == "smoothing"
+    assert abs(model.weights[0] - 1.0) <= 1e-6
