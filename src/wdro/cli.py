@@ -42,7 +42,7 @@ from .moment_risk import gelbrich_risk_quadratic
 from .numerics import DEFAULT_TOL, Tolerance
 from .shrinkage import _eq51, sample_moments, wasserstein_shrinkage
 from .transport import DiscreteDistribution, MomentPair, gelbrich_distance, kr_verify, wasserstein_p
-from .convex_analysis import NormSpec, SetSpec
+from .convex_analysis import NormSpec, SetSpec, norm_eval
 
 COMMANDS = ("transport", "wc-risk", "gelbrich", "shrink", "mmse", "train", "calibrate")
 
@@ -463,12 +463,12 @@ def _run_wc_risk(cfg: RunConfig):
             certificates["upper_bound"] = cells.upper
             rep = _type1_extremal(loss, samples, ball, cells)
             if rep.kind == "attained":
-                certificates["lower_bound"] = expected_loss(loss, rep.distribution)
-                # W1 is symmetric; with the samples as Q, the extremal's far
-                # atoms are columns, and the pin at its heaviest column keeps
-                # the potentials that carry mass small
-                spent = wasserstein_p(samples, rep.distribution, 1.0, ball.norm, cfg.tol).distance
-                certificates["budget_residual"] = spent - eps
+                dist = rep.distribution
+                certificates["lower_bound"] = expected_loss(loss, dist)
+                # the cost of the coupling that moved each atom's mass from
+                # its source sample bounds W1; fsum rounds its sum once
+                moves = norm_eval(ball.norm, dist.atoms - samples.atoms[rep.sources])
+                certificates["budget_residual"] = math.fsum(dist.weights * moves) - eps
     nominal = expected_loss(loss, samples)
     certificates["robustness_margin"] = value - nominal
     return {"value": value, "nominal_risk": nominal, "path": path}, certificates

@@ -3,9 +3,13 @@
 Two loss families are covered exactly at desk scale:
 
 * piecewise-affine (max of affine pieces) losses, for type-1 and type-inf
-  balls with whole-space or polyhedral support through one small LP per
-  (sample, piece) cell, all solved as one stack that shares its rows, plus
-  the type-2 whole-space case through a scalar dual;
+  balls with whole-space or polyhedral support through one small problem
+  per (sample, piece) cell, plus the type-2 whole-space case through a
+  scalar dual.  On a box (every face +-e_k) under alpha ||.||_1 or
+  alpha ||.||_inf, or any norm on the line, the box separates by
+  coordinate and each cell has a closed form; every other polyhedron or
+  polyhedral norm solves the cells as LPs, all as one ``LPStack`` that
+  shares its rows;
 * indefinite quadratic losses ``xi' Q xi + 2 q' xi`` for type-2 balls with
   Euclidean norm and whole-space support, through an eigenvalue-based
   scalar dual.
@@ -20,6 +24,7 @@ a cheap upper bound on the exact value.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -226,12 +231,18 @@ class AsymptoticFamily:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExtremalReport:
-    """Worst-case distribution: attained exactly or as an escaping family."""
+    """Worst-case distribution: attained exactly or as an escaping family.
+
+    An attained type-1 extremal of the cells also carries ``sources``, the
+    sample each atom's mass moved from: that coupling's cost bounds its W1
+    distance to the samples with no transport solve.
+    """
 
     kind: str
     certified_value: float
     distribution: Optional[DiscreteDistribution] = None
     family: Optional[AsymptoticFamily] = None
+    sources: Optional[np.ndarray] = None
 
 
 def _check_inputs(loss_dim: int, samples: DiscreteDistribution, ball: BallSpec) -> SetSpec:
@@ -291,11 +302,130 @@ def _cell_stack(norm: NormSpec, faces, slack, A, radius: Optional[float] = None)
     return LPStack(rows, np.repeat(b, A.shape[0], axis=0), m), cost
 
 
-def _ball_cells(norm: NormSpec, faces, slack, radius: float, A) -> tuple[np.ndarray, np.ndarray]:
-    """sup a_j' theta over ||theta|| <= radius, faces theta <= slack_i, and theta."""
-    stack, cost = _cell_stack(norm, faces, slack, A, radius)
-    x, objective = stack.solve(cost)
-    return -objective.reshape(len(slack), -1), x[:, : A.shape[1]].reshape(len(slack), len(A), -1)
+def _with_zero(x: np.ndarray, before: bool = True) -> np.ndarray:
+    """x with a 0 put before the first entry of its last axis, or after the last."""
+    zero = np.zeros(x.shape[:-1] + (1,))
+    return np.concatenate([zero, x] if before else [x, zero], axis=-1)
+
+
+class _BoxCells:
+    """The cells on a box under alpha ||.||_1 or alpha ||.||_inf, in closed form.
+
+    The box separates by coordinate: cell (i, j) moves coordinate k toward
+    sign(a_jk) by t_k in [0, room_ijk], sample i's slack to its face on that
+    side (inf where the side has none), for a gain of sum_k |a_jk| t_k and a
+    norm of alpha sum_k t_k or alpha max_k t_k.
+    """
+
+    def __init__(self, q: float, alpha: float, A: np.ndarray, room: np.ndarray):
+        self.q, self.alpha = q, alpha
+        self.sign, self.a, self.room = np.sign(A), np.abs(A), room  # room is (N, J, m)
+
+    def _values(self, t: np.ndarray, penalty: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """The cells' values at moves t, less penalty times their norms, and theta."""
+        value = (self.a * t).sum(axis=-1)
+        if penalty:
+            value -= penalty * (t.sum(axis=-1) if self.q == 1.0 else t.max(axis=-1, initial=0.0))
+        return value, self.sign * t
+
+    def ball(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """sup a_j' theta over ||theta|| <= radius: every coordinate up to
+        radius / alpha (inf-norm), or a fractional knapsack in decreasing
+        |a_jk|, coordinate order breaking ties (1-norm)."""
+        reach = radius / self.alpha
+        if self.q != 1.0:
+            return self._values(np.minimum(reach, self.room))
+        order = np.broadcast_to(np.argsort(-self.a, axis=-1, kind="stable"), self.room.shape)
+        room = np.take_along_axis(self.room, order, axis=-1)
+        # the budget each coordinate finds left, -inf past an infinite room
+        left = reach - _with_zero(np.cumsum(room[..., :-1], axis=-1))
+        t = np.empty_like(room)
+        np.put_along_axis(t, order, np.clip(left, 0.0, room), axis=-1)
+        return self._values(t)
+
+    @functools.cached_property
+    def _steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every cell's candidate moves t under the inf-norm, 0 and then its
+        finite rooms in increasing order, and the slope of its gain right of
+        each: what the rooms beyond keep.  The last finite candidate gets
+        slope -inf (beyond it only rounding keeps the slope up), the rest inf."""
+        order = np.argsort(self.room, axis=-1, kind="stable")
+        room = _with_zero(np.take_along_axis(self.room, order, axis=-1))
+        a = np.take_along_axis(np.broadcast_to(self.a, order.shape), order, axis=-1)
+        right = np.cumsum(_with_zero(a, before=False)[..., ::-1], axis=-1)[..., ::-1]
+        at, last = np.arange(room.shape[-1]), np.isfinite(room).sum(axis=-1, keepdims=True) - 1
+        return room, np.where(at < last, right, np.where(at == last, -np.inf, np.inf))
+
+    def type1(self, g: float, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """h_ij(g) = sup a_j' theta - g ||theta|| and its maximizer, h = inf
+        where g lies below piece j's recession threshold by more than its
+        rounding.  Otherwise a cell gains nothing from an infinite room, whose
+        slope is at most g alpha."""
+        slope = g * self.alpha
+        if self.q == 1.0:
+            # each coordinate to its face where |a_jk| > g alpha
+            t = np.where((self.a > slope) & np.isfinite(self.room), self.room, 0.0)
+        else:
+            # t* = the first candidate right of which the gain's slope is at most g alpha
+            steps, right = self._steps
+            first = (right <= slope).argmax(axis=-1)[..., None]
+            t = np.minimum(np.take_along_axis(steps, first, axis=-1), self.room)
+        h, theta = self._values(t, slope)
+        h[:, thresholds > g * (1.0 + 2.0**-50)] = np.inf
+        return h, theta
+
+
+def _box_cells(norm: NormSpec, faces, slack, A) -> Optional[_BoxCells]:
+    """Closed-form cells when every face is +-e_k and the ground norm is
+    alpha ||.||_1 or alpha ||.||_inf, or any norm on the line; else None."""
+    m = faces.shape[1]
+    if m == 1:
+        q, alpha = 1.0, float(norm_eval(norm, np.ones(1)))
+    elif norm.kind in ("p", "scaled") and norm.p in (1.0, math.inf):
+        q, alpha = norm.p, norm.alpha
+    else:
+        return None
+    if np.any((faces != 0.0).sum(axis=1) != 1):
+        return None
+    # each face's coordinate, up the coordinate first, then down it
+    side = np.abs(faces).argmax(axis=1) + m * (faces.sum(axis=1) < 0.0)
+    # the tightest face on each side of each coordinate, inf where it has none
+    on_side = side[:, None, None] == np.arange(2 * m)
+    rooms = np.where(on_side, slack.T[:, :, None], np.inf).min(axis=0, initial=np.inf)
+    up, down = rooms[:, None, :m], rooms[:, None, m:]
+    return _BoxCells(q, alpha, A, np.where(A > 0, up, np.where(A < 0, down, 0.0)))
+
+
+class _StackCells:
+    """The cells as LPs over the faces and the norm's epigraph rows, solved
+    together as one LPStack; the methods are those of _BoxCells."""
+
+    def __init__(self, norm: NormSpec, faces, slack, A):
+        self.norm, self.faces, self.slack, self.A = norm, faces, slack, A
+
+    def _read(self, x: np.ndarray, objective: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        (N, _), (J, m) = self.slack.shape, self.A.shape
+        return -objective.reshape(N, J), x[:, :m].reshape(N, J, m)
+
+    def ball(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        stack, cost = _cell_stack(self.norm, self.faces, self.slack, self.A, radius)
+        return self._read(*stack.solve(cost))
+
+    @functools.cached_property
+    def _type1_stack(self):
+        return _cell_stack(self.norm, self.faces, self.slack, self.A)
+
+    def type1(self, g: float, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One stack solve from the previous bases; unbounded cells read inf."""
+        stack, cost = self._type1_stack
+        cost[:, -1] = g
+        return self._read(*stack.solve(cost))
+
+
+def _cells(norm: NormSpec, faces, slack, A) -> _BoxCells | _StackCells:
+    """The (sample, piece) cells: in closed form on a box, else as LPs."""
+    box = _box_cells(norm, faces, slack, A)
+    return box if box is not None else _StackCells(norm, faces, slack, A)
 
 
 class _Selection(NamedTuple):
@@ -332,10 +462,10 @@ def _type1_cells(
 ) -> _Type1:
     """Minimize F(g) = g eps + sum_i w_i max_j [l_j(xi_i) + h_ij(g)] over g >= 0.
 
-    h_ij(g) = sup a_j' theta - g ||theta|| over theta in Xi - xi_i is a cell
-    of the stack, finite exactly from the recession threshold of piece j on.
-    F is convex and piecewise linear, so a cutting plane on exact values
-    ends; each cut is one stack solve from the previous bases.  The mixture
+    h_ij(g) = sup a_j' theta - g ||theta|| over theta in Xi - xi_i is a cell,
+    finite exactly from the recession threshold of piece j on.  F is convex
+    and piecewise linear, so a cutting plane on exact values ends; each cut
+    solves every cell, in closed form on a box, else as one stack.  The mixture
     of the two bracket selections that spends eps exactly is worth the
     lines' value where they cross; the plane stops when F is no higher.
     Left of the optimum F can be as steep as the support is wide, right of
@@ -346,29 +476,29 @@ def _type1_cells(
     L = loss.piece_table(samples.atoms)
     gaps = L - L.max(axis=1, keepdims=True)  # each piece below the sample's loss
     faces, slack = _faces(support, samples.atoms)
-    thresholds, recession = _ball_cells(norm, faces, np.zeros((1, len(faces))), 1.0, loss.A)
-    cells, cost = _cell_stack(norm, faces, slack, loss.A)
+    thresholds, recession = _cells(norm, faces, np.zeros((1, len(faces))), loss.A).ball(1.0)
+    # F is finite from the largest recession threshold on; thresholds within
+    # rounding of 0 count as 0
+    lip = lipschitz_modulus_pwa(loss, norm)
+    thresholds = np.where(thresholds[0] > _RECESSION_TOL * lip, thresholds[0], 0.0)
+    cells = _cells(norm, faces, slack, loss.A)
     at = np.arange(N)
 
     def select(gamma: float) -> tuple[float, _Selection]:  # F(gamma) - nominal, and its selection
-        cost[:, -1] = gamma
-        x, objective = cells.solve(cost)
-        if np.any(np.isinf(objective)):
+        h, thetas = cells.type1(gamma, thresholds)
+        if np.any(np.isinf(h)):
             raise NumericalFailure("a worst-case cell is unbounded above its recession threshold")
-        table = gaps - objective.reshape(N, -1)
+        table = gaps + h
         j = table.argmax(axis=1)
-        theta = x[:, :m].reshape(N, -1, m)[at, j]
+        theta = thetas[at, j]
         gain = w * (gaps[at, j] + np.einsum("ik,ik->i", loss.A[j], theta))
         return gamma * eps + float(w @ table[at, j]), _Selection(gamma, theta, gain, w * norm_eval(norm, theta))
 
     def done(value, upper, gamma, lo, hi):
         nominal = expected_loss(loss, samples)
-        return _Type1(float(nominal + value), float(nominal + upper), gamma, lo, hi, recession[0], thresholds[0])
+        return _Type1(float(nominal + value), float(nominal + upper), gamma, lo, hi, recession[0], thresholds)
 
-    # F is finite from the largest recession threshold on (0 if within rounding of 0)
-    lip = lipschitz_modulus_pwa(loss, norm)
-    start = float(thresholds.max())
-    upper, lo = select(start if start > _RECESSION_TOL * lip else 0.0)
+    upper, lo = select(float(thresholds.max()))
     if lo.spend.sum() <= eps:
         return done(lo.line(lo.gamma).sum() + lo.gamma * eps, upper, lo.gamma, lo, None)
     # at the Lipschitz modulus every cell is solved by theta = 0
@@ -428,9 +558,8 @@ def _wc_pwa(
     """The value, its path ("closed_form", "scalar_dual" or "cells") and the
     type-1 cutting plane's result."""
     support = _check_inputs(loss.dim, samples, ball)
-    nominal = expected_loss(loss, samples)
     if ball.eps == 0.0:
-        return nominal, "closed_form", None
+        return expected_loss(loss, samples), "closed_form", None
 
     if method not in ("auto", "closed_form", "lp"):
         raise ValueError(f"unknown method {method!r}")
@@ -446,7 +575,8 @@ def _wc_pwa(
 
     if whole and method in ("auto", "closed_form"):
         if ball.p == 1.0:
-            return nominal + ball.eps * lipschitz_modulus_pwa(loss, ball.norm), "closed_form", None
+            value = expected_loss(loss, samples) + ball.eps * lipschitz_modulus_pwa(loss, ball.norm)
+            return value, "closed_form", None
         if ball.p == math.inf:
             duals = dual_norm_eval(ball.norm, loss.A)
             per_sample = (loss.piece_table(samples.atoms) + ball.eps * duals).max(axis=1)
@@ -464,7 +594,7 @@ def _wc_pwa(
         cells = _type1_cells(loss, samples, ball, support)
         return cells.value, "cells", cells
     # type inf: every sample moves by at most eps on its own
-    sigma, _ = _ball_cells(ball.norm, *_faces(support, samples.atoms), ball.eps, loss.A)
+    sigma, _ = _cells(ball.norm, *_faces(support, samples.atoms), loss.A).ball(ball.eps)
     L = loss.piece_table(samples.atoms) + sigma
     return float(samples.weights @ L.max(axis=1)), "cells", None
 
@@ -479,13 +609,17 @@ def wc_risk_pwa(
 
     Whole-space supports use closed forms (type-1: nominal plus eps times
     the Lipschitz modulus; type-inf: per-sample sup; type-2: scalar dual).
-    Polyhedral supports solve small cell LPs, one per (sample, piece), as
-    one stack that shares its rows, which requires p in {1, inf} and a
-    polyhedral ground norm: type inf in one stack solve, type 1 by a
-    cutting plane on the budget multiplier (the one ``extremal_pwa`` reads
-    its distribution from).  ``method`` is one of "auto", "closed_form",
-    "lp"; forcing "lp" on a whole-space instance runs the cells with no
-    support rows, which is useful for cross-checks.
+    Polyhedral supports solve one small cell per (sample, piece), which
+    requires p in {1, inf} and a polyhedral ground norm: type inf in one
+    pass over the cells, type 1 by a cutting plane on the budget multiplier
+    (the one ``extremal_pwa`` reads its distribution from).  A box support
+    (every face +-e_k) under ``NormSpec.p_norm(1 | inf)``, ``scaled(alpha,
+    1 | inf)`` or any norm in dimension 1 takes each cell in closed form;
+    other polyhedra, half-planes, weighted and block norms solve the cells
+    as LPs, one ``LPStack`` that shares its rows.  ``method`` is one of
+    "auto", "closed_form", "lp"; forcing "lp" on a whole-space instance
+    runs the cells with no faces (in closed form under a 1- or inf-norm),
+    which is useful for cross-checks.
     """
     return _wc_pwa(loss, samples, ball, method)[0]
 
@@ -622,7 +756,7 @@ def _type1_extremal(
     """
     atoms, w, eps = samples.atoms, samples.weights, ball.eps
     lo, hi = cells.lo, cells.hi
-    weights = w.copy()
+    weights, sources = w.copy(), np.arange(len(w))
     if hi is None:
         moved, left = atoms + lo.theta, eps - lo.spend.sum()
         if lo.gamma > 0.0 and left > 0.0:
@@ -654,9 +788,10 @@ def _type1_extremal(
         # the distance
         weights = np.append(w, share * w[split])
         weights[split] -= weights[-1]
+        sources = np.append(sources, split)
     keep = weights > 0.0
     dist = DiscreteDistribution(moved[keep], weights[keep])
-    return ExtremalReport(kind="attained", certified_value=cells.value, distribution=dist)
+    return ExtremalReport(kind="attained", certified_value=cells.value, distribution=dist, sources=sources[keep])
 
 
 def extremal_pwa(
@@ -666,10 +801,13 @@ def extremal_pwa(
 ) -> ExtremalReport:
     """Extremal (or asymptotically extremal) distribution for type-1 balls.
 
-    With a polyhedral ground norm this runs the cells' cutting plane and
+    With a polyhedral ground norm this runs the cells' cutting plane (cells
+    in closed form on a box under a 1- or inf-norm, possibly scaled, or any
+    norm on the line; one ``LPStack`` otherwise, as in ``wc_risk_pwa``) and
     mixes its two bracket selections so that the budget is spent exactly:
     at most N + 1 atoms whose expected loss is the value, certified by the
-    dual objective at the multiplier.  Where a recession threshold binds,
+    dual objective at the multiplier.  The report's ``sources`` names the
+    sample each atom's mass moved from.  Where a recession threshold binds,
     the leftover budget escapes along that piece's recession direction.
     For non-polyhedral norms on the whole space, a single affine piece is
     handled by shifting every atom along the dual-norm maximizer; several

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from importlib import resources
@@ -190,6 +191,29 @@ def test_wc_risk_cells_report_a_far_box(tmp_path):
         assert abs(certs["lower_bound"] - value) <= 1e-9 * abs(value)
         assert abs(certs["upper_bound"] - value) <= 1e-9 * abs(value)
         assert certs["budget_residual"] <= 1e-9 * 1e-6
+
+
+def test_wc_risk_budget_residual_is_the_extremal_couplings_cost(tmp_path):
+    """Far boxes, 12 seeds x 5 half-widths x 2 radii: the residual of the
+    coupling the extremal was built from stays within rounding of eps."""
+    norm = write_json(tmp_path / "norm.json", {"kind": "p", "p": 1.0})
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 41])
+        samples = write_json(tmp_path / "s.json", {"atoms": rng.uniform(-1.0, 1.0, size=(6, 2)).tolist()})
+        loss = write_json(
+            tmp_path / "l.json",
+            {"kind": "pwa", "slopes": rng.normal(size=(3, 2)).tolist(), "intercepts": rng.normal(size=3).tolist()},
+        )
+        for half_width, eps in itertools.product([1e4, 1e6, 1e8, 1e10, 1e12], [1e-6, 1e-2]):
+            box = {"kind": "polyhedron", "C": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], "d": [half_width] * 4}
+            support = write_json(tmp_path / "box.json", box)
+            code, report = run_cli(
+                ["wc-risk", "--samples", samples, "--loss", loss, "--eps", repr(eps), "--p", "1",
+                 "--norm", norm, "--support", support],
+                tmp_path,
+            )
+            assert code == 0 and report["results"]["path"] == "cells", (seed, half_width, eps)
+            assert abs(report["certificates"]["budget_residual"]) <= 1e-15 * eps, (seed, half_width, eps, report)
 
 
 def test_wc_risk_reports_its_path(tmp_path):

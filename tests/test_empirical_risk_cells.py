@@ -27,10 +27,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from wdro.convex_analysis import NormSpec, SetSpec
+from wdro.convex_analysis import NormSpec, SetSpec, norm_eval
 from wdro.empirical_risk import (
     BallSpec,
     PiecewiseAffineLoss,
+    _BoxCells,
+    _box_cells,
+    _cell_stack,
+    _cells,
+    _faces,
     expected_loss,
     extremal_pwa,
     wc_risk_pwa,
@@ -70,6 +75,9 @@ def support_rows(kind, atoms, rng):
     m = atoms.shape[1]
     if kind == "box":
         C = np.vstack([np.eye(m), -np.eye(m)])
+    elif kind == "halfbox":
+        # a box with all but m of its faces left out: mass can escape
+        C = np.vstack([np.eye(m), -np.eye(m)])[np.sort(rng.permutation(2 * m)[:m])]
     elif kind == "polyhedron":
         C = rng.normal(size=(m + 3, m))
     elif kind == "halfplane":
@@ -138,8 +146,20 @@ def check_extremal(rep, loss, samples, ball, value):
         assert dist.n_atoms <= samples.n_atoms + 1
         assert abs(expected_loss(loss, dist) - value) <= EXACT * (1.0 + abs(value))
         assert all(support.contains(atom, tol=1e-9) for atom in dist.atoms)
-        spent = wasserstein_p(dist, samples, 1.0, ball.norm).distance
+        res = wasserstein_p(dist, samples, 1.0, ball.norm)
+        spent = res.distance
         assert spent <= ball.eps * (1.0 + 1e-9), (spent, ball.eps)
+        # the coupling the extremal was built from moves each sample's mass
+        # to the atoms it is the source of; its cost bounds W1 from above,
+        # within the rounding the transport solve certifies its value to
+        moved = np.bincount(rep.sources, dist.weights, samples.n_atoms)
+        assert np.allclose(moved, samples.weights, rtol=4e-16, atol=0.0)
+        cost = math.fsum(dist.weights * norm_eval(ball.norm, dist.atoms - samples.atoms[rep.sources]))
+        assert cost <= ball.eps * (1.0 + 1e-12), (cost, ball.eps)
+        phi, psi = res.duals.phi, res.duals.psi
+        potentials = np.abs(phi) @ dist.weights + np.abs(psi) @ samples.weights
+        roundoff = (dist.n_atoms + samples.n_atoms + 4) * 2.0**-52 * (spent + potentials)
+        assert cost >= spent - roundoff, (cost, spent, roundoff)
         return
     deficits = []
     for n in (10**3, 10**6):
@@ -153,7 +173,7 @@ def check_extremal(rep, loss, samples, ball, value):
     assert deficits[1] <= 1e-2 * max(deficits[0], 0.0) + EXACT * (1.0 + abs(value))
 
 
-SUPPORTS = ("box", "polyhedron", "halfplane", "whole")
+SUPPORTS = ("box", "halfbox", "polyhedron", "halfplane", "whole")
 NORMS = ("one", "inf", "weighted", "block_sum", "block_max")
 
 
@@ -280,3 +300,93 @@ def test_forty_samples_in_a_box_take_well_under_a_second():
             call(loss, samples, ball)
             best = min(best, time.perf_counter() - start)
         assert best < 1.0, (p, call.__name__, best)
+
+
+BOX_NORMS = {
+    "one": (NormSpec.p_norm(1), 3),
+    "inf": (NormSpec.p_norm(math.inf), 3),
+    "scaled_one": (NormSpec.scaled(0.7, 1), 2),
+    "scaled_inf": (NormSpec.scaled(1.3, math.inf), 2),
+    "weighted_line": (NormSpec.weighted([[2.5]], 1), 1),
+}
+
+
+def box_cells_instance(seed, m):
+    """Faces +-e_k times random factors: some left out (infinite rooms), some
+    twice with another offset (the tighter face must win), two samples on a
+    face (zero rooms); one slope is 0."""
+    rng = np.random.default_rng([seed, 137, m])
+    N, J = 6, 3
+    atoms = rng.uniform(-1.0, 1.0, size=(N, m))
+    C = np.vstack([np.eye(m), -np.eye(m)])
+    d = (atoms @ C.T).max(axis=0) + rng.uniform(0.05, 1.0, 2 * m)
+    atoms[1, 0], atoms[2, m - 1] = d[0], -d[2 * m - 1]
+    reach = (atoms @ C.T).max(axis=0)
+    C = np.vstack([C, 3.0 * C, 0.5 * C])
+    d = np.concatenate([d, 1.5 * (d + reach), 0.5 * (d + 1.0)])
+    keep = np.ones(len(C), dtype=bool)
+    if seed % 3:
+        keep[seed % (2 * m) :: 2 * m] = False  # one side of one coordinate, with its copies
+    factor = rng.uniform(0.5, 2.0, keep.sum())
+    C, d = C[keep] * factor[:, None], d[keep] * factor
+    A = rng.normal(size=(J, m))
+    A[seed % J, seed % m] = 0.0
+    return atoms, SetSpec.polyhedron(C, d), A
+
+
+@pytest.mark.parametrize("name", BOX_NORMS)
+def test_box_cells_match_the_cell_lps(name):
+    """The closed-form box cells against the same cells solved by LPStack:
+    type-1 cells at every breakpoint g = |a_jk| / alpha and between them,
+    and ball cells (type-inf values and recession thresholds).  Values
+    everywhere, moves off the breakpoints, where they are unique."""
+    norm, m = BOX_NORMS[name]
+    alpha = norm_eval(norm, np.eye(m)[0])
+    for seed in range(6):
+        atoms, support, A = box_cells_instance(seed, m)
+        N, J = len(atoms), len(A)
+        faces, slack = _faces(support, atoms)
+        box = _box_cells(norm, faces, slack, A)
+        assert box is not None
+        moving = np.abs(A) > 0  # a coordinate without slope may move freely under the inf-norm
+        for rows, radius in [(np.zeros((1, len(faces))), 1.0), (slack, 0.3), (slack, 2.0), (slack, 1e3)]:
+            value, theta = _box_cells(norm, faces, rows, A).ball(radius)
+            stack, cost = _cell_stack(norm, faces, rows, A, radius)
+            x, objective = stack.solve(cost)
+            tol = 1e-9 * (1.0 + radius * np.abs(A).sum())
+            assert np.allclose(value.ravel(), -objective, rtol=0.0, atol=tol), (seed, radius)
+            lp_theta = x[:, :m].reshape(len(rows), J, m)
+            assert np.allclose(theta[:, moving], lp_theta[:, moving], rtol=0.0, atol=tol / alpha), (seed, radius)
+        thresholds = _box_cells(norm, faces, np.zeros((1, len(faces))), A).ball(1.0)[0][0]
+        kinks = np.unique(np.abs(A) / alpha)
+        between = np.append(0.5 * (kinks[1:] + kinks[:-1]), 2.0 * kinks[-1])
+        stack, cost = _cell_stack(norm, faces, slack, A)
+        for g, on_kink in [(g, True) for g in kinks] + [(g, False) for g in between]:
+            h, theta = box.type1(g, thresholds)
+            cost[:, -1] = g
+            x, objective = stack.solve(cost)
+            unbounded = np.isinf(objective).reshape(N, J)
+            assert np.array_equal(np.isinf(h), unbounded), (seed, g)
+            tol = 1e-9 * (1.0 + np.abs(h[~unbounded]).max(initial=0.0))
+            assert np.allclose(h[~unbounded], -objective.reshape(N, J)[~unbounded], rtol=0.0, atol=tol), (seed, g)
+            if not on_kink:
+                lp_theta = x[:, :m].reshape(N, J, m)
+                same = ~unbounded[:, :, None] & moving
+                assert np.allclose(theta[same], lp_theta[same], rtol=0.0, atol=tol), (seed, g)
+
+
+def test_only_boxes_under_separable_norms_take_the_closed_form():
+    """Every face +-e_k (none at all included) and alpha ||.||_1 or
+    alpha ||.||_inf, or any norm on the line: closed form.  Anything else:
+    the LP stack."""
+    rng = np.random.default_rng(139)
+    for support, norm, m in itertools.product(SUPPORTS, NORMS, (1, 2, 3)):
+        if norm in ("block_sum", "block_max") and m == 1:
+            continue
+        atoms = rng.uniform(-1.0, 1.0, size=(4, m))
+        spec = support_rows(support, atoms, rng)[0] or SetSpec.whole(m)
+        cells = _cells(ground(norm, m)[0], *_faces(spec, atoms), rng.normal(size=(2, m)))
+        box = support in ("box", "halfbox", "whole") or m == 1
+        assert isinstance(cells, _BoxCells) == (box and (norm in ("one", "inf") or m == 1)), (support, norm, m)
+    scaled = _cells(NormSpec.scaled(0.5, math.inf), np.vstack([np.eye(2), -np.eye(2)]), np.ones((3, 4)), np.ones((1, 2)))
+    assert isinstance(scaled, _BoxCells)
