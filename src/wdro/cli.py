@@ -104,9 +104,9 @@ def _read_csv(path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _descriptor(obj, path: str, key: str, expect=dict):
-    if not isinstance(obj, expect):
-        raise UsageError(f"{path}: {key} must be a JSON {expect.__name__}")
+def _descriptor(obj, path: str, key: str):
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path}: {key} must be a JSON dict")
     return obj
 
 
@@ -222,7 +222,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--norm", default=None)
     p.add_argument("--support", default=None)
-    p.add_argument("--method", choices=("auto", "closed_form", "lp"), default=None)
 
     p = sub.add_parser("gelbrich", parents=[shared])
     p.add_argument("--moments", default=None, help="moment pair (JSON)")
@@ -457,7 +456,7 @@ def _run_wc_risk(cfg: RunConfig):
         path = "scalar_dual" if eps > 0.0 else "closed_form"
     else:
         ball = cfg.payload["ball"]
-        value, path, cells = _wc_pwa(loss, samples, ball, cfg.options["method"] or "auto")
+        value, path, cells = _wc_pwa(loss, samples, ball)
         if cells is not None:
             # the extremal's expected loss and F at the multiplier bracket the value
             certificates["upper_bound"] = cells.upper

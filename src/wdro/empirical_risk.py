@@ -2,14 +2,14 @@
 
 Two loss families are covered exactly at desk scale:
 
-* piecewise-affine (max of affine pieces) losses, for type-1 and type-inf
-  balls with whole-space or polyhedral support through one small problem
-  per (sample, piece) cell, plus the type-2 whole-space case through a
-  scalar dual.  On a box (every face +-e_k) under alpha ||.||_1 or
-  alpha ||.||_inf, or any norm on the line, the box separates by
-  coordinate and each cell has a closed form; every other polyhedron or
-  polyhedral norm solves the cells as LPs, all as one ``LPStack`` that
-  shares its rows;
+* piecewise-affine (max of affine pieces) losses: on the whole space in
+  closed form for type-1 and type-inf balls and through a scalar dual for
+  type 2; on a polyhedral support, for type-1 and type-inf balls, through
+  one small problem per (sample, piece) cell.  On a box (every face +-e_k)
+  under alpha ||.||_1 or alpha ||.||_inf, or any norm on the line, the box
+  separates by coordinate and each cell has a closed form; every other
+  polyhedron or polyhedral norm solves the cells as LPs, all as one
+  ``LPStack`` that shares its rows;
 * indefinite quadratic losses ``xi' Q xi + 2 q' xi`` for type-2 balls with
   Euclidean norm and whole-space support, through an eigenvalue-based
   scalar dual.
@@ -18,7 +18,8 @@ Each worst-case value comes with a matching extremal construction: either
 an attained discrete distribution inside the ball, or a one-parameter
 family of distributions whose risk converges to the value while an atom
 escapes to infinity.  Nominal risk plus eps times the Lipschitz modulus is
-a cheap upper bound on the exact value.
+a cheap upper bound on the exact value.  The input alone (support, ground
+norm and ball order) picks every path.
 """
 
 from __future__ import annotations
@@ -550,30 +551,14 @@ def _wc_pwa_p2_whole(
 
 
 def _wc_pwa(
-    loss: PiecewiseAffineLoss,
-    samples: DiscreteDistribution,
-    ball: BallSpec,
-    method: str,
+    loss: PiecewiseAffineLoss, samples: DiscreteDistribution, ball: BallSpec
 ) -> tuple[float, str, Optional[_Type1]]:
     """The value, its path ("closed_form", "scalar_dual" or "cells") and the
     type-1 cutting plane's result."""
     support = _check_inputs(loss.dim, samples, ball)
     if ball.eps == 0.0:
         return expected_loss(loss, samples), "closed_form", None
-
-    if method not in ("auto", "closed_form", "lp"):
-        raise ValueError(f"unknown method {method!r}")
-
-    whole = support.kind == "whole"
-    if not whole and ball.p == 2.0:
-        raise UnsupportedCombination(
-            "type-2 balls over a proper polyhedral support need a conic "
-            "reformulation and are not supported"
-        )
-    if method == "closed_form" and not whole:
-        raise ValueError("closed forms exist only for whole-space support")
-
-    if whole and method in ("auto", "closed_form"):
+    if support.kind == "whole":
         if ball.p == 1.0:
             value = expected_loss(loss, samples) + ball.eps * lipschitz_modulus_pwa(loss, ball.norm)
             return value, "closed_form", None
@@ -584,7 +569,10 @@ def _wc_pwa(
         return _wc_pwa_p2_whole(loss, samples, ball), "scalar_dual", None
 
     if ball.p == 2.0:
-        raise UnsupportedCombination("the type-2 case has no LP path")
+        raise UnsupportedCombination(
+            "type-2 balls over a proper polyhedral support need a conic "
+            "reformulation and are not supported"
+        )
     if not ball.norm.is_lp_representable(samples.dim):
         raise UnsupportedCombination(
             "the ground norm is not polyhedral; this ball/support "
@@ -599,29 +587,22 @@ def _wc_pwa(
     return float(samples.weights @ L.max(axis=1)), "cells", None
 
 
-def wc_risk_pwa(
-    loss: PiecewiseAffineLoss,
-    samples: DiscreteDistribution,
-    ball: BallSpec,
-    method: str = "auto",
-) -> float:
+def wc_risk_pwa(loss: PiecewiseAffineLoss, samples: DiscreteDistribution, ball: BallSpec) -> float:
     """Exact worst-case expected max-affine loss over a Wasserstein ball.
 
-    Whole-space supports use closed forms (type-1: nominal plus eps times
-    the Lipschitz modulus; type-inf: per-sample sup; type-2: scalar dual).
-    Polyhedral supports solve one small cell per (sample, piece), which
-    requires p in {1, inf} and a polyhedral ground norm: type inf in one
-    pass over the cells, type 1 by a cutting plane on the budget multiplier
-    (the one ``extremal_pwa`` reads its distribution from).  A box support
-    (every face +-e_k) under ``NormSpec.p_norm(1 | inf)``, ``scaled(alpha,
-    1 | inf)`` or any norm in dimension 1 takes each cell in closed form;
-    other polyhedra, half-planes, weighted and block norms solve the cells
-    as LPs, one ``LPStack`` that shares its rows.  ``method`` is one of
-    "auto", "closed_form", "lp"; forcing "lp" on a whole-space instance
-    runs the cells with no faces (in closed form under a 1- or inf-norm),
-    which is useful for cross-checks.
+    The instance picks the path.  Whole-space supports use closed forms
+    (type-1: nominal plus eps times the Lipschitz modulus; type-inf:
+    per-sample sup; type-2: scalar dual).  Polyhedral supports solve one
+    small cell per (sample, piece), which requires p in {1, inf} and a
+    polyhedral ground norm: type inf in one pass over the cells, type 1 by
+    a cutting plane on the budget multiplier (the one ``extremal_pwa``
+    reads its distribution from).  A box support (every face +-e_k) under
+    ``NormSpec.p_norm(1 | inf)``, ``scaled(alpha, 1 | inf)`` or any norm in
+    dimension 1 takes each cell in closed form; other polyhedra,
+    half-planes, weighted and block norms solve the cells as LPs, one
+    ``LPStack`` that shares its rows.
     """
-    return _wc_pwa(loss, samples, ball, method)[0]
+    return _wc_pwa(loss, samples, ball)[0]
 
 
 class _QuadDual(NamedTuple):

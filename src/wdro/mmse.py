@@ -105,7 +105,6 @@ class AffineEstimator:
 class FWDirection(NamedTuple):
     D: np.ndarray
     gamma_star: float
-    repaired: bool
     trace_residual: float
 
 
@@ -174,13 +173,13 @@ def fw_direction(grad, nominal_cov, eps: float) -> FWDirection:
     The gradient must be positive semidefinite, as ``mmse_gradient`` is;
     otherwise NotPSD is raised.  Then F = gamma (gamma I - grad)^{-1} >= I
     and D = F Sigma F >= lam_min(Sigma) I.  Returns the closed-form
-    maximizer, the scalar multiplier, ``repaired`` (always False, kept for
-    callers that read it) and the residual of the trace constraint.  As D
-    is F Sigma F, its squared distance to Sigma is Tr[(F - I) Sigma (F - I)],
-    which the residual reads in the eigenbasis of grad.  Only a gradient
-    that is exactly zero returns the nominal: the maximizer does not change
-    when grad is scaled by a positive factor.  The direction is closed-form,
-    so it takes no tolerance; the input checks use fixed relative thresholds.
+    maximizer, the scalar multiplier and the residual of the trace
+    constraint.  As D is F Sigma F, its squared distance to Sigma is
+    Tr[(F - I) Sigma (F - I)], which the residual reads in the eigenbasis
+    of grad.  Only a gradient that is exactly zero returns the nominal: the
+    maximizer does not change when grad is scaled by a positive factor.
+    The direction is closed-form, so it takes no tolerance; the input checks
+    use fixed relative thresholds.
     ``fw_solve`` skips them: its nominal was checked in ``JointMoments`` and
     its gradients are symmetric by construction.
     """
@@ -193,7 +192,7 @@ def fw_direction(grad, nominal_cov, eps: float) -> FWDirection:
 
 def _direction(grad: np.ndarray, sigma: np.ndarray, eps: float) -> FWDirection:
     if not grad.any():
-        return FWDirection(sigma.copy(), math.inf, False, 0.0)
+        return FWDirection(sigma.copy(), math.inf, 0.0)
 
     dec = SpectralDecomposition.of(grad)
     g, V = dec.values, dec.vectors
@@ -208,7 +207,7 @@ def _direction(grad: np.ndarray, sigma: np.ndarray, eps: float) -> FWDirection:
     D = V @ (S_t * factor[:, None] * factor[None, :]) @ V.T
     D = 0.5 * (D + D.T)
     residual = abs(float((g / (gamma - g)) ** 2 @ np.diag(S_t)) - eps**2)
-    return FWDirection(D, float(gamma), False, residual)
+    return FWDirection(D, float(gamma), residual)
 
 
 def fw_iterates(
@@ -253,7 +252,7 @@ def _fw_loop(cov: np.ndarray, mx: int, eps: float, iters: int, tol: Tolerance):
     for k in range(iters):
         value, G = _schur(S, mx)
         if eps == 0.0:
-            direction = FWDirection(cov.copy(), math.inf, False, 0.0)
+            direction = FWDirection(cov.copy(), math.inf, 0.0)
         else:
             direction = _direction(_gradient(G), cov, eps)
         E = direction.D - S

@@ -41,7 +41,6 @@ __all__ = [
     "SpectralDecomposition",
     "sym_eig",
     "psd_eig",
-    "psd_sqrt",
     "lift_singular",
 ]
 
@@ -210,12 +209,6 @@ def psd_eig(a, rel: float = 1e-9, name: str = "A") -> tuple[np.ndarray, Spectral
     if w.min(initial=0.0) < -rel * scale:
         raise NotPSD(f"{name} has eigenvalue {w.min():.3e} below -{rel} * {scale:.3e}")
     return s, dec
-
-
-def psd_sqrt(a) -> np.ndarray:
-    """Symmetric PSD square root R of A: R @ R ~= A and R = R.T exactly.
-    Eigenvalues in [-1e-9 max |w|, 0) count as zero; lower ones raise NotPSD."""
-    return psd_eig(a)[1].sqrt()
 
 
 def lift_singular(cov: np.ndarray, spectrum: SpectralDecomposition) -> tuple[np.ndarray, float]:

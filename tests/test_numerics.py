@@ -8,7 +8,7 @@ import pytest
 
 import wdro
 from wdro.errors import NoBracket, NotPSD, NotSymmetric
-from wdro.numerics import Tolerance, monotone_root, psd_sqrt, secular_root, sym_eig
+from wdro.numerics import Tolerance, monotone_root, psd_eig, secular_root, sym_eig
 
 
 def test_monotone_root_simple():
@@ -77,34 +77,40 @@ def test_sym_eig_deterministic_signs():
     assert d1.vectors[0, 0] > 0 and d1.vectors[1, 1] > 0
 
 
+def psd_root(a):
+    """The symmetric PSD square root R of A, R @ R ~= A and R = R.T exactly:
+    eigenvalues in [-1e-9 max |w|, 0) count as zero, lower ones raise NotPSD."""
+    return psd_eig(a)[1].sqrt()
+
+
 def test_psd_sqrt_roundtrip():
     rng = np.random.RandomState(11)
     B = rng.randn(6, 6)
     A = B @ B.T
-    R = psd_sqrt(A)
+    R = psd_root(A)
     assert np.linalg.norm(R @ R - A) <= 1e-8 * (1 + np.linalg.norm(A))
     assert np.linalg.norm(R - R.T) == 0.0
 
 
 def test_psd_sqrt_clips_tiny_negative():
     A = np.array([[1.0, 1.0], [1.0, 1.0]]) - 1e-12 * np.eye(2)
-    R = psd_sqrt(A)
+    R = psd_root(A)
     assert np.all(np.linalg.eigvalsh(R) >= -1e-12)
 
 
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSD):
-        psd_sqrt(np.diag([1.0, -0.5]))
+        psd_root(np.diag([1.0, -0.5]))
     # the PSD floor is relative to the largest eigenvalue, at every scale
     for s in 10.0 ** np.arange(-14, 9):
         with pytest.raises(NotPSD):
-            psd_sqrt(s * np.diag([1.0, -0.5]))
-        root = psd_sqrt(s * np.diag([1.0, -1e-11]))
+            psd_root(s * np.diag([1.0, -0.5]))
+        root = psd_root(s * np.diag([1.0, -1e-11]))
         assert np.abs(root - np.diag([np.sqrt(s), 0.0])).max() <= 1e-15 * np.sqrt(s)
 
 
 def test_identity_sqrt_exact():
-    assert np.allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
+    assert np.allclose(psd_root(np.eye(3)), np.eye(3), atol=1e-12)
 
 
 def test_tolerance_is_one_relative_accuracy_read_by_seven_functions():

@@ -217,3 +217,48 @@ def test_an_optimal_basis_is_checked_without_its_inverse(monkeypatch):
     monkeypatch.setattr(simplex._Simplex, "_reduced_costs", blind)
     with pytest.raises(NumericalFailure, match="reduced cost"):
         stack().solve(np.array([-1.0, -2.0]))
+
+
+def test_the_klee_minty_cube_runs_past_the_refactorization_cadence(monkeypatch):
+    """max sum_j 2^(n-j) x_j  s.t.  sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^i, x >= 0:
+    Dantzig's rule visits all 2^n vertices, so n = 7 takes 127 pivots, past
+    the refactorization every _REFACTOR_EVERY of them.  The members' right-
+    hand sides are 5^i times powers of two, so each optimum, x_n = 5^n, and
+    each objective scale exactly."""
+    n, K = 7, 4
+    i, j = np.indices((n, n))
+    A = np.where(j < i, 2.0 ** (i - j + 1), 0.0) + np.eye(n)
+    scale = 2.0 ** np.arange(K)
+    rhs = scale[:, None] * 5.0 ** np.arange(1, n + 1)
+    cost = -(2.0 ** np.arange(n - 1, -1, -1))
+
+    counts = {"pivots": 0, "refactors": 0}  # summed over the members
+    pivot, refactor = simplex._Simplex._pivot, simplex._Simplex._refactor
+
+    def counted_pivot(self, members, *args):
+        counts["pivots"] += members.size
+        return pivot(self, members, *args)
+
+    def counted_refactor(self, members):
+        counts["refactors"] += members.size
+        return refactor(self, members)
+
+    monkeypatch.setattr(simplex._Simplex, "_pivot", counted_pivot)
+    monkeypatch.setattr(simplex._Simplex, "_refactor", counted_refactor)
+    stack = LPStack(A, rhs, n_free=0)
+    x, objective = stack.solve(cost)
+    assert counts["pivots"] == K * (2**n - 1) and 2**n - 1 > simplex._REFACTOR_EVERY
+    assert counts["refactors"] >= 2 * K
+    want = np.zeros((K, n))
+    want[:, -1] = scale * 5.0**n
+    assert np.array_equal(x, want)
+    assert np.array_equal(objective, -scale * 5.0**n)
+    # warm, with the costs reversed: back down the same path to the origin
+    bounds = [(0.0, None)] * n
+    x, objective = stack.solve(-cost)
+    for k in range(K):
+        status, ref = highs(-cost, A, ["<="] * n, rhs[k], bounds)
+        assert status == "optimal"
+        assert abs(objective[k] - ref) <= REL * (1.0 + abs(ref)), (k, objective[k], ref)
+    assert np.array_equal(x, np.zeros((K, n)))
+    assert counts["pivots"] == 2 * K * (2**n - 1)
