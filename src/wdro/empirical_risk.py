@@ -11,8 +11,8 @@ Two loss families are covered exactly at desk scale:
   polyhedron or polyhedral norm solves the cells as LPs, all as one
   ``LPStack`` that shares its rows;
 * indefinite quadratic losses ``xi' Q xi + 2 q' xi`` for type-2 balls with
-  Euclidean norm and whole-space support, through an eigenvalue-based
-  scalar dual.
+  Euclidean norm and whole-space support, through a scalar dual whose
+  multiplier ``numerics.quadratic_multiplier`` shares with the Gelbrich dual.
 
 Each worst-case value comes with a matching extremal construction: either
 an attained discrete distribution inside the ball, or a one-parameter
@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedCombination,
     UnsupportedSupport,
 )
-from .numerics import monotone_root, secular_root, sym_eig
+from .numerics import monotone_root, quadratic_multiplier, sym_eig
 from .simplex import LPStack
 from .transport import DiscreteDistribution
 
@@ -152,6 +152,7 @@ class QuadraticLoss:
     """Loss xi -> xi' Q xi + 2 q' xi with symmetric (possibly indefinite) Q.
 
     Note the factor of two on the linear term: the gradient is 2(Q xi + q).
+    Q is decomposed once, here, and kept as ``spectrum``.
     """
 
     def __init__(self, Q, q):
@@ -159,6 +160,7 @@ class QuadraticLoss:
         self.q = as_vector(q, "q")
         if self.Q.shape[0] != self.q.size:
             raise DimensionMismatch("Q and q dimensions differ")
+        self.spectrum = sym_eig(self.Q)
 
     @property
     def dim(self) -> int:
@@ -607,13 +609,9 @@ def wc_risk_pwa(loss: PiecewiseAffineLoss, samples: DiscreteDistribution, ball: 
 
 class _QuadDual(NamedTuple):
     value: float
-    gamma: float
-    theta: np.ndarray
-    alpha: float
-    boundary: bool
-    top_value: float
-    top_vector: np.ndarray
-    eig_scale: float  # max |eigenvalue of Q|
+    theta: np.ndarray  # row i: the shift of atom i
+    alpha: float  # the budget the shifts leave, eps^2 - sum_i w_i ||theta_i||^2
+    boundary: bool  # gamma = max(0, lam_max)
 
 
 def _quad_scalar_dual(loss: QuadraticLoss, samples: DiscreteDistribution, eps: float) -> _QuadDual:
@@ -621,53 +619,34 @@ def _quad_scalar_dual(loss: QuadraticLoss, samples: DiscreteDistribution, eps: f
     over gamma >= max(0, lam_max), where c_i = V' (q + Q xi_i).
 
     g'(gamma) = eps^2 - sum_i w_i ||theta_i(gamma)||^2 is increasing, so the
-    minimizer is either an interior root of g' or the boundary.  At the
-    boundary the top eigenspace is deflated; a nonzero component there makes
-    g' diverge to -inf and forces an interior minimizer.
+    minimizer is either an interior root of g' or the boundary, as
+    ``numerics.quadratic_multiplier`` decides.
     """
-    eig = sym_eig(loss.Q)
-    lam, V = eig.values, eig.vectors
-    atoms, w = samples.atoms, samples.weights
-    nominal = expected_loss(loss, samples)
-    Cmat = (loss.q[None, :] + atoms @ loss.Q) @ V  # rows c_i
-    D = Cmat**2
-
-    numer = w @ D
-    gamma_b = max(0.0, float(lam[0]))
-    # directions at the boundary pole that carry no mass, up to rounding,
-    # are deflated; mass on any of them forces an interior minimizer
-    null_mask = (gamma_b - lam) <= 1e-12 * float(np.abs(lam).max())
-    if numer[null_mask].sum() <= 1e-13 * numer.sum():
-        numer[null_mask] = 0.0
-    gamma = secular_root(numer, lam, eps)
-    boundary = gamma == gamma_b
-    keep = ~null_mask | (numer > 0.0)
-    coords = np.zeros_like(Cmat)
-    coords[:, keep] = Cmat[:, keep] / (gamma - lam[keep])
+    lam, V = loss.spectrum.values, loss.spectrum.vectors
+    w = samples.weights
+    Cmat = (loss.q + samples.atoms @ loss.Q) @ V  # rows c_i
+    gamma, inv = quadratic_multiplier(lam, w @ Cmat**2, eps)
+    coords = Cmat * inv
     theta = coords @ V.T
-    value = nominal + gamma * eps**2 + float(w @ (Cmat * coords).sum(axis=1))
-
+    value = expected_loss(loss, samples) + gamma * eps**2 + float(w @ (Cmat * coords).sum(axis=1))
     alpha = eps**2 - float(w @ (theta**2).sum(axis=1))
-    return _QuadDual(
-        value=value,
-        gamma=gamma,
-        theta=theta,
-        alpha=alpha,
-        boundary=boundary,
-        top_value=float(lam[0]),
-        top_vector=V[:, 0].copy(),
-        eig_scale=float(np.abs(lam).max()),
-    )
+    return _QuadDual(value, theta, alpha, gamma == max(0.0, float(lam[0])))
 
 
-def wc_risk_quadratic(loss: QuadraticLoss, samples: DiscreteDistribution, eps: float) -> float:
-    """Worst-case quadratic loss over a type-2 Euclidean whole-space ball."""
+def _check_quadratic(loss: QuadraticLoss, samples: DiscreteDistribution, eps: float) -> None:
     if samples.dim != loss.dim:
         raise DimensionMismatch(
             f"loss dimension {loss.dim} does not match sample dimension {samples.dim}"
         )
     if not eps >= 0:
         raise ValueError("eps must be nonnegative")
+
+
+def wc_risk_quadratic(loss: QuadraticLoss, samples: DiscreteDistribution, eps: float) -> float:
+    """Worst-case quadratic loss over a type-2 Euclidean whole-space ball: the
+    Gelbrich worst case at the samples' moments, when their covariance is
+    nonsingular."""
+    _check_quadratic(loss, samples, eps)
     if eps == 0.0:
         return expected_loss(loss, samples)
     return _quad_scalar_dual(loss, samples, eps).value
@@ -683,12 +662,7 @@ def extremal_quadratic(
     budget alpha and a positive top eigenvalue: an atom escapes along the top
     eigenvector at rate sqrt(n), carrying the leftover second moment.
     """
-    if samples.dim != loss.dim:
-        raise DimensionMismatch(
-            f"loss dimension {loss.dim} does not match sample dimension {samples.dim}"
-        )
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative")
+    _check_quadratic(loss, samples, eps)
     if eps == 0.0:
         return ExtremalReport(
             kind="attained",
@@ -698,10 +672,11 @@ def extremal_quadratic(
     dual = _quad_scalar_dual(loss, samples, eps)
     shifted = samples.atoms + dual.theta
     weights = samples.weights.copy()
+    lam = loss.spectrum.values
     needs_escape = (
         dual.boundary
         and dual.alpha > 1e-9 * eps**2
-        and dual.top_value > 1e-12 * dual.eig_scale
+        and lam[0] > 1e-12 * np.abs(lam).max()
     )
     if not needs_escape:
         return ExtremalReport(
@@ -709,7 +684,7 @@ def extremal_quadratic(
             certified_value=dual.value,
             distribution=DiscreteDistribution(shifted, weights),
         )
-    v = dual.top_vector
+    v = loss.spectrum.vectors[:, 0].copy()
     offset = float(dual.theta[0] @ v)
     escape = EscapingAtom(
         origin=shifted[0].copy(),

@@ -11,7 +11,8 @@ linearized objective Tr[grad . D] over the ball, which has the closed form
 
     D = gamma^2 (gamma I - grad)^{-1} Sigma (gamma I - grad)^{-1}
 
-with gamma solving Tr[Sigma (I - gamma (gamma I - grad)^{-1})^2] = eps^2,
+with gamma solving Tr[Sigma (I - gamma (gamma I - grad)^{-1})^2] = eps^2
+(the Gelbrich worst case of Tr[grad S], by ``numerics.quadratic_multiplier``),
 and moves to the maximizer of f on the segment [S_k, D_k] (an exact line
 search: the root of the slope of f along D_k - S_k, which is nonincreasing
 because f is concave).  The linearization gap <grad f(S_k), D_k - S_k>
@@ -32,7 +33,7 @@ import numpy as np
 from ._validation import ParamsMixin, as_matrix, as_vector, check_symmetric
 from .errors import NoBracket, NotPSD, SingularBlock
 from .numerics import (
-    DEFAULT_TOL, SpectralDecomposition, Tolerance, lift_singular, monotone_root, psd_eig, secular_root
+    DEFAULT_TOL, SpectralDecomposition, Tolerance, lift_singular, monotone_root, psd_eig, quadratic_multiplier
 )
 
 __all__ = [
@@ -199,14 +200,14 @@ def _direction(grad: np.ndarray, sigma: np.ndarray, eps: float) -> FWDirection:
     if g[-1] < -1e-9 * np.abs(g).max():
         raise NotPSD(f"grad has eigenvalue {g[-1]:.3e} below -1e-9 * scale")
     S_t = V.T @ sigma @ V
-    gamma = secular_root(g**2 * np.clip(np.diag(S_t), 0.0, None), g, eps)
+    gamma, inv = quadratic_multiplier(g, g**2 * np.clip(np.diag(S_t), 0.0, None), eps)
     if gamma == g[0]:
         raise NoBracket("nominal_cov is singular along the top eigenvector of grad")
 
-    factor = gamma / (gamma - g)
+    factor = 1.0 + g * inv
     D = V @ (S_t * factor[:, None] * factor[None, :]) @ V.T
     D = 0.5 * (D + D.T)
-    residual = abs(float((g / (gamma - g)) ** 2 @ np.diag(S_t)) - eps**2)
+    residual = abs(float((g * inv) ** 2 @ np.diag(S_t)) - eps**2)
     return FWDirection(D, float(gamma), residual)
 
 
@@ -230,7 +231,11 @@ def fw_iterates(
     when its gap stopped the run, else one more step on.
     """
     cov, _ = _lifted_nominal(nominal, eps, iters)
-    return _fw_loop(cov, nominal.mx, eps, iters, tol)
+    return _last_iterate(_fw_loop(cov, nominal.mx, eps, iters, tol))
+
+
+def _last_iterate(loop):
+    return (yield from loop)[0]
 
 
 def _lifted_nominal(nominal: JointMoments, eps: float, iters: int):
@@ -247,6 +252,7 @@ def _gap_target(cov: np.ndarray, tol: Tolerance) -> float:
 
 
 def _fw_loop(cov: np.ndarray, mx: int, eps: float, iters: int, tol: Tolerance):
+    # returns the last iterate and its gain, reused when the gap ended the run
     stop = _gap_target(cov, tol)
     S = cov.copy()
     for k in range(iters):
@@ -260,11 +266,11 @@ def _fw_loop(cov: np.ndarray, mx: int, eps: float, iters: int, tol: Tolerance):
         gap = at_S[0]
         yield FWState(S=S, k=k, value=value, gap=gap)
         if gap <= stop:
-            return S
+            return S, G
         t = _line_search(S, E, mx, at_S)
         S = (1.0 - t) * S + t * direction.D
         S = 0.5 * (S + S.T)
-    return S
+    return S, _schur(S, mx)[1]
 
 
 def _line_search(S: np.ndarray, E: np.ndarray, mx: int, at_S: tuple[float, float]) -> float:
@@ -312,9 +318,8 @@ def fw_solve(
         try:
             gaps.append(next(iterates).gap)
         except StopIteration as done:
-            S = done.value
+            S, gain = done.value
             break
-    gain = _schur(S, nominal.mx)[1]
     estimator = AffineEstimator(gain=gain, offset=nominal.mean_x - gain @ nominal.mean_y)
     return FWSolveResult(S, estimator, gaps, lift, gaps[-1] <= _gap_target(cov, tol))
 

@@ -14,6 +14,8 @@ root therefore puts the extremal pair exactly on the ball boundary.  When
 no root exists with gamma I > Q and gamma >= 0, the dual's derivative
 eps^2 - lhs is nonnegative from gamma = max(0, lam_max) on, so that end
 minimizes the dual; the result is flagged through ``interior=False``.
+The multiplier comes from ``numerics.quadratic_multiplier``, which the
+type-2 dual and the Frank-Wolfe direction of ``mmse`` share.
 
 Because the worst case depends only on moments, the same machinery prices
 worst-case risks over elliptical families with fixed generator.
@@ -27,10 +29,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._validation import as_matrix, as_vector
+from ._validation import as_vector
 from .empirical_risk import QuadraticLoss
 from .errors import DimensionMismatch, NotPSD, NumericalFailure, UnsupportedCase
-from .numerics import DEFAULT_TOL, Tolerance, lift_singular, secular_root, sym_eig
+from .numerics import DEFAULT_TOL, Tolerance, lift_singular, quadratic_multiplier
 from .transport import DiscreteDistribution, MomentPair, gelbrich_distance, moments, wasserstein_p
 
 __all__ = [
@@ -191,18 +193,14 @@ def gelbrich_risk_quadratic(loss: QuadraticLoss, center: MomentPair, eps: float)
         return GelbrichRiskResult(value, extremal, qn / eps, True, value, 0.0)
 
     sigma, delta = lift_singular(center.sigma, center.spectrum)
-    eig = sym_eig(loss.Q)
-    lam, V = eig.values, eig.vectors
+    lam, V = loss.spectrum.values, loss.spectrum.vectors
     r = V.T @ (loss.q + loss.Q @ mu_hat)
     S_t = V.T @ sigma @ V
     numer = r**2 + lam**2 * np.diag(S_t)
     # the dual's derivative is eps^2 - lhs(gamma); when lhs <= eps^2 at the
     # left end max(0, lam_max), that end is the minimizer
-    gamma = secular_root(numer, lam, eps)
+    gamma, inv = quadratic_multiplier(lam, numer, eps)
     interior = gamma > max(0.0, float(lam[0]))
-    # 1 / (gamma - lam_k), read as 0 where gamma = lam_k = 0: that happens
-    # only when no root exists and r_k = 0, and the coordinate stays put
-    inv = np.divide(1.0, gamma - lam, out=np.zeros_like(lam), where=gamma > lam)
     mu_star = V @ (V.T @ mu_hat + r * inv)
     scale = 1.0 + lam * inv
     sigma_star = V @ (S_t * scale[:, None] * scale[None, :]) @ V.T
@@ -230,12 +228,7 @@ def support_V(q, Qm, center: MomentPair, eps: float) -> float:
     sup over the hull of q' mu + Tr[Qm M] with M = Sigma + mu mu' equals the
     worst-case quadratic risk with pieces Qm and linear coefficient q/2.
     """
-    q = as_vector(q, "q")
-    Qm = as_matrix(Qm, "Qm")
-    if np.all(Qm == 0.0) and np.all(q == 0.0):
-        return 0.0
-    result = gelbrich_risk_quadratic(QuadraticLoss(Qm, 0.5 * q), center, eps)
-    return result.value
+    return gelbrich_risk_quadratic(QuadraticLoss(Qm, 0.5 * as_vector(q, "q")), center, eps).value
 
 
 def wc_risk_elliptical_quadratic(loss: QuadraticLoss, nominal: EllipticalSpec, eps: float):

@@ -8,7 +8,9 @@ eigendecompositions.  All routines are deterministic: identical inputs and
 tolerances produce identical outputs.  A covariance is decomposed once, by
 the ``psd_eig`` check of ``MomentPair`` or ``JointMoments``, which keep it as
 ``spectrum``: square roots, lifts off singularity, densities and the
-shrinkage map read it from there.
+shrinkage map read it from there; a ``QuadraticLoss`` keeps that of its Q.
+Every quadratic worst case (type 2, Gelbrich, the Frank-Wolfe direction)
+takes its multiplier from one spectral step, ``quadratic_multiplier``.
 
 Every scalar root runs in ``monotone_root``, over a bracket whose end signs
 follow from a bound with a margin that rounding cannot erase, never from a
@@ -38,6 +40,7 @@ __all__ = [
     "DEFAULT_TOL",
     "monotone_root",
     "secular_root",
+    "quadratic_multiplier",
     "SpectralDecomposition",
     "sym_eig",
     "psd_eig",
@@ -164,6 +167,23 @@ def secular_root(numer, poles, radius: float) -> float:
     if at_x0[0] >= 0.0:
         return x0
     return monotone_root(f, x0, x0 + 2.0 * math.sqrt(float(n.sum())) / radius, f_lo=at_x0)
+
+
+def quadratic_multiplier(lam: np.ndarray, numer: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
+    """Multiplier gamma of a quadratic worst case in a ball of radius eps, and
+    inv = 1 / (gamma - lam): the ``secular_root`` for weights ``numer`` on the
+    eigenvalues ``lam`` (descending).  The top eigenspace, within 1e-12 max
+    |lam| of x0 = max(0, lam_max), loses its weight when that is at most
+    1e-13 of the total, so rounding cannot force an interior root; when
+    gamma = x0, inv is 0 on each top direction without weight.
+    """
+    x0 = max(0.0, float(lam[0]))
+    top = x0 - lam <= 1e-12 * float(np.abs(lam).max())
+    if numer[top].sum() <= 1e-13 * numer.sum():
+        numer = np.where(top, 0.0, numer)
+    gamma = secular_root(numer, lam, eps)
+    dead = top & (numer == 0.0) & (gamma == x0)
+    return gamma, np.divide(1.0, gamma - lam, out=np.zeros_like(lam), where=~dead)
 
 
 @dataclass(frozen=True)

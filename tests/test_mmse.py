@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import wdro.mmse as mmse_module
+import wdro.numerics as numerics
 from wdro.empirical_risk import QuadraticLoss
 from wdro.errors import NotPSD, SingularBlock
 from wdro.mmse import (
@@ -150,8 +151,8 @@ def test_direction_trace_residual_agrees_with_gelbrich_distance(monkeypatch):
         A = rng.randn(m, m)
         cases.append((A @ A.T, B @ B.T + 0.1 * np.eye(m), float(rng.uniform(0.05, 2.0))))
     for off in (1.0, 1.01, 0.999):
-        exact = mmse_module.secular_root
-        monkeypatch.setattr(mmse_module, "secular_root", lambda *args: off * exact(*args))
+        exact = numerics.secular_root
+        monkeypatch.setattr(numerics, "secular_root", lambda *args: off * exact(*args))
         for grad, sigma, eps in cases:
             res = fw_direction(grad, sigma, eps)
             zero = np.zeros(sigma.shape[0])

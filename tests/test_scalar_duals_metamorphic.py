@@ -12,7 +12,7 @@ loss must move the answer by the known amount.
 import numpy as np
 import pytest
 
-import wdro.moment_risk as moment_risk
+import wdro.numerics as numerics
 from wdro.convex_analysis import NormSpec
 from wdro.empirical_risk import (
     BallSpec,
@@ -102,8 +102,8 @@ def test_gelbrich_cross_check_sees_a_wrong_root_at_a_small_scale(monkeypatch):
         s * 0.4,
     )
     assert gelbrich_risk_quadratic(*args).interior
-    root = moment_risk.secular_root
-    monkeypatch.setattr(moment_risk, "secular_root", lambda *a: root(*a) * (1.0 + 1e-4))
+    root = numerics.secular_root
+    monkeypatch.setattr(numerics, "secular_root", lambda *a: root(*a) * (1.0 + 1e-4))
     with pytest.raises(NumericalFailure, match="primal-dual mismatch"):
         gelbrich_risk_quadratic(*args)
 

@@ -1,8 +1,9 @@
 """Each checked covariance is decomposed once, by the type that checked it.
 
 ``MomentPair`` and ``JointMoments`` keep the decomposition their PSD check
-computes as ``spectrum``; these tests count the eigendecompositions numpy
-is asked for once such an object exists.
+computes as ``spectrum``, and ``QuadraticLoss`` the decomposition of its Q;
+these tests count the eigendecompositions numpy is asked for once such an
+object exists.
 """
 
 import numpy as np
@@ -59,20 +60,23 @@ def test_shrinkage_and_gelbrich_distance_decompose_nothing(decomposed):
 
 
 def test_gelbrich_risk_decomposes_the_loss_not_the_center(decomposed):
-    loss = QuadraticLoss(np.diag([1.0, 2.0, -0.5]), np.array([0.5, 0.0, -1.0]))
+    Q = np.diag([1.0, 2.0, -0.5])
+    loss = QuadraticLoss(Q, np.array([0.5, 0.0, -1.0]))
+    (built,) = decomposed["eigh"]
+    assert np.array_equal(built, Q)
     for rank in (None, 2):
         center = _pair(5, 3, rank)
         decomposed["eigh"].clear()
         decomposed["eigvalsh"].clear()
         res = gelbrich_risk_quadratic(loss, center, 0.4)
-        # the loss, and the extremal pair's own check when it is built
-        Q, extremal = decomposed["eigh"]
-        assert np.array_equal(Q, loss.Q)
+        # only the extremal pair's own check, when it is built
+        (extremal,) = decomposed["eigh"]
         assert np.array_equal(extremal, res.extremal.sigma)
         assert decomposed["eigvalsh"] == []
 
 
 def test_frank_wolfe_decomposes_one_gradient_per_iterate(decomposed):
+    met = []
     for rank in (None, 3):
         rng = np.random.RandomState(6)
         B = rng.randn(5, 5 if rank is None else rank)
@@ -81,7 +85,12 @@ def test_frank_wolfe_decomposes_one_gradient_per_iterate(decomposed):
         decomposed["eigvalsh"].clear()
         res = fw_solve(nominal, 0.3, iters=40)
         # one eigh per iterate, of the gradient; the only other spectra are
-        # the observation blocks the objective checks for singularity
+        # the observation blocks the objective checks for singularity: one
+        # per iterate when the gap target ends the run, whose last gain the
+        # estimator reuses, and one more for the step past a cap
         assert len(decomposed["eigh"]) == len(res.gaps)
         assert all(g.shape == (5, 5) and np.array_equal(g[:2, :2], np.eye(2)) for g in decomposed["eigh"])
         assert all(s.shape == (3, 3) for s in decomposed["eigvalsh"])
+        assert len(decomposed["eigvalsh"]) == len(res.gaps) + (not res.target_met)
+        met.append(res.target_met)
+    assert met == [True, False]
