@@ -58,6 +58,12 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError; flags must be spelled in full, so the --config
+    pre-scan and the command's parser read every flag alike."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -197,7 +203,7 @@ def _parse_loss(path: str):
 
 
 # ---------------------------------------------------------------------------
-# Flag parsing and config-file merging.
+# Flag parsing: config-file entries are read as flags.
 
 
 def _build_parser() -> _Parser:
@@ -210,49 +216,51 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("transport", parents=[shared])
-    p.add_argument("--q", default=None, help="first distribution (JSON or CSV)")
-    p.add_argument("--qp", default=None, help="second distribution (JSON or CSV)")
-    p.add_argument("--p", type=float, default=None)
+    p.add_argument("--q", required=True, help="first distribution (JSON or CSV)")
+    p.add_argument("--qp", required=True, help="second distribution (JSON or CSV)")
+    p.add_argument("--p", type=float, required=True)
     p.add_argument("--norm", default=None, help="ground norm descriptor (JSON)")
 
     p = sub.add_parser("wc-risk", parents=[shared])
-    p.add_argument("--samples", default=None, help="distribution (JSON or CSV)")
-    p.add_argument("--loss", default=None, help="loss descriptor (JSON)")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
+    p.add_argument("--samples", required=True, help="distribution (JSON or CSV)")
+    p.add_argument("--loss", required=True, help="loss descriptor (JSON)")
+    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--p", type=float, required=True)
     p.add_argument("--norm", default=None)
     p.add_argument("--support", default=None)
 
     p = sub.add_parser("gelbrich", parents=[shared])
-    p.add_argument("--moments", default=None, help="moment pair (JSON)")
-    p.add_argument("--other", default=None, help="second moment pair: distance mode")
-    p.add_argument("--loss", default=None, help="quadratic loss: worst-case risk mode")
+    p.add_argument("--moments", required=True, help="moment pair (JSON)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--other", default=None, help="second moment pair: distance mode")
+    mode.add_argument("--loss", default=None, help="quadratic loss: worst-case risk mode")
     p.add_argument("--eps", type=float, default=None)
 
     p = sub.add_parser("shrink", parents=[shared])
-    p.add_argument("--input", default=None, help="samples (CSV)")
-    p.add_argument("--moments", default=None, help="moment pair (JSON)")
-    p.add_argument("--eps", type=float, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", default=None, help="samples (CSV)")
+    source.add_argument("--moments", default=None, help="moment pair (JSON)")
+    p.add_argument("--eps", type=float, required=True)
 
     p = sub.add_parser("mmse", parents=[shared])
-    p.add_argument("--moments", default=None, help="joint moment pair (JSON)")
-    p.add_argument("--mx", type=int, default=None, help="size of the estimated block")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--moments", required=True, help="joint moment pair (JSON)")
+    p.add_argument("--mx", type=int, required=True, help="size of the estimated block")
+    p.add_argument("--eps", type=float, required=True)
     p.add_argument("--iters", type=int, default=None)
 
     p = sub.add_parser("train", parents=[shared])
-    p.add_argument("--input", default=None, help="samples with the label last (CSV)")
-    p.add_argument("--loss", default=None, help="loss name")
+    p.add_argument("--input", required=True, help="samples with the label last (CSV)")
+    p.add_argument("--loss", required=True, help="loss name")
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=float, required=True)
     p.add_argument("--p", type=float, default=None, help="ball order for regression")
     p.add_argument("--norm", default=None)
     p.add_argument("--standardize", action="store_true", default=None)
 
     p = sub.add_parser("calibrate", parents=[shared])
-    p.add_argument("--mode", choices=("empirical", "moments"), default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--mode", choices=("empirical", "moments"), required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--eta", type=float, required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--bound", type=float, default=None, help="tail moment bound")
@@ -263,22 +271,22 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _merge_config_file(args: argparse.Namespace) -> dict:
-    """Resolved option dict: explicit flags override config-file values."""
-    merged = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    if args.config is not None:
-        obj = _read_json(args.config)
-        if not isinstance(obj, dict):
-            raise UsageError(f"{args.config}: config file must hold a JSON object")
-        for key, value in obj.items():
-            attr = key.replace("-", "_")
-            if attr in ("command", "config"):
-                raise UsageError(f"{args.config}: {key!r} cannot be set from a config file")
-            if attr not in merged:
-                raise UsageError(f"{args.config}: unknown option {key!r} for this command")
-            if merged[attr] is None:
-                merged[attr] = value
-    return merged
+def _config_flags(argv: list[str]) -> list[str]:
+    """The --config file's entries as flags: true is the bare flag, false and
+    null are left out, and any other value is --key=value."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config", default=None)
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    obj = _read_json(path)
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path}: config file must hold a JSON object")
+    if "config" in obj:
+        raise UsageError(f"{path}: 'config' cannot be set from a config file")
+    return [
+        f"--{k}" if v is True else f"--{k}={v}" for k, v in obj.items() if v is not False and v is not None
+    ]
 
 
 def _require(opts: dict, names: list[str], command: str):
@@ -288,26 +296,22 @@ def _require(opts: dict, names: list[str], command: str):
         raise UsageError(f"{command}: missing required option(s) {flags}")
 
 
-def _exactly_one(opts: dict, names: list[str], command: str):
-    given = [n for n in names if opts.get(n) is not None]
-    if len(given) != 1:
-        flags = " / ".join("--" + n for n in names)
-        raise UsageError(f"{command}: exactly one of {flags} is required")
-    return given[0]
-
-
 def parse_config(argv=None) -> RunConfig:
     """Parse flags plus an optional JSON config file into a validated run.
 
-    Every referenced file is read and every descriptor is validated here,
-    before any computation starts; failures raise UsageError.
+    The config file's entries go in as flags right after the command, so one
+    parse types and checks them as it does the flags, and a flag given on
+    the command line wins.  Every referenced file is read and every
+    descriptor is validated here, before any computation starts; failures
+    raise UsageError.
     """
-    args = _build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _build_parser().parse_args(argv[:1] + _config_flags(argv[1:]) + argv[1:])
     command = args.command
-    opts = _merge_config_file(args)
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
 
     tol_scale = opts.pop("tol")
-    rel_tol = DEFAULT_TOL.rel_tol if tol_scale is None else float(tol_scale)
+    rel_tol = DEFAULT_TOL.rel_tol if tol_scale is None else tol_scale
     if not rel_tol > 0:
         raise UsageError("--tol must be positive")
     tol = Tolerance(rel_tol=rel_tol)
@@ -315,42 +319,33 @@ def parse_config(argv=None) -> RunConfig:
 
     payload: dict = {}
     if command == "transport":
-        _require(opts, ["q", "qp", "p"], command)
         payload["q"] = _parse_distribution(opts["q"])
         payload["qp"] = _parse_distribution(opts["qp"])
         payload["norm"] = _parse_norm(opts["norm"]) if opts["norm"] else None
-        if not (float(opts["p"]) >= 1.0 and math.isfinite(float(opts["p"]))):
+        if not (opts["p"] >= 1.0 and math.isfinite(opts["p"])):
             raise UsageError("--p must be finite and >= 1")
     elif command == "wc-risk":
-        _require(opts, ["samples", "loss", "eps", "p"], command)
         payload["samples"] = _parse_distribution(opts["samples"])
         payload["loss"] = _parse_loss(opts["loss"])
         payload["norm"] = _parse_norm(opts["norm"]) if opts["norm"] else None
         payload["support"] = _parse_support(opts["support"]) if opts["support"] else None
         if isinstance(payload["loss"], QuadraticLoss):
-            if float(opts["p"]) != 2.0:
+            if opts["p"] != 2.0:
                 raise UsageError("quadratic losses need --p 2")
             if opts["norm"] or opts["support"]:
                 raise UsageError(
                     "quadratic losses use the Euclidean norm on the whole space; "
                     "--norm/--support do not apply"
                 )
-        if opts["eps"] < 0:
-            raise UsageError("--eps must be nonnegative")
         try:
             payload["ball"] = BallSpec(
-                float(opts["eps"]),
-                float(opts["p"]),
-                norm=payload["norm"],
-                support=payload["support"],
+                opts["eps"], opts["p"], norm=payload["norm"], support=payload["support"]
             )
         except (ToolkitError, ValueError) as exc:
             raise UsageError(str(exc)) from exc
     elif command == "gelbrich":
-        _require(opts, ["moments"], command)
         payload["moments"] = _parse_moments(opts["moments"])
-        mode = _exactly_one(opts, ["other", "loss"], command)
-        if mode == "other":
+        if opts["other"] is not None:
             payload["other"] = _parse_moments(opts["other"])
         else:
             payload["loss"] = _parse_loss(opts["loss"])
@@ -360,30 +355,23 @@ def parse_config(argv=None) -> RunConfig:
             if not opts["eps"] > 0:
                 raise UsageError("--eps must be positive")
     elif command == "shrink":
-        _require(opts, ["eps"], command)
-        source = _exactly_one(opts, ["input", "moments"], command)
-        if source == "input":
+        if opts["input"] is not None:
             payload["moments"] = sample_moments(_read_csv(opts["input"]))
         else:
             payload["moments"] = _parse_moments(opts["moments"])
         if not opts["eps"] > 0:
             raise UsageError("--eps must be positive")
     elif command == "mmse":
-        _require(opts, ["moments", "mx", "eps"], command)
         pair = _parse_moments(opts["moments"])
-        mx = int(opts["mx"])
-        if not 0 < mx < pair.dim:
-            raise UsageError(f"--mx must lie strictly between 0 and {pair.dim}")
         try:
-            payload["joint"] = JointMoments(mx, pair.dim - mx, pair.mu, pair.sigma)
+            payload["joint"] = JointMoments(opts["mx"], pair.dim - opts["mx"], pair.mu, pair.sigma)
         except (ToolkitError, ValueError) as exc:
             raise UsageError(str(exc)) from exc
         if opts["eps"] < 0:
             raise UsageError("--eps must be nonnegative")
-        if opts["iters"] is not None and int(opts["iters"]) < 1:
+        if opts["iters"] is not None and opts["iters"] < 1:
             raise UsageError("--iters must be at least 1")
     elif command == "train":
-        _require(opts, ["input", "loss", "eps"], command)
         data = _read_csv(opts["input"])
         if data.shape[1] < 2:
             raise UsageError(f"{opts['input']}: need at least one feature column plus a label")
@@ -396,30 +384,26 @@ def parse_config(argv=None) -> RunConfig:
         if opts["eps"] < 0:
             raise UsageError("--eps must be nonnegative")
     elif command == "calibrate":
-        _require(opts, ["mode", "n", "eta"], command)
         if opts["mode"] == "empirical":
             _require(opts, ["p", "alpha", "bound", "dim"], command)
             try:
                 payload["model"] = TailModel(
-                    alpha=float(opts["alpha"]),
-                    A=float(opts["bound"]),
-                    m=int(opts["dim"]),
-                    c1=math.e if opts["c1"] is None else float(opts["c1"]),
-                    c2=1.0 if opts["c2"] is None else float(opts["c2"]),
+                    alpha=opts["alpha"],
+                    A=opts["bound"],
+                    m=opts["dim"],
+                    c1=math.e if opts["c1"] is None else opts["c1"],
+                    c2=1.0 if opts["c2"] is None else opts["c2"],
                 )
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
         else:
             try:
-                payload["model"] = MomentTailModel(
-                    c=math.e if opts["c"] is None else float(opts["c"])
-                )
+                payload["model"] = MomentTailModel(c=math.e if opts["c"] is None else opts["c"])
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
 
-    options = {k: v for k, v in opts.items()}
-    options["tol"] = rel_tol
-    return RunConfig(command, options, payload, tol, output)
+    opts["tol"] = rel_tol
+    return RunConfig(command, opts, payload, tol, output)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +411,7 @@ def parse_config(argv=None) -> RunConfig:
 
 
 def _run_transport(cfg: RunConfig):
-    p = float(cfg.options["p"])
+    p = cfg.options["p"]
     q, qp = cfg.payload["q"], cfg.payload["qp"]
     norm = cfg.payload["norm"]
     res = wasserstein_p(q, qp, p, norm, cfg.tol)
@@ -449,7 +433,7 @@ def _run_transport(cfg: RunConfig):
 
 def _run_wc_risk(cfg: RunConfig):
     loss, samples = cfg.payload["loss"], cfg.payload["samples"]
-    eps = float(cfg.options["eps"])
+    eps = cfg.options["eps"]
     certificates = {}
     if isinstance(loss, QuadraticLoss):
         value = wc_risk_quadratic(loss, samples, eps)
@@ -477,7 +461,7 @@ def _run_gelbrich(cfg: RunConfig):
     center = cfg.payload["moments"]
     if "other" in cfg.payload:
         return {"distance": gelbrich_distance(center, cfg.payload["other"])}, {}
-    eps = float(cfg.options["eps"])
+    eps = cfg.options["eps"]
     res = gelbrich_risk_quadratic(cfg.payload["loss"], center, eps)
     dist = gelbrich_distance(center, res.extremal)
     certs = {
@@ -498,7 +482,7 @@ def _run_gelbrich(cfg: RunConfig):
 
 
 def _run_shrink(cfg: RunConfig):
-    eps = float(cfg.options["eps"])
+    eps = cfg.options["eps"]
     res = wasserstein_shrinkage(cfg.payload["moments"], eps)
     lam = res.eigen_map[:, 0]
     residual = abs(_eq51(res.gamma_star, lam, eps, lam.size))
@@ -515,8 +499,8 @@ def _run_shrink(cfg: RunConfig):
 
 def _run_mmse(cfg: RunConfig):
     joint = cfg.payload["joint"]
-    eps = float(cfg.options["eps"])
-    iters = int(cfg.options["iters"]) if cfg.options["iters"] is not None else 200
+    eps = cfg.options["eps"]
+    iters = cfg.options["iters"] if cfg.options["iters"] is not None else 200
     res = fw_solve(joint, eps, iters=iters, tol=cfg.tol)
     zero = np.zeros(joint.cov.shape[0])
     lifted = joint.cov + res.regularization * np.eye(zero.size)
@@ -539,7 +523,7 @@ def _run_mmse(cfg: RunConfig):
 
 def _run_train(cfg: RunConfig):
     X, y, loss = cfg.payload["X"], cfg.payload["y"], cfg.payload["loss"]
-    eps = float(cfg.options["eps"])
+    eps = cfg.options["eps"]
     norm = cfg.payload["norm"]
     results: dict = {"standardized": bool(cfg.options["standardize"])}
     if cfg.options["standardize"]:
@@ -552,7 +536,7 @@ def _run_train(cfg: RunConfig):
     if loss.is_classification:
         model = dro_train_classifier(X, y, loss, eps, input_norm=norm, tol=cfg.tol)
     else:
-        p = float(cfg.options["p"]) if cfg.options["p"] is not None else (
+        p = cfg.options["p"] if cfg.options["p"] is not None else (
             2.0 if loss.kind == "squared" else 1.0
         )
         model = dro_train_regressor(X, y, loss, eps, p, input_norm=norm, tol=cfg.tol)
@@ -583,10 +567,10 @@ def _run_train(cfg: RunConfig):
 
 
 def _run_calibrate(cfg: RunConfig):
-    n, eta = int(cfg.options["n"]), float(cfg.options["eta"])
+    n, eta = cfg.options["n"], cfg.options["eta"]
     model = cfg.payload["model"]
     if cfg.options["mode"] == "empirical":
-        radius = radius_empirical(model, n, eta, float(cfg.options["p"]))
+        radius = radius_empirical(model, n, eta, cfg.options["p"])
         threshold = math.log(model.c1 / eta) / model.c2
         results = {
             "radius": radius,

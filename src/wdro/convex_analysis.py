@@ -332,17 +332,22 @@ class SetSpec:
     def d_vector(self) -> np.ndarray:
         return np.asarray(self.d, dtype=float)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        """Membership; polyhedron rows hold within tol * (|C| |x| + |d|) each."""
-        x = as_vector(x, "x")
+    def contains(self, x, tol: float = 1e-9) -> bool | np.ndarray:
+        """Membership of a point, or of each m-vector of a stack (..., m) as
+        norm_eval; polyhedron rows hold within tol * (|C| |x| + |d|) each."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.isfinite(x).all():
+            raise ValueError("x contains non-finite entries")
         if self.kind == "whole":
-            return True
-        if self.kind == "ball":
-            return norm_eval(self.norm, x) <= self.radius + tol
-        if self.kind == "polyhedron":
+            inside = np.ones(x.shape[:-1], dtype=bool)
+        elif self.kind == "ball":
+            inside = np.asarray(norm_eval(self.norm, x) <= self.radius + tol)
+        elif self.kind == "polyhedron":
             C, d = self.C_matrix(), self.d_vector()
-            return bool(np.all(C @ x - d <= tol * (np.abs(C) @ np.abs(x) + np.abs(d))))
-        return all(m.contains(x, tol) for m in self.members)
+            inside = np.all(x @ C.T - d <= tol * (np.abs(x) @ np.abs(C).T + np.abs(d)), axis=-1)
+        else:
+            inside = np.all([m.contains(x, tol) for m in self.members], axis=0)
+        return bool(inside) if x.ndim == 1 else inside
 
 
 def _face_sizes(members: list[SetSpec]) -> tuple[float, list[np.ndarray]]:

@@ -254,14 +254,9 @@ def _check_inputs(loss_dim: int, samples: DiscreteDistribution, ball: BallSpec) 
             f"loss dimension {loss_dim} does not match sample dimension {samples.dim}"
         )
     support = ball.support_for(samples.dim)
-    if support.kind == "polyhedron":
-        # SetSpec.contains on every atom at once: each row within
-        # 1e-9 (|C| |x| + |d|)
-        X, C, d = samples.atoms, support.C_matrix(), support.d_vector()
-        inside = X @ C.T - d <= 1e-9 * (np.abs(X) @ np.abs(C).T + np.abs(d))
-        outside = ~inside.all(axis=1)
-        if outside.any():
-            raise ValueError(f"sample atom {outside.argmax()} lies outside the support set")
+    outside = ~support.contains(samples.atoms)
+    if outside.any():
+        raise ValueError(f"sample atom {outside.argmax()} lies outside the support set")
     return support
 
 
@@ -792,7 +787,7 @@ def extremal_pwa(
     duals = dual_norm_eval(ball.norm, loss.A)
     j_star = int(np.argmax(duals))
     lip = float(duals[j_star])
-    if lip <= 1e-15:
+    if lip == 0.0:
         return ExtremalReport(
             kind="attained",
             certified_value=nominal,

@@ -62,6 +62,8 @@ class JointMoments:
     spectrum: SpectralDecomposition = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (self.mx >= 1 and self.my >= 1):
+            raise ValueError(f"blocks need mx >= 1 and my >= 1, got mx={self.mx}, my={self.my}")
         mean = as_vector(self.mean, "mean")
         cov, spectrum = psd_eig(as_matrix(self.cov, "cov"), name="cov")
         if mean.size != self.mx + self.my or cov.shape[0] != mean.size:

@@ -68,6 +68,53 @@ def test_flags_override_config_file(tmp_path):
         parse_config(["shrink", "--config", bad, "--input", cov, "--eps", "1"])
 
 
+# (command, config-file entries, the same values typed as flags, exit code)
+CONFIG_CASES = [
+    ("wc-risk", {"eps": "0.3"}, ["--eps", "0.3"], 0),
+    ("wc-risk", {"norm": None, "eps": 0.3}, ["--eps", "0.3"], 0),
+    ("wc-risk", {"eps": True}, ["--eps"], 2),
+    ("wc-risk", {"ep": 0.3}, ["--ep", "0.3"], 2),
+    ("mmse", {"mx": 1.7}, ["--mx", "1.7"], 2),
+    ("train", {"standardize": True}, ["--standardize"], 0),
+    ("train", {"standardize": False}, [], 0),
+    ("train", {"standardize": "no"}, ["--standardize=no"], 2),
+    ("calibrate", {"mode": "bogus"}, ["--mode", "bogus"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "command,entries,flags,code",
+    CONFIG_CASES,
+    ids=["-".join([c] + [f"{k}={v}" for k, v in e.items()]) for c, e, _, _ in CONFIG_CASES],
+)
+def test_config_file_values_are_read_as_flags(tmp_path, capsys, command, entries, flags, code):
+    """A config entry types, checks and echoes as its flag does: the same
+    report, or the same usage error naming the option."""
+    base = {
+        "wc-risk": ["--samples", write_json(tmp_path / "s.json", {"atoms": [[0.0], [1.0]]}),
+                    "--loss", write_json(tmp_path / "l.json", {"kind": "pwa", "slopes": [[0.0], [1.0]],
+                                                               "intercepts": [0.0, -1.0]}),
+                    "--p", "1"],
+        "mmse": ["--moments", write_json(tmp_path / "j.json", {"mean": [0.0, 0.0], "cov": [[1.0, 0.3], [0.3, 1.0]]}),
+                 "--eps", "0.2"],
+        "train": ["--input", write_csv(tmp_path / "d.csv", [[1.0, 1.0], [-0.5, -1.0]]), "--loss", "hinge",
+                  "--eps", "0.5"],
+        "calibrate": ["--n", "100", "--eta", "0.5"],
+    }[command]
+    conf = write_json(tmp_path / "conf.json", entries)
+    via_config = run_cli([command, "--config", conf] + base, tmp_path, "config.json")
+    err = capsys.readouterr().err
+    via_flags = run_cli([command] + base + flags, tmp_path, "flags.json")
+    assert via_config[0] == via_flags[0] == code, (via_config[0], via_flags[0], err)
+    if code == 0:
+        for _, report in (via_config, via_flags):
+            del report["timings"], report["config"]["output"]
+        assert via_config[1] == via_flags[1]
+    else:
+        key = next(k for k, v in entries.items() if v is not None)
+        assert f"--{key}" in err and f"--{key}" in capsys.readouterr().err, err
+
+
 def test_seed_and_tol_validation(tmp_path):
     cov = write_csv(tmp_path / "cov.csv", [[0.1], [2.0]])
     # no command consumes randomness, so none takes a seed

@@ -191,6 +191,22 @@ def test_support_homogeneous():
         assert abs(s3 - 3.0 * s1) <= 1e-9 * (1 + abs(s1))
 
 
+def test_contains_takes_a_stack_row_by_row():
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-2.0, 2.0, size=(40, 2))
+    box = SetSpec.polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    disk = SetSpec.ball(NormSpec.p_norm(2), 1.5, 2)
+    in_box, in_disk = np.abs(X).max(axis=1) <= 1.0, np.linalg.norm(X, axis=1) <= 1.5
+    for spec, want in [(SetSpec.whole(2), np.ones(40, bool)), (box, in_box), (disk, in_disk),
+                       (SetSpec.intersection([box, disk]), in_box & in_disk)]:
+        inside = spec.contains(X)
+        assert inside.dtype == bool and inside.tolist() == want.tolist(), spec.kind
+        assert [spec.contains(x) for x in X] == want.tolist()
+        assert spec.contains(X.reshape(4, 10, 2)).shape == (4, 10)
+    with pytest.raises(ValueError):
+        box.contains([[0.0, np.nan]])
+
+
 SUPPORT_SCALES = (1e-10, 1e-8, 1e-6, 1e-3, 1e3, 1e6, 1e8)
 
 

@@ -249,17 +249,22 @@ def test_relabelling_and_duplicate_atoms_leave_the_value(support, norm, p):
             assert abs(extremal_pwa(loss, twin, ball).certified_value - base) <= tol
 
 
-@pytest.mark.parametrize("t", [1e-12, 1e-6, 1e6])
+@pytest.mark.parametrize("t", [1e-16, 1e-12, 1e-6, 1e6])
 @pytest.mark.parametrize("p", [1.0, math.inf], ids=["type1", "typeinf"])
 def test_scaling_the_loss_scales_the_value(p, t):
-    """Slopes and intercepts times t: the worst case times t, whatever t is."""
+    """Slopes and intercepts times t: the worst case times t, whatever t is,
+    on a polyhedron under the 1-norm and on the whole space under the 2-norm;
+    a type-1 extremal certifies the same value."""
     for seed in range(4):
         loss, samples, spec, _, _, normspec, _, eps = instance(seed, "polyhedron", "one", 12)
-        ball = BallSpec(eps, p, normspec, spec)
-        base = wc_risk_pwa(loss, samples, ball)
         scaled = PiecewiseAffineLoss([(t * a, t * b) for a, b in loss.pieces])
-        got = wc_risk_pwa(scaled, samples, ball) / t
-        assert abs(got - base) <= 1e-10 * (1.0 + abs(base)), (seed, got, base)
+        for ball in (BallSpec(eps, p, normspec, spec), BallSpec(eps, p, NormSpec.p_norm(2))):
+            base = wc_risk_pwa(loss, samples, ball)
+            got = wc_risk_pwa(scaled, samples, ball) / t
+            assert abs(got - base) <= 1e-10 * (1.0 + abs(base)), (seed, got, base)
+            if p == 1.0:
+                got = extremal_pwa(scaled, samples, ball).certified_value / t
+                assert abs(got - base) <= 1e-10 * (1.0 + abs(base)), (seed, ball.norm, got, base)
 
 
 @pytest.mark.parametrize("p", [1.0, math.inf], ids=["type1", "typeinf"])

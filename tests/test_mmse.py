@@ -348,3 +348,10 @@ def test_affine_estimator_batch_predict():
 def test_joint_moments_validation():
     with pytest.raises(ValueError):
         JointMoments(2, 2, np.zeros(3), np.eye(4))
+
+
+@pytest.mark.parametrize("mx,my", [(-1, 4), (3, 0), (0, 3)])
+def test_joint_moments_rejects_empty_or_negative_blocks(mx, my):
+    # sizes that sum to the dimension but leave a block empty or negative
+    with pytest.raises(ValueError, match="mx >= 1 and my >= 1"):
+        JointMoments(mx, my, np.zeros(3), np.eye(3))
