@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotSymmetric
@@ -12,6 +14,7 @@ __all__ = [
     "as_samples",
     "check_symmetric",
     "check_weights",
+    "radius",
     "ParamsMixin",
 ]
 
@@ -65,6 +68,16 @@ def check_weights(w, tol: float = 1e-12, name: str = "weights") -> np.ndarray:
     if abs(total - 1.0) > max(tol, 1e-12 * len(w)):
         raise ValueError(f"{name} must sum to one, got {total!r}")
     return w.clip(0.0)
+
+
+def radius(eps, positive: bool = False, name: str = "eps") -> float:
+    """eps as a float, -0.0 as 0.0; ValueError naming ``name`` unless it is
+    finite and nonnegative (positive, with ``positive``): the dualities
+    behind the worst cases hold only for a finite radius."""
+    r = float(eps) + 0.0
+    if not (math.isfinite(r) and (r > 0.0 if positive else r >= 0.0)):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, got {r}")
+    return r
 
 
 class ParamsMixin:

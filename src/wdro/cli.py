@@ -25,6 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._validation import radius
 from .calibrate import MomentTailModel, TailModel, radius_empirical, radius_moments
 from .empirical_risk import (
     BallSpec,
@@ -83,7 +84,8 @@ def _read_json(path: str):
 
 
 def _read_csv(path: str) -> np.ndarray:
-    """Samples as rows; first line is a header and is skipped."""
+    """Samples as rows; first line is a header and is skipped.  Every field
+    must be a finite number."""
     rows = []
     try:
         with open(path, newline="") as fh:
@@ -100,9 +102,12 @@ def _read_csv(path: str) -> np.ndarray:
                         f"{path}:{lineno}: expected {width} fields, found {len(row)}"
                     )
                 try:
-                    rows.append([float(v) for v in row])
+                    values = [float(v) for v in row]
                 except ValueError as exc:
                     raise UsageError(f"{path}:{lineno}: {exc}") from exc
+                if not all(map(math.isfinite, values)):
+                    raise UsageError(f"{path}:{lineno}: non-finite field")
+                rows.append(values)
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror or exc}") from exc
     if not rows:
@@ -302,8 +307,8 @@ def parse_config(argv=None) -> RunConfig:
     The config file's entries go in as flags right after the command, so one
     parse types and checks them as it does the flags, and a flag given on
     the command line wins.  Every referenced file is read and every
-    descriptor is validated here, before any computation starts; failures
-    raise UsageError.
+    descriptor and radius is validated here, before any computation starts;
+    failures, the library's input errors among them, raise UsageError.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _build_parser().parse_args(argv[:1] + _config_flags(argv[1:]) + argv[1:])
@@ -318,75 +323,62 @@ def parse_config(argv=None) -> RunConfig:
     output = opts.pop("output")
 
     payload: dict = {}
-    if command == "transport":
-        payload["q"] = _parse_distribution(opts["q"])
-        payload["qp"] = _parse_distribution(opts["qp"])
-        payload["norm"] = _parse_norm(opts["norm"]) if opts["norm"] else None
-        if not (opts["p"] >= 1.0 and math.isfinite(opts["p"])):
-            raise UsageError("--p must be finite and >= 1")
-    elif command == "wc-risk":
-        payload["samples"] = _parse_distribution(opts["samples"])
-        payload["loss"] = _parse_loss(opts["loss"])
-        payload["norm"] = _parse_norm(opts["norm"]) if opts["norm"] else None
-        payload["support"] = _parse_support(opts["support"]) if opts["support"] else None
-        if isinstance(payload["loss"], QuadraticLoss):
-            if opts["p"] != 2.0:
-                raise UsageError("quadratic losses need --p 2")
-            if opts["norm"] or opts["support"]:
-                raise UsageError(
-                    "quadratic losses use the Euclidean norm on the whole space; "
-                    "--norm/--support do not apply"
-                )
-        try:
+    try:
+        if opts.get("eps") is not None:
+            if opts.get("other") is not None:
+                raise UsageError("--eps does not apply to gelbrich distance mode (--other)")
+            opts["eps"] = radius(opts["eps"], positive=command in ("gelbrich", "shrink"), name="--eps")
+        if command == "transport":
+            payload["q"] = _parse_distribution(opts["q"])
+            payload["qp"] = _parse_distribution(opts["qp"])
+            payload["norm"] = _parse_norm(opts["norm"]) if opts["norm"] else None
+            if not (opts["p"] >= 1.0 and math.isfinite(opts["p"])):
+                raise UsageError("--p must be finite and >= 1")
+        elif command == "wc-risk":
+            payload["samples"] = _parse_distribution(opts["samples"])
+            payload["loss"] = _parse_loss(opts["loss"])
+            payload["norm"] = _parse_norm(opts["norm"]) if opts["norm"] else None
+            payload["support"] = _parse_support(opts["support"]) if opts["support"] else None
+            if isinstance(payload["loss"], QuadraticLoss):
+                if opts["p"] != 2.0:
+                    raise UsageError("quadratic losses need --p 2")
+                if opts["norm"] or opts["support"]:
+                    raise UsageError(
+                        "quadratic losses use the Euclidean norm on the whole space; "
+                        "--norm/--support do not apply"
+                    )
             payload["ball"] = BallSpec(
                 opts["eps"], opts["p"], norm=payload["norm"], support=payload["support"]
             )
-        except (ToolkitError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
-    elif command == "gelbrich":
-        payload["moments"] = _parse_moments(opts["moments"])
-        if opts["other"] is not None:
-            payload["other"] = _parse_moments(opts["other"])
-        else:
-            payload["loss"] = _parse_loss(opts["loss"])
-            if not isinstance(payload["loss"], QuadraticLoss):
-                raise UsageError("gelbrich risk mode needs a quadratic loss descriptor")
-            _require(opts, ["eps"], command)
-            if not opts["eps"] > 0:
-                raise UsageError("--eps must be positive")
-    elif command == "shrink":
-        if opts["input"] is not None:
-            payload["moments"] = sample_moments(_read_csv(opts["input"]))
-        else:
+        elif command == "gelbrich":
             payload["moments"] = _parse_moments(opts["moments"])
-        if not opts["eps"] > 0:
-            raise UsageError("--eps must be positive")
-    elif command == "mmse":
-        pair = _parse_moments(opts["moments"])
-        try:
+            if opts["other"] is not None:
+                payload["other"] = _parse_moments(opts["other"])
+            else:
+                payload["loss"] = _parse_loss(opts["loss"])
+                if not isinstance(payload["loss"], QuadraticLoss):
+                    raise UsageError("gelbrich risk mode needs a quadratic loss descriptor")
+                _require(opts, ["eps"], command)
+        elif command == "shrink":
+            if opts["input"] is not None:
+                payload["moments"] = sample_moments(_read_csv(opts["input"]))
+            else:
+                payload["moments"] = _parse_moments(opts["moments"])
+        elif command == "mmse":
+            pair = _parse_moments(opts["moments"])
             payload["joint"] = JointMoments(opts["mx"], pair.dim - opts["mx"], pair.mu, pair.sigma)
-        except (ToolkitError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
-        if opts["eps"] < 0:
-            raise UsageError("--eps must be nonnegative")
-        if opts["iters"] is not None and opts["iters"] < 1:
-            raise UsageError("--iters must be at least 1")
-    elif command == "train":
-        data = _read_csv(opts["input"])
-        if data.shape[1] < 2:
-            raise UsageError(f"{opts['input']}: need at least one feature column plus a label")
-        payload["X"], payload["y"] = data[:, :-1], data[:, -1]
-        try:
+            if opts["iters"] is not None and opts["iters"] < 1:
+                raise UsageError("--iters must be at least 1")
+        elif command == "train":
+            data = _read_csv(opts["input"])
+            if data.shape[1] < 2:
+                raise UsageError(f"{opts['input']}: need at least one feature column plus a label")
+            payload["X"], payload["y"] = data[:, :-1], data[:, -1]
             payload["loss"] = UnivariateLoss(opts["loss"], delta=opts["delta"])
-        except (ToolkitError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
-        payload["norm"] = _parse_norm(opts["norm"]) if opts["norm"] else None
-        if opts["eps"] < 0:
-            raise UsageError("--eps must be nonnegative")
-    elif command == "calibrate":
-        if opts["mode"] == "empirical":
-            _require(opts, ["p", "alpha", "bound", "dim"], command)
-            try:
+            payload["norm"] = _parse_norm(opts["norm"]) if opts["norm"] else None
+        elif command == "calibrate":
+            if opts["mode"] == "empirical":
+                _require(opts, ["p", "alpha", "bound", "dim"], command)
                 payload["model"] = TailModel(
                     alpha=opts["alpha"],
                     A=opts["bound"],
@@ -394,13 +386,12 @@ def parse_config(argv=None) -> RunConfig:
                     c1=math.e if opts["c1"] is None else opts["c1"],
                     c2=1.0 if opts["c2"] is None else opts["c2"],
                 )
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-        else:
-            try:
+            else:
                 payload["model"] = MomentTailModel(c=math.e if opts["c"] is None else opts["c"])
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+    except UsageError:
+        raise
+    except (ToolkitError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
 
     opts["tol"] = rel_tol
     return RunConfig(command, opts, payload, tol, output)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._validation import as_matrix, as_vector
+from ._validation import as_matrix, as_vector, radius as _radius
 from .errors import (
     DimensionMismatch,
     InfeasibleSet,
@@ -299,9 +299,8 @@ class SetSpec:
 
     @staticmethod
     def ball(norm: NormSpec, radius: float, dim: int) -> "SetSpec":
-        if radius < 0:
-            raise ValueError("ball radius must be nonnegative")
-        return SetSpec(kind="ball", dim=int(dim), norm=norm, radius=float(radius))
+        """The norm ball of a finite, nonnegative radius about the origin."""
+        return SetSpec(kind="ball", dim=int(dim), norm=norm, radius=_radius(radius, name="radius"))
 
     @staticmethod
     def polyhedron(C, d) -> "SetSpec":

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._validation import as_matrix, as_samples, as_vector, check_symmetric
+from ._validation import as_matrix, as_samples, as_vector, check_symmetric, radius
 from .convex_analysis import (
     NormSpec,
     SetSpec,
@@ -71,7 +71,8 @@ __all__ = [
 class BallSpec:
     """Wasserstein ball: radius, order p in {1, 2, inf}, ground norm, support.
 
-    ``support=None`` means the whole space.  Only whole-space and polyhedral
+    The radius must be finite and nonnegative.  ``support=None`` means the
+    whole space.  Only whole-space and polyhedral
     supports are accepted; other set kinds raise UnsupportedSupport.
     """
 
@@ -81,8 +82,7 @@ class BallSpec:
     support: Optional[SetSpec] = None
 
     def __post_init__(self):
-        if not self.eps >= 0:
-            raise ValueError("ball radius eps must be nonnegative")
+        object.__setattr__(self, "eps", radius(self.eps))
         if self.p not in (1.0, 2.0, math.inf):
             raise ValueError("ball order p must be 1, 2 or inf")
         if self.norm is None:
@@ -92,7 +92,6 @@ class BallSpec:
                 f"support kind {self.support.kind!r} is not supported; "
                 "use the whole space or a polyhedron"
             )
-        object.__setattr__(self, "eps", float(self.eps))
         object.__setattr__(self, "p", float(self.p))
 
     def support_for(self, dim: int) -> SetSpec:
@@ -628,20 +627,19 @@ def _quad_scalar_dual(loss: QuadraticLoss, samples: DiscreteDistribution, eps: f
     return _QuadDual(value, theta, alpha, gamma == max(0.0, float(lam[0])))
 
 
-def _check_quadratic(loss: QuadraticLoss, samples: DiscreteDistribution, eps: float) -> None:
+def _check_quadratic(loss: QuadraticLoss, samples: DiscreteDistribution, eps: float) -> float:
     if samples.dim != loss.dim:
         raise DimensionMismatch(
             f"loss dimension {loss.dim} does not match sample dimension {samples.dim}"
         )
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative")
+    return radius(eps)
 
 
 def wc_risk_quadratic(loss: QuadraticLoss, samples: DiscreteDistribution, eps: float) -> float:
     """Worst-case quadratic loss over a type-2 Euclidean whole-space ball: the
     Gelbrich worst case at the samples' moments, when their covariance is
-    nonsingular."""
-    _check_quadratic(loss, samples, eps)
+    nonsingular.  The radius eps must be finite and nonnegative."""
+    eps = _check_quadratic(loss, samples, eps)
     if eps == 0.0:
         return expected_loss(loss, samples)
     return _quad_scalar_dual(loss, samples, eps).value
@@ -655,9 +653,10 @@ def extremal_quadratic(
     Interior dual minimizer: every atom shifts to (gamma I - Q)^{-1}(q + gamma
     xi_i) and the optimum is attained.  Boundary minimizer with leftover
     budget alpha and a positive top eigenvalue: an atom escapes along the top
-    eigenvector at rate sqrt(n), carrying the leftover second moment.
+    eigenvector at rate sqrt(n), carrying the leftover second moment.  The
+    radius eps must be finite and nonnegative.
     """
-    _check_quadratic(loss, samples, eps)
+    eps = _check_quadratic(loss, samples, eps)
     if eps == 0.0:
         return ExtremalReport(
             kind="attained",

@@ -69,7 +69,7 @@ import math
 
 import numpy as np
 
-from ._validation import ParamsMixin, as_samples, as_vector
+from ._validation import ParamsMixin, as_samples, as_vector, radius
 from .convex_analysis import NormSpec, norm_eval
 from .empirical_risk import BallSpec, PiecewiseAffineLoss, wc_risk_pwa
 from .transport import DiscreteDistribution
@@ -646,6 +646,7 @@ def _problem(X: np.ndarray, y: np.ndarray, loss: UnivariateLoss, eps: float,
     plus eps * Lip(L) * ||w||_*; the squared loss gives
     (root mean squared residual + eps * ||w||_*)^2 instead.
     """
+    eps = radius(eps)
     norm = input_norm or NormSpec.p_norm(2.0)
     if loss.kind == "squared":
         return _SqrtLasso(X, y, eps, norm)
@@ -771,12 +772,10 @@ def dro_train_classifier(
 ) -> TrainedModel:
     """Train a linear scorer against input perturbations within radius eps.
 
-    ``gap`` bounds the suboptimality of the returned weights (see the
-    module docstring).
+    eps must be finite and nonnegative.  ``gap`` bounds the suboptimality
+    of the returned weights (see the module docstring).
     """
     _check_kind(loss, classification=True)
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative")
     X, y = _check_labeled(X, y, classification=True)
     problem = _problem(X, y, loss, eps, input_norm)
     return _train(problem, X.shape[1], tol, degenerate_data=bool(np.unique(y).size == 1))
@@ -793,14 +792,13 @@ def dro_train_regressor(
 ) -> TrainedModel:
     """Train a linear regressor against input perturbations within radius eps.
 
-    The ball order must match the loss: squared requires p = 2, the
-    Lipschitz kinds require p = 1.  ``gap`` bounds the suboptimality of the
-    returned weights (see the module docstring).
+    eps must be finite and nonnegative, and the ball order must match the
+    loss: squared requires p = 2, the Lipschitz kinds require p = 1.
+    ``gap`` bounds the suboptimality of the returned weights (see the module
+    docstring).
     """
     _check_kind(loss, classification=False)
     _check_pairing(loss, p)
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative")
     X, y = _check_labeled(X, y, classification=False)
     return _train(_problem(X, y, loss, eps, input_norm), X.shape[1], tol)
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validation import ParamsMixin, as_matrix, as_vector, check_symmetric
+from ._validation import ParamsMixin, as_matrix, as_vector, check_symmetric, radius
 from .errors import NoBracket, NotPSD, SingularBlock
 from .numerics import (
     DEFAULT_TOL, SpectralDecomposition, Tolerance, lift_singular, monotone_root, psd_eig, quadratic_multiplier
@@ -171,7 +171,8 @@ def _slope(T: np.ndarray, E: np.ndarray, mx: int) -> tuple[float, float]:
 
 
 def fw_direction(grad, nominal_cov, eps: float) -> FWDirection:
-    """Maximize Tr[grad . D] over covariances within eps of the nominal.
+    """Maximize Tr[grad . D] over covariances within eps of the nominal, for
+    a finite, positive eps.
 
     The gradient must be positive semidefinite, as ``mmse_gradient`` is;
     otherwise NotPSD is raised.  Then F = gamma (gamma I - grad)^{-1} >= I
@@ -188,9 +189,7 @@ def fw_direction(grad, nominal_cov, eps: float) -> FWDirection:
     """
     grad = check_symmetric(as_matrix(grad, "grad"), tol=1e-8, name="grad")
     sigma = psd_eig(as_matrix(nominal_cov, "nominal_cov"), name="nominal_cov")[0]
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return _direction(grad, sigma, eps)
+    return _direction(grad, sigma, radius(eps, positive=True))
 
 
 def _direction(grad: np.ndarray, sigma: np.ndarray, eps: float) -> FWDirection:
@@ -224,15 +223,15 @@ def fw_iterates(
     Starts from the nominal covariance (lifted by ``lift_singular`` when
     it is singular) and keeps every iterate feasible: each step moves to
     the maximizer of the objective on the segment from the iterate to the
-    Frank-Wolfe direction.  Each state carries the
-    iterate, its objective and its linearization gap, which certifies
-    f* - f(S_k) <= gap_k.  The iteration stops after the
-    first gap of at most tol.rel_tol times the trace of the nominal, or
-    after ``iters`` states.  The arguments are checked here; the returned
-    generator's return value is the last iterate: that of the last state
-    when its gap stopped the run, else one more step on.
+    Frank-Wolfe direction.  Each state carries the iterate, its objective
+    and its linearization gap, which certifies f* - f(S_k) <= gap_k.  The
+    iteration stops after the first gap of at most tol.rel_tol times the
+    trace of the nominal, or after ``iters`` states.  The arguments are
+    checked here (eps finite and nonnegative, iters at least 1); the
+    returned generator's return value is the last iterate: that of the last
+    state when its gap stopped the run, else one more step on.
     """
-    cov, _ = _lifted_nominal(nominal, eps, iters)
+    eps, cov, _ = _lifted_nominal(nominal, eps, iters)
     return _last_iterate(_fw_loop(cov, nominal.mx, eps, iters, tol))
 
 
@@ -241,12 +240,11 @@ def _last_iterate(loop):
 
 
 def _lifted_nominal(nominal: JointMoments, eps: float, iters: int):
-    """Checks the run's arguments; the lifted nominal covariance and the lift."""
-    if not eps >= 0:
-        raise ValueError("eps must be nonnegative")
+    """Checks the run's arguments; the radius, lifted nominal and lift."""
+    eps = radius(eps)
     if iters < 1:
         raise ValueError("need at least one iteration")
-    return lift_singular(nominal.cov, nominal.spectrum)
+    return (eps, *lift_singular(nominal.cov, nominal.spectrum))
 
 
 def _gap_target(cov: np.ndarray, tol: Tolerance) -> float:
@@ -300,7 +298,8 @@ def fw_solve(
     iters: int = 500,
     tol: Tolerance = DEFAULT_TOL,
 ) -> FWSolveResult:
-    """Frank-Wolfe maximization of the worst-case MMSE over the ball.
+    """Frank-Wolfe maximization of the worst-case MMSE over the ball of a
+    finite, nonnegative radius eps.
 
     Runs the iterates of ``fw_iterates`` and keeps only the gaps and the
     last iterate, so the result does not grow with ``iters``; the affine
@@ -313,7 +312,7 @@ def fw_solve(
     ``target_met`` is False when the cap came first; the last gap is then
     still a bound, only a looser one.
     """
-    cov, lift = _lifted_nominal(nominal, eps, iters)
+    eps, cov, lift = _lifted_nominal(nominal, eps, iters)
     iterates = _fw_loop(cov, nominal.mx, eps, iters, tol)
     gaps = []
     while True:

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._validation import as_vector
+from ._validation import as_vector, radius
 from .empirical_risk import QuadraticLoss
 from .errors import DimensionMismatch, NotPSD, NumericalFailure, UnsupportedCase
 from .numerics import DEFAULT_TOL, Tolerance, lift_singular, quadratic_multiplier
@@ -49,15 +49,14 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class GelbrichBall:
-    """All moment pairs within Gelbrich distance eps of the center."""
+    """All moment pairs within Gelbrich distance eps of the center; eps must
+    be finite and nonnegative."""
 
     center: MomentPair
     eps: float
 
     def __post_init__(self):
-        if not self.eps >= 0:
-            raise ValueError("ball radius eps must be nonnegative")
-        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "eps", radius(self.eps))
 
 
 _GENERATORS = ("gaussian", "logistic", "t")
@@ -159,7 +158,8 @@ def _quadratic_moment_risk(loss: QuadraticLoss, mu: np.ndarray, sigma: np.ndarra
 
 
 def gelbrich_risk_quadratic(loss: QuadraticLoss, center: MomentPair, eps: float) -> GelbrichRiskResult:
-    """Worst-case quadratic loss over a Gelbrich ball of moment pairs.
+    """Worst-case quadratic loss over a Gelbrich ball of moment pairs, of a
+    finite, positive radius eps.
 
     Solves the scalar boundary equation for the dual multiplier and returns
     the value together with the extremal moments
@@ -178,8 +178,7 @@ def gelbrich_risk_quadratic(loss: QuadraticLoss, center: MomentPair, eps: float)
         raise DimensionMismatch(
             f"loss dimension {loss.dim} does not match center dimension {center.dim}"
         )
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    eps = radius(eps, positive=True)
     mu_hat = center.mu
 
     if np.all(loss.Q == 0.0):

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from ._validation import ParamsMixin, as_samples
+from ._validation import ParamsMixin, as_samples, radius
 from .errors import EmptySample
 from .numerics import monotone_root
 from .transport import MomentPair
@@ -83,7 +83,8 @@ def _eq50_eigenvalue(gamma: float, lam: np.ndarray) -> np.ndarray:
 
 
 def wasserstein_shrinkage(moments: MomentPair, eps: float) -> ShrinkageResult:
-    """Robust maximum-likelihood mean and precision for a moment pair.
+    """Robust maximum-likelihood mean and precision for a moment pair, at a
+    finite, positive radius eps.
 
     The mean estimate is the sample mean.  The precision estimate is
     positive definite even when the covariance is singular.  The returned
@@ -92,8 +93,7 @@ def wasserstein_shrinkage(moments: MomentPair, eps: float) -> ShrinkageResult:
     h(u) <= sqrt(u) and a right end from h(u) >= 1 - 1/u (see the comments
     in the body), in about seven evaluations.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive; invert the covariance directly for eps = 0")
+    eps = radius(eps, positive=True)
     m = moments.dim
     dec = moments.spectrum
     lam = np.clip(dec.values, 0.0, None)

@@ -137,6 +137,33 @@ def test_missing_file_and_bad_csv(tmp_path, capsys):
     assert ":3:" in capsys.readouterr().err
 
 
+# (command line, what the usage error must name); "{dir}" is the test's directory
+BAD_INPUT_CASES = {
+    "train-eps-inf": ("train --input {dir}/train.csv --loss hinge --eps inf", "--eps"),
+    "train-eps-nan": ("train --input {dir}/train.csv --loss hinge --eps nan", "--eps"),
+    "mmse-eps-nan": ("mmse --moments {dir}/joint.json --mx 1 --eps nan", "--eps"),
+    "gelbrich-other-eps": ("gelbrich --moments {dir}/joint.json --other {dir}/joint.json --eps -5", "--eps"),
+    "shrink-nan-csv": ("shrink --input {dir}/nan.csv --eps 0.3", "nan.csv:3:"),
+    "transport-nan-csv": ("transport --q {dir}/nan.csv --qp {dir}/train.csv --p 1", "nan.csv:3:"),
+    "wc-risk-nan-csv": ("wc-risk --samples {dir}/nan.csv --loss {dir}/loss.json --eps 0.1 --p 1", "nan.csv:3:"),
+    "train-nan-csv": ("train --input {dir}/nan.csv --loss hinge --eps 0.1", "nan.csv:3:"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT_CASES)
+def test_bad_radius_or_nonfinite_csv_field_is_usage_error(tmp_path, capsys, case):
+    """An infinite, NaN or unused radius and a non-finite CSV field stop the
+    run before it starts, with exit 2 and no report."""
+    write_csv(tmp_path / "train.csv", [[0.5, 1.0, 1.0], [-0.3, -1.0, -1.0], [1.2, 0.4, 1.0]])
+    (tmp_path / "nan.csv").write_text("x0,x1,y\n0.5,1.0,1\n-0.3,nan,-1\n")
+    write_json(tmp_path / "joint.json", {"mean": [1.0, -1.0], "cov": [[2.0, 0.8], [0.8, 1.5]]})
+    write_json(tmp_path / "loss.json", {"kind": "pwa", "slopes": [[1.0, 0.0, 0.0]], "intercepts": [0.0]})
+    line, named = BAD_INPUT_CASES[case]
+    code, report = run_cli(line.format(dir=tmp_path).split(), tmp_path)
+    assert (code, report) == (2, None)
+    assert named in capsys.readouterr().err
+
+
 def test_shrink_run_end_to_end(tmp_path):
     rng = np.random.default_rng(0)
     samples = rng.normal(size=(40, 3))
