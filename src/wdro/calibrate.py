@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ._validation import as_samples
+from ._validation import as_samples, radius
 from .errors import InsufficientData, UnsupportedCase
 
 __all__ = [
@@ -147,7 +147,7 @@ def cv_radius(
     stack targets as trailing columns of the sample rows.
     """
     x = as_samples(samples, "samples")
-    grid = sorted(float(e) for e in eps_grid)
+    grid = sorted(radius(e, name="eps_grid") for e in eps_grid)
     if not grid:
         raise ValueError("eps_grid must be nonempty")
     if folds < 2:

@@ -317,8 +317,8 @@ def parse_config(argv=None) -> RunConfig:
 
     tol_scale = opts.pop("tol")
     rel_tol = DEFAULT_TOL.rel_tol if tol_scale is None else tol_scale
-    if not rel_tol > 0:
-        raise UsageError("--tol must be positive")
+    if not (rel_tol > 0 and math.isfinite(rel_tol)):
+        raise UsageError("--tol must be finite and positive")
     tol = Tolerance(rel_tol=rel_tol)
     output = opts.pop("output")
 

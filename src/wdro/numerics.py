@@ -66,8 +66,8 @@ class Tolerance:
     rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be nonnegative")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ValueError(f"rel_tol must be finite and nonnegative, got {self.rel_tol}")
 
 
 DEFAULT_TOL = Tolerance()

@@ -348,14 +348,34 @@ def test_criterion_11_cli_reports_are_deterministic(tmp_path):
     quad = jdump(tmp_path / "quad.json", {"kind": "quadratic", "Q": [[1.0]], "q": [0.2]})
     pair = jdump(tmp_path / "m.json", {"mean": [0.1], "cov": [[1.3]]})
     joint = jdump(tmp_path / "j.json", {"mean": [0.0, 0.0], "cov": [[1.0, 0.4], [0.4, 2.0]]})
+    # rank-deficient covariances, which the lift moves off singularity
+    singular = jdump(
+        tmp_path / "s.json", {"mean": [1.0, -1.0, 0.5], "cov": [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+    )
+    center = jdump(tmp_path / "c.json", {"mean": [0.0, 1.0], "cov": [[1.0, 1.0], [1.0, 1.0]]})
+    quad2 = jdump(tmp_path / "quad2.json", {"kind": "quadratic", "Q": [[1.0, 0.0], [0.0, 2.0]], "q": [0.5, -0.5]})
+    reg = tmp_path / "reg.csv"
+    reg.write_text("x0,x1,y\n0.5,1.0,1.2\n-0.3,-1.0,-0.7\n1.2,0.4,2.0\n0.1,-0.6,0.3\n0.7,-0.2,0.9\n-0.9,0.3,-1.4\n")
+    l1 = jdump(tmp_path / "l1.json", {"kind": "p", "p": 1})
+    # 150 x 150 atoms: large enough for the transport simplex's block pricing
+    rng = np.random.default_rng(150)
+    big = []
+    for name, offset in (("q150.json", 0.0), ("qp150.json", 0.5)):
+        w = rng.uniform(0.2, 1.0, 150)
+        atoms = rng.normal(size=(150, 3)) + offset
+        big.append(jdump(tmp_path / name, {"atoms": atoms.tolist(), "weights": (w / w.sum()).tolist()}))
 
     invocations = [
         ["transport", "--q", dist_a, "--qp", dist_b, "--p", "2"],
+        ["transport", "--q", big[0], "--qp", big[1], "--p", "2"],
         ["wc-risk", "--samples", dist_a, "--loss", pwa, "--eps", "0.4", "--p", "1"],
         ["gelbrich", "--moments", pair, "--loss", quad, "--eps", "0.6"],
+        ["gelbrich", "--moments", center, "--loss", quad2, "--eps", "0.5"],
         ["shrink", "--input", str(csvp), "--eps", "0.5"],
         ["mmse", "--moments", joint, "--mx", "1", "--eps", "0.2", "--iters", "80"],
+        ["mmse", "--moments", singular, "--mx", "1", "--eps", "0.2"],
         ["train", "--input", str(csvp), "--loss", "hinge", "--eps", "0.3"],
+        ["train", "--input", str(reg), "--loss", "pinball", "--delta", "0.3", "--p", "1", "--eps", "0.2", "--norm", l1],
         ["calibrate", "--mode", "moments", "--n", "200", "--eta", "0.05"],
     ]
     out = tmp_path / "report.json"

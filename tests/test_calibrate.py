@@ -256,6 +256,11 @@ def test_cv_radius_rejections():
         cv_radius(lambda tr, e: e, lambda m, te: 0.0, rows, [], folds=2)
     with pytest.raises(ValueError):
         cv_radius(lambda tr, e: e, lambda m, te: 0.0, rows, [0.1], folds=1)
+    # every grid entry is a radius: a negative, infinite or NaN one is refused,
+    # not handed to train_fn
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps_grid"):
+            cv_radius(lambda tr, e: e, lambda m, te: m, rows, [bad, 0.1], folds=2)
 
 
 def _shrunk_slope(rows, eps):

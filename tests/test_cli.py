@@ -9,6 +9,7 @@ import pytest
 
 from wdro import __version__
 from wdro.cli import main, parse_config
+from wdro.empirical_risk import QuadraticLoss
 from wdro.errors import UsageError
 from wdro.moment_risk import gelbrich_risk_quadratic
 from wdro.transport import DiscreteDistribution, MomentPair, gelbrich_distance, wasserstein_p
@@ -71,6 +72,7 @@ def test_flags_override_config_file(tmp_path):
 # (command, config-file entries, the same values typed as flags, exit code)
 CONFIG_CASES = [
     ("wc-risk", {"eps": "0.3"}, ["--eps", "0.3"], 0),
+    ("shrink", {"eps": "0.3"}, ["--eps", "0.3"], 0),
     ("wc-risk", {"norm": None, "eps": 0.3}, ["--eps", "0.3"], 0),
     ("wc-risk", {"eps": True}, ["--eps"], 2),
     ("wc-risk", {"ep": 0.3}, ["--ep", "0.3"], 2),
@@ -100,6 +102,7 @@ def test_config_file_values_are_read_as_flags(tmp_path, capsys, command, entries
         "train": ["--input", write_csv(tmp_path / "d.csv", [[1.0, 1.0], [-0.5, -1.0]]), "--loss", "hinge",
                   "--eps", "0.5"],
         "calibrate": ["--n", "100", "--eta", "0.5"],
+        "shrink": ["--input", write_csv(tmp_path / "s.csv", [[0.5, 1.0, 2.0], [-0.3, -1.0, 0.1]])],
     }[command]
     conf = write_json(tmp_path / "conf.json", entries)
     via_config = run_cli([command, "--config", conf] + base, tmp_path, "config.json")
@@ -120,8 +123,9 @@ def test_seed_and_tol_validation(tmp_path):
     # no command consumes randomness, so none takes a seed
     with pytest.raises(UsageError):
         parse_config(["shrink", "--input", cov, "--eps", "1", "--seed", "3"])
-    with pytest.raises(UsageError):
-        parse_config(["shrink", "--input", cov, "--eps", "1", "--tol", "0"])
+    for bad in ("0", "inf", "nan"):
+        with pytest.raises(UsageError, match="--tol"):
+            parse_config(["shrink", "--input", cov, "--eps", "1", "--tol", bad])
     cfg = parse_config(["shrink", "--input", cov, "--eps", "1"])
     assert cfg.options["tol"] == 1e-10
     cfg = parse_config(["shrink", "--input", cov, "--eps", "1", "--tol", "1e-6"])
@@ -172,11 +176,21 @@ def test_shrink_run_end_to_end(tmp_path):
     assert code == 0
     assert report["error"] is None
     assert report["version"] == __version__
+    # --tol is one relative accuracy, resolved to its default
+    assert report["config"]["tol"] == 1e-10
     assert report["certificates"]["equation_residual"] <= 1e-10
     prec = np.array(report["results"]["precision"])
     assert prec.shape == (3, 3)
     assert np.allclose(prec, prec.T)
     assert len(report["results"]["eigen_map"]) == 3
+    # two samples in three dimensions: a rank-one covariance, whose zero
+    # eigenvalues map to gamma_star exactly
+    csvp = write_csv(tmp_path / "two.csv", [[0.5, 1.0, 2.0], [-0.3, -1.0, 0.1]])
+    code, report = run_cli(["shrink", "--input", csvp, "--eps", "0.3"], tmp_path)
+    assert code == 0
+    assert report["certificates"]["equation_residual"] <= 1e-10
+    zero = [row for row in report["results"]["eigen_map"] if row[0] == 0.0]
+    assert len(zero) == 2 and all(row[1] == report["results"]["gamma_star"] for row in zero), zero
 
 
 def test_transport_run_matches_library(tmp_path):
@@ -193,6 +207,24 @@ def test_transport_run_matches_library(tmp_path):
     assert report["certificates"]["duality_gap"] <= 1e-8
     assert report["certificates"]["marginal_error"] <= 1e-10
     assert report["certificates"]["dual_feasibility"] <= 1e-10
+    # a far atom of tiny mass beside near atoms that do not balance exactly:
+    # Q' is 6 atoms whose weights are scaled by 1 - 0.3 / L, and an atom at
+    # (L, 0) that takes the rest
+    L = 1e10
+    rng = np.random.default_rng([0, 7])
+    X, a = rng.uniform(-1.0, 1.0, size=(6, 2)), rng.uniform(0.2, 1.0, 6)
+    Y, b = rng.uniform(-1.0, 1.0, size=(6, 2)), rng.uniform(0.2, 1.0, 6)
+    b *= (1.0 - 0.3 / L) / b.sum()
+    weights = b.tolist() + [1.0 - b.sum()]
+    q = write_json(tmp_path / "qnear.json", {"atoms": X.tolist(), "weights": (a / a.sum()).tolist()})
+    qp = write_json(tmp_path / "qfar.json", {"atoms": Y.tolist() + [[L, 0.0]], "weights": weights})
+    norm = write_json(tmp_path / "l1.json", {"kind": "p", "p": 1})
+    code, report = run_cli(["transport", "--q", q, "--qp", qp, "--p", "1", "--norm", norm], tmp_path)
+    assert code == 0
+    psi, distance = report["results"]["psi"], report["results"]["distance"]
+    # psi is pinned at the first heaviest atom; p = 1, so distance**p is the distance
+    assert psi[weights.index(max(weights))] == 0.0, psi
+    assert report["certificates"]["duality_gap"] <= 1e-12 * distance, report["certificates"]
 
 
 def test_wc_risk_pwa_run(tmp_path):
@@ -211,19 +243,23 @@ def test_wc_risk_pwa_run(tmp_path):
 
 
 def test_wc_risk_cells_report_brackets_the_value(tmp_path):
-    """A type-1 ball on a box, and on the box cut by x0 + x1 <= 2.2, which is
-    no box, so its cells run as LPs: the value is the HiGHS optimum of the
-    worst-case dual LP, and the report carries the extremal's expected loss
-    and F at the multiplier around it, and the extremal's W1 distance to the
-    samples."""
+    """A type-1 ball on a box under the 1- and the inf-norm, and on the box
+    cut by x0 + x1 <= 2.2, which is no box, so its cells run as LPs: the
+    value is the HiGHS optimum of the worst-case dual LP, and the report
+    carries the extremal's expected loss and F at the multiplier around it,
+    and the extremal's W1 distance to the samples."""
     rng = np.random.default_rng(13)
     atoms, A, b = rng.uniform(-1.0, 1.0, size=(7, 2)), rng.normal(size=(3, 2)), rng.normal(size=3)
     samples = write_json(tmp_path / "s.json", {"atoms": atoms.tolist()})
     loss = write_json(tmp_path / "l.json", {"kind": "pwa", "slopes": A.tolist(), "intercepts": b.tolist()})
-    norm = write_json(tmp_path / "norm.json", {"kind": "p", "p": 1.0})
     eps = 0.35
     box = np.vstack([np.eye(2), -np.eye(2)])
-    for C, d in [(box, np.full(4, 1.5)), (np.vstack([box, [1.0, 1.0]]), np.append(np.full(4, 1.5), 2.2))]:
+    square, cut = (box, np.full(4, 1.5)), (np.vstack([box, [1.0, 1.0]]), np.append(np.full(4, 1.5), 2.2))
+    # the extreme points of the ground norm's unit ball: +-e_k for the
+    # 1-norm, the corners of the square for the inf-norm
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=2)))
+    for (C, d), p, V in [(square, 1.0, box), (square, "inf", corners), (cut, 1.0, box)]:
+        norm = write_json(tmp_path / "norm.json", {"kind": "p", "p": p})
         support = write_json(tmp_path / "support.json", {"kind": "polyhedron", "C": C.tolist(), "d": d.tolist()})
         args = ["wc-risk", "--samples", samples, "--loss", loss, "--eps", repr(eps), "--p", "1",
                 "--norm", norm, "--support", support]
@@ -236,12 +272,12 @@ def test_wc_risk_cells_report_brackets_the_value(tmp_path):
         results, certs = report["results"], report["certificates"]
         assert results["path"] == "cells"
         value = results["value"]
-        # the extreme points of the 1-norm's unit ball are +-e_k
-        ref = dual_lp_value(A, b, atoms, np.full(7, 1.0 / 7), eps, 1.0, C, d, box)
-        assert abs(value - ref) <= 1e-8 * (1.0 + abs(ref)), (len(C), value, ref)
+        ref = dual_lp_value(A, b, atoms, np.full(7, 1.0 / 7), eps, 1.0, C, d, V)
+        assert abs(value - ref) <= 1e-8 * abs(ref), (len(C), p, value, ref)
+        # the extremal's expected loss is the value up to the rounding of its sums
+        rounding = 2.0**-50 * abs(value)
+        assert certs["lower_bound"] - rounding <= value <= certs["upper_bound"] + rounding, (p, value, certs)
         slack = 1e-9 * abs(value)
-        assert certs["lower_bound"] <= value + slack
-        assert value <= certs["upper_bound"] + slack
         assert abs(certs["lower_bound"] - value) <= slack
         assert abs(certs["upper_bound"] - value) <= slack
         assert certs["budget_residual"] <= 1e-9 * eps
@@ -346,6 +382,21 @@ def test_wc_risk_quadratic_run_and_flag_rules(tmp_path, capsys):
     assert abs(report["results"]["value"] - 0.25) <= 1e-9
     assert main(["wc-risk", "--samples", samples, "--loss", loss, "--eps", "0.5", "--p", "1"]) == 2
     capsys.readouterr()
+    # the Gelbrich worst case at the samples' moments, diag(0.15, 0.24), is
+    # the same number: both duals take their multiplier from one spectral step
+    X, w = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]), np.array([0.3, 0.3, 0.4])
+    samples = write_json(tmp_path / "s3.json", {"atoms": X.tolist(), "weights": w.tolist()})
+    loss = write_json(tmp_path / "l2.json", {"kind": "quadratic", "Q": [[1.0, 0.2], [0.2, -0.5]], "q": [0.5, -0.5]})
+    code, wc = run_cli(["wc-risk", "--samples", samples, "--loss", loss, "--eps", "0.3", "--p", "2"], tmp_path)
+    assert code == 0 and wc["results"]["path"] == "scalar_dual", wc["results"]
+    value = wc["results"]["value"]
+    assert abs(value - 1.2279388026482654) <= 1e-12 * 1.2279388026482654, value
+    mean = w @ X
+    cov = (X - mean).T @ ((X - mean) * w[:, None])
+    moments = write_json(tmp_path / "m3.json", {"mean": mean.tolist(), "cov": cov.tolist()})
+    code, report = run_cli(["gelbrich", "--moments", moments, "--loss", loss, "--eps", "0.3"], tmp_path)
+    assert code == 0 and report["results"]["regularization"] == 0.0, report["results"]
+    assert abs(report["results"]["value"] - value) <= 1e-12 * abs(value), (report["results"], value)
 
 
 def test_gelbrich_risk_and_distance_modes(tmp_path):
@@ -390,6 +441,14 @@ def test_mmse_run(tmp_path):
     assert len(report["results"]["gap_history"]) <= 300
     assert report["certificates"]["target_met"] is True
     assert main(["mmse", "--moments", joint, "--mx", "2", "--eps", "0.25"]) == 2
+    # Frank-Wolfe stops at its gap target, 1e-10 times the trace of the nominal
+    cov = [[2.0, 0.8, 0.1], [0.8, 1.5, 0.3], [0.1, 0.3, 1.1]]
+    joint = write_json(tmp_path / "j3.json", {"mean": [1.0, -1.0, 0.5], "cov": cov})
+    code, report = run_cli(["mmse", "--moments", joint, "--mx", "1", "--eps", "0.2"], tmp_path)
+    certs = report["certificates"]
+    assert code == 0 and certs["target_met"] is True, certs
+    assert certs["final_gap"] <= 1e-10 * np.trace(cov), certs
+    assert certs["feasibility_residual"] == 0.0, certs
 
 
 def test_mmse_report_says_when_the_gap_target_was_missed(tmp_path):
@@ -402,6 +461,7 @@ def test_mmse_report_says_when_the_gap_target_was_missed(tmp_path):
     code, report = run_cli(["mmse", "--moments", joint, "--mx", "1", "--eps", "0.2"], tmp_path)
     assert code == 0
     certs = report["certificates"]
+    assert report["results"]["regularization"] > 0.0
     assert len(report["results"]["gap_history"]) == 200
     assert certs["target_met"] is False
     assert certs["final_gap"] > 1e-10 * 3.0
@@ -467,11 +527,23 @@ def test_train_report_says_how_training_finished(tmp_path):
     assert report["results"]["finish"] == "active_pieces"
     assert report["results"]["stages"] >= 3
     assert report["certificates"]["solver_gap"] <= 1e-12 * report["results"]["value"]
+    # it meets its gap target, and its value agrees with the worst-case risk
+    # priced at the trained weights
+    assert report["certificates"]["target_met"] is True
+    assert abs(report["certificates"]["crosscheck_diff"]) <= 1e-9, report["certificates"]
     # the default 2-norm ball keeps the smoothing to the end
     code, report = run_cli(args, tmp_path)
     assert code == 0
     assert report["results"]["finish"] == "smoothing"
     assert report["certificates"]["target_met"] is True
+    # completely separated samples: unpenalized logloss has no minimizer, and
+    # training stops after its first stage with an honest miss
+    data = write_csv(tmp_path / "sep.csv", [[1.0, 0.5, 1.0], [2.0, -0.3, 1.0], [-1.0, 0.2, -1.0], [-1.5, -0.8, -1.0]])
+    code, report = run_cli(["train", "--input", data, "--loss", "logloss", "--eps", "0"], tmp_path)
+    assert code == 0
+    assert report["results"]["unattained"] is True
+    assert report["results"]["iterations"] <= 60, report["results"]
+    assert report["certificates"]["target_met"] is False
 
 
 def test_calibrate_runs_and_p_equals_half_dim_fails(tmp_path, capsys):
@@ -486,6 +558,15 @@ def test_calibrate_runs_and_p_equals_half_dim_fails(tmp_path, capsys):
     assert code == 0
     assert abs(report["results"]["radius"] - (math.log(4.0) / 100.0) ** 0.25) <= 1e-12
     assert report["results"]["branch"] == "large_sample"
+    # the default c1 = e and c2 = 1, and p = 1 < dim / 2
+    code, report = run_cli(
+        ["calibrate", "--mode", "empirical", "--n", "100", "--eta", "0.05", "--p", "1", "--alpha", "2",
+         "--bound", "1", "--dim", "3"],
+        tmp_path,
+    )
+    assert code == 0 and report["results"]["branch"] == "large_sample"
+    want = (math.log(math.e / 0.05) / 100.0) ** (1.0 / 3.0)
+    assert abs(report["results"]["radius"] - want) <= 1e-12 * want, (report["results"]["radius"], want)
 
     code, report = run_cli(
         ["calibrate", "--mode", "moments", "--n", "100", "--eta", "0.5", "--c", "2"], tmp_path
@@ -505,31 +586,6 @@ def test_calibrate_runs_and_p_equals_half_dim_fails(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_reports_byte_identical_modulo_timings(tmp_path):
-    rng = np.random.default_rng(1)
-    csvp = write_csv(tmp_path / "cov.csv", rng.normal(size=(25, 2)).tolist())
-    out = tmp_path / "report.json"
-    texts = []
-    for _ in range(2):
-        assert main(["shrink", "--input", csvp, "--eps", "0.3", "--output", str(out)]) == 0
-        obj = json.loads(out.read_text())
-        obj["timings"] = {}
-        texts.append(json.dumps(obj, indent=2, sort_keys=True))
-    assert texts[0] == texts[1]
-
-    joint = write_json(
-        tmp_path / "j.json", {"mean": [0.0, 0.0], "cov": [[1.0, 0.3], [0.3, 1.0]]}
-    )
-    texts = []
-    for _ in range(2):
-        args = ["mmse", "--moments", joint, "--mx", "1", "--eps", "0.1", "--output", str(out)]
-        assert main(args) == 0
-        obj = json.loads(out.read_text())
-        obj["timings"] = {}
-        texts.append(json.dumps(obj, indent=2, sort_keys=True))
-    assert texts[0] == texts[1]
-
-
 def test_report_written_to_stdout_by_default(tmp_path, capsys):
     csvp = write_csv(tmp_path / "cov.csv", [[0.1], [0.9], [0.4]])
     assert main(["shrink", "--input", csvp, "--eps", "0.5"]) == 0
@@ -539,24 +595,21 @@ def test_report_written_to_stdout_by_default(tmp_path, capsys):
 
 
 def test_gelbrich_report_matches_library_values(tmp_path):
-    center = write_json(
-        tmp_path / "m.json",
-        {"mean": [0.5, -1.0], "cov": [[1.2, 0.2], [0.2, 0.8]]},
-    )
-    loss = write_json(
-        tmp_path / "l.json",
-        {"kind": "quadratic", "Q": [[1.0, 0.0], [0.0, -2.0]], "q": [0.3, 0.1]},
-    )
-    code, report = run_cli(
-        ["gelbrich", "--moments", center, "--loss", loss, "--eps", "0.7"], tmp_path
-    )
-    assert code == 0
-    from wdro.empirical_risk import QuadraticLoss
-
-    direct = gelbrich_risk_quadratic(
-        QuadraticLoss(np.array([[1.0, 0.0], [0.0, -2.0]]), np.array([0.3, 0.1])),
-        MomentPair(np.array([0.5, -1.0]), np.array([[1.2, 0.2], [0.2, 0.8]])),
-        0.7,
-    )
-    assert abs(report["results"]["value"] - direct.value) <= 1e-12
-    assert report["results"]["interior"] == direct.interior
+    # the second center is rank-deficient: it is lifted off singularity, and
+    # the extremal still lies on the ball's boundary
+    for mean, cov, Q, q, eps in [
+        ([0.5, -1.0], [[1.2, 0.2], [0.2, 0.8]], [[1.0, 0.0], [0.0, -2.0]], [0.3, 0.1], 0.7),
+        ([0.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 2.0]], [0.5, -0.5], 0.5),
+    ]:
+        center = write_json(tmp_path / "m.json", {"mean": mean, "cov": cov})
+        loss = write_json(tmp_path / "l.json", {"kind": "quadratic", "Q": Q, "q": q})
+        code, report = run_cli(["gelbrich", "--moments", center, "--loss", loss, "--eps", repr(eps)], tmp_path)
+        assert code == 0
+        direct = gelbrich_risk_quadratic(
+            QuadraticLoss(np.array(Q), np.array(q)), MomentPair(np.array(mean), np.array(cov)), eps
+        )
+        assert abs(report["results"]["value"] - direct.value) <= 1e-12
+        assert report["results"]["interior"] == direct.interior
+        assert report["certificates"]["dual_gap"] <= 1e-9, report["certificates"]
+        assert report["certificates"]["boundary_residual"] <= 1e-8, report["certificates"]
+    assert report["results"]["regularization"] > 0.0

@@ -113,6 +113,13 @@ def test_identity_sqrt_exact():
     assert np.allclose(psd_root(np.eye(3)), np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("rel_tol", [-1e-10, float("inf"), float("nan")])
+def test_tolerance_refuses_a_negative_or_nonfinite_rel_tol(rel_tol):
+    # an infinite target is met by any gap, so it certifies nothing
+    with pytest.raises(ValueError, match="rel_tol"):
+        Tolerance(rel_tol)
+
+
 def test_tolerance_is_one_relative_accuracy_read_by_seven_functions():
     # a tolerance only the solvers read: no absolute floor, no iteration cap,
     # and no tol parameter that merely passes it on
