@@ -157,13 +157,13 @@ def cv_radius(
     if counts.min() == 0:
         raise InsufficientData(f"{folds} folds over {x.shape[0]} samples leave a fold empty")
 
+    # the folds' row sets, split once for the whole grid
+    splits = [(x[assign != k], x[assign == k], counts[k]) for k in range(folds)]
     best_eps, best_risk = None, math.inf
     for eps in grid:
         total = 0.0
-        for k in range(folds):
-            test = assign == k
-            model = train_fn(x[~test], eps)
-            total += counts[k] * float(eval_fn(model, x[test]))
+        for train, test, count in splits:
+            total += count * float(eval_fn(train_fn(train, eps), test))
         risk = total / x.shape[0]
         if risk < best_risk:
             best_eps, best_risk = eps, risk

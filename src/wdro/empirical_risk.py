@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._validation import as_matrix, as_samples, as_vector, check_symmetric, radius
+from ._validation import as_samples, as_vector, check_symmetric, radius
 from .convex_analysis import (
     NormSpec,
     SetSpec,
@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedCombination,
     UnsupportedSupport,
 )
-from .numerics import monotone_root, quadratic_multiplier, sym_eig
+from .numerics import SpectralDecomposition, monotone_root, quadratic_multiplier
 from .simplex import LPStack
 from .transport import DiscreteDistribution
 
@@ -155,11 +155,11 @@ class QuadraticLoss:
     """
 
     def __init__(self, Q, q):
-        self.Q = check_symmetric(as_matrix(Q, "Q"), tol=1e-10, name="Q")
+        self.Q = check_symmetric(Q, tol=1e-10, name="Q")
         self.q = as_vector(q, "q")
         if self.Q.shape[0] != self.q.size:
             raise DimensionMismatch("Q and q dimensions differ")
-        self.spectrum = sym_eig(self.Q)
+        self.spectrum = SpectralDecomposition.of(self.Q)
 
     @property
     def dim(self) -> int:

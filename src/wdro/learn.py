@@ -143,8 +143,8 @@ class UnivariateLoss:
             # the interpolation of -intercept over the slopes, and the kink
             # between consecutive pieces is the slope of L* between them
             slopes, intercepts = self._table[np.argsort(self._table[:, 0])].T
-            self._slopes, self._conj = slopes, -intercepts
-            self._kinks = np.diff(self._conj) / np.diff(slopes)
+            self._slopes, self._conj, self._widths = slopes, -intercepts, np.diff(slopes)
+            self._kinks = np.diff(self._conj) / self._widths
 
     @property
     def is_classification(self) -> bool:
@@ -255,8 +255,8 @@ class UnivariateLoss:
         if self.kind in _PIECEWISE:
             s = self._slopes
             ramp = (z[:, None] - self._kinks) / mu - s[:-1]
-            width = np.diff(s)
-            alpha = s[0] + np.clip(ramp, 0.0, width).sum(axis=1)
+            width = self._widths
+            alpha = s[0] + ramp.clip(0.0, width).sum(axis=1)
             curv = ((ramp > 0.0) & (ramp < width)).sum(axis=1) / mu
             value = alpha * z - np.interp(alpha, s, self._conj) - 0.5 * mu * alpha * alpha
             return value, alpha, curv
@@ -419,17 +419,24 @@ def _smooth_norm(norm: NormSpec, w: np.ndarray, nu: float):
         total = float(pi.sum())
         pi /= total
         g = pi[: w.size] - pi[w.size :]
-        H = (np.diag(pi[: w.size] + pi[w.size :]) - np.outer(g, g)) / nu
+        H = g[:, None] * g
+        np.negative(H, out=H)
+        H.flat[:: w.size + 1] += pi[: w.size] + pi[w.size :]
+        H /= nu
         v = top + nu * math.log(total)
     else:
         p = norm.p
         s = np.sqrt(w * w + nu * nu)
         top = float(s.max())
-        F = top * float(np.sum((s / top) ** p)) ** (1.0 / p)
+        F = top * float(((s / top) ** p).sum()) ** (1.0 / p)
         r = (s / F) ** (p - 1.0) / s
         g = r * w
-        H = np.diag(r * (1.0 + (p - 2.0) * (w / s) ** 2)) + (1.0 - p) * np.outer(g, g) / F
+        # the rank-one term vanishes at p = 1, the diagonal's factor is 1 at p = 2
+        H = np.zeros((w.size, w.size)) if p == 1.0 else (1.0 - p) * (g[:, None] * g) / F
+        H.flat[:: w.size + 1] += r if p == 2.0 else r * (1.0 + (p - 2.0) * (w / s) ** 2)
         v = F
+    if scale == 1.0:
+        return v, g, H
     return scale * v, scale * g, scale * H
 
 
@@ -484,7 +491,9 @@ class _Risk:
         f, g, H = v.sum() / N, alpha @ A / N, (A.T * curv) @ A / N
         if self.lam > 0.0:
             nv, ng, nH = _smooth_norm(self.dual_norm, w, mu / self.scale)
-            f, g, H = f + self.lam * nv, g + self.lam * ng, H + self.lam * nH
+            f = f + self.lam * nv
+            g += self.lam * ng
+            H += self.lam * nH
         return float(f), g, H
 
     def dual_value(self, w: np.ndarray, mu: float) -> float:
@@ -618,7 +627,9 @@ class _SqrtLasso:
         f, g, H = rho, Xr / rho, self.gram / rho - np.outer(Xr, Xr) / rho**3
         if self.eps > 0.0:
             nv, ng, nH = _smooth_norm(self.dual_norm, w, mu / self.scale)
-            f, g, H = f + self.eps * nv, g + self.eps * ng, H + self.eps * nH
+            f = f + self.eps * nv
+            g += self.eps * ng
+            H += self.eps * nH
         return f, g, H
 
     def dual_value(self, w: np.ndarray, mu: float) -> float:
@@ -678,8 +689,9 @@ def _newton(problem, w: np.ndarray, mu: float, budget: int):
         lam, V = np.linalg.eigh(H)
         lam = np.maximum(lam, _EIG_FLOOR * max(float(lam[-1]), problem.scale**2 / mu))
         gv = V.T @ g
+        weights, poles = gv * gv, -lam
         while True:
-            tau = secular_root(gv * gv, -lam, radius)
+            tau = secular_root(weights, poles, radius)
             step = -V @ (gv / (lam + tau))
             decrement = -float(g @ step)
             if not decrement > _NEWTON_STOP * abs(f):
@@ -687,7 +699,7 @@ def _newton(problem, w: np.ndarray, mu: float, budget: int):
             trial = w + step
             ft, gt, Ht = problem.smoothed(trial, mu)
             if decrement <= _QUADRATIC * abs(f):
-                if np.linalg.norm(gt) < np.linalg.norm(g):
+                if math.sqrt(gt @ gt) < math.sqrt(g @ g):
                     break
                 if tau == 0.0:
                     return w, k

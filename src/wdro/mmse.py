@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validation import ParamsMixin, as_matrix, as_vector, check_symmetric, radius
+from ._validation import ParamsMixin, as_vector, check_symmetric, radius
 from .errors import NoBracket, NotPSD, SingularBlock
 from .numerics import (
     DEFAULT_TOL, SpectralDecomposition, Tolerance, lift_singular, monotone_root, psd_eig, quadratic_multiplier
@@ -65,7 +65,7 @@ class JointMoments:
         if not (self.mx >= 1 and self.my >= 1):
             raise ValueError(f"blocks need mx >= 1 and my >= 1, got mx={self.mx}, my={self.my}")
         mean = as_vector(self.mean, "mean")
-        cov, spectrum = psd_eig(as_matrix(self.cov, "cov"), name="cov")
+        cov, spectrum = psd_eig(self.cov, name="cov")
         if mean.size != self.mx + self.my or cov.shape[0] != mean.size:
             raise ValueError("mean/cov sizes must match mx + my")
         object.__setattr__(self, "mean", mean)
@@ -119,55 +119,42 @@ class FWSolveResult(NamedTuple):
     target_met: bool = False  # the last gap is at most tol.rel_tol times the trace
 
 
-def _split(S: np.ndarray, mx: int):
-    return S[:mx, :mx], S[:mx, mx:], S[mx:, mx:]
+def _schur(S: np.ndarray, mx: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """f(S), the gain G = S_xy S_yy^{-1}, and the factor of S_yy they come from.
 
-
-def _schur(S: np.ndarray, mx: int) -> tuple[float, np.ndarray]:
-    """f(S) and G = S_xy S_yy^{-1}, from one solve with S_yy."""
-    S_xx, S_xy, S_yy = _split(S, mx)
-    w = np.linalg.eigvalsh(S_yy)
-    if w.min() <= 1e-12 * np.abs(w).max():
+    One ``eigh`` of S_yy = Q diag(w) Q' gives the whitening W = diag(w)^{-1/2} Q',
+    with W S_yy W' = I, and H = S_xy W'; then G = H W and
+    f(S) = Tr[S_xx] - ||H||_F^2.  Raises SingularBlock when the least
+    eigenvalue of S_yy is at most 1e-12 times the largest.
+    """
+    w, Q = np.linalg.eigh(S[mx:, mx:])
+    if w[0] <= 1e-12 * max(abs(float(w[0])), abs(float(w[-1]))):
         raise SingularBlock("observation block S_yy is numerically singular")
-    G = np.linalg.solve(S_yy, S_xy.T).T
-    return float(np.trace(S_xx) - np.sum(S_xy * G)), G
+    W = Q.T / np.sqrt(w)[:, None]
+    H = S[:mx, mx:] @ W.T
+    return float(S[:mx, :mx].trace() - (H * H).sum()), H @ W, W, H
 
 
-def _gradient(G: np.ndarray) -> np.ndarray:
-    grad = np.block([[np.eye(G.shape[0]), -G], [-G.T, G.T @ G]])
-    return 0.5 * (grad + grad.T)
+def _gradient_factor(G: np.ndarray) -> np.ndarray:
+    """B = [I, -G], whose B'B = [[I, -G], [-G', G'G]] is the gradient of f."""
+    return np.concatenate((np.eye(G.shape[0]), -G), axis=1)
 
 
 def mmse_objective(S, mx: int) -> float:
     """Schur-complement trace Tr[S_xx - S_xy S_yy^{-1} S_yx]; concave in S."""
-    return _schur(check_symmetric(as_matrix(S, "S"), tol=1e-8, name="S"), mx)[0]
+    return _schur(check_symmetric(S, tol=1e-8, name="S"), mx)[0]
 
 
 def mmse_gradient(S, mx: int) -> np.ndarray:
     """Gradient of the Schur-complement trace in the symmetric pairing.
 
-    With G = S_xy S_yy^{-1}, the blocks are [[I, -G], [-G', G'G]]; the
-    matrix is symmetric positive semidefinite.
+    With G = S_xy S_yy^{-1}, the blocks are [[I, -G], [-G', G'G]]: the
+    matrix is B'B with B = [I, -G], symmetric positive semidefinite of
+    rank mx.
     """
-    S = check_symmetric(as_matrix(S, "S"), tol=1e-8, name="S")
-    return _gradient(_schur(S, mx)[1])
-
-
-def _slope(T: np.ndarray, E: np.ndarray, mx: int) -> tuple[float, float]:
-    """Slope <grad f(T), E> of f along E at T, and its derivative along E.
-
-    With G = T_xy T_yy^{-1}, the slope is Tr[(I, -G) E (I, -G)'] and its
-    derivative -2 Tr[R T_yy^{-1} R'] with R = E_xy - G E_yy, which is never
-    positive because f is concave.
-    """
-    _, T_xy, T_yy = _split(T, mx)
-    E_xx, E_xy, E_yy = _split(E, mx)
-    T_yy_inv = np.linalg.inv(T_yy)
-    G = T_xy @ T_yy_inv
-    GE = G @ E_yy
-    R = E_xy - GE
-    slope = E_xx.trace() - 2.0 * (G * E_xy).sum() + (GE * G).sum()
-    return float(slope), -2.0 * float(((R @ T_yy_inv) * R).sum())
+    B = _gradient_factor(_schur(check_symmetric(S, tol=1e-8, name="S"), mx)[1])
+    grad = B.T @ B
+    return 0.5 * (grad + grad.T)
 
 
 def fw_direction(grad, nominal_cov, eps: float) -> FWDirection:
@@ -178,38 +165,84 @@ def fw_direction(grad, nominal_cov, eps: float) -> FWDirection:
     otherwise NotPSD is raised.  Then F = gamma (gamma I - grad)^{-1} >= I
     and D = F Sigma F >= lam_min(Sigma) I.  Returns the closed-form
     maximizer, the scalar multiplier and the residual of the trace
-    constraint.  As D is F Sigma F, its squared distance to Sigma is
-    Tr[(F - I) Sigma (F - I)], which the residual reads in the eigenbasis
-    of grad.  Only a gradient that is exactly zero returns the nominal: the
-    maximizer does not change when grad is scaled by a positive factor.
-    The direction is closed-form, so it takes no tolerance; the input checks
-    use fixed relative thresholds.
-    ``fw_solve`` skips them: its nominal was checked in ``JointMoments`` and
-    its gradients are symmetric by construction.
+    constraint, |Tr[(F - I) Sigma (F - I)] - eps^2|.  The maximizer is taken
+    on the sphere 64 ulps of sqrt(Tr Sigma) inside the ball (``_INSIDE``),
+    so it lies within eps even after the rounding of a recomputed distance;
+    the residual is then about 2 eps times that slack.  Only a gradient that
+    is exactly zero returns the nominal: the maximizer does not change when
+    grad is scaled by a positive factor.  The direction is closed-form, so
+    it takes no tolerance; the input checks use fixed relative thresholds.
+    The checked grad is factored as B'B (``_psd_factor``) and ``fw_solve``'s
+    own routine takes it from there; for a gradient of ``mmse_gradient``
+    that factor is [I, -G] bit for bit, so this returns the direction
+    ``fw_solve`` steps toward.
     """
-    grad = check_symmetric(as_matrix(grad, "grad"), tol=1e-8, name="grad")
-    sigma = psd_eig(as_matrix(nominal_cov, "nominal_cov"), name="nominal_cov")[0]
-    return _direction(grad, sigma, radius(eps, positive=True))
-
-
-def _direction(grad: np.ndarray, sigma: np.ndarray, eps: float) -> FWDirection:
+    grad = check_symmetric(grad, tol=1e-8, name="grad")
+    sigma = psd_eig(nominal_cov, name="nominal_cov")[0]
+    eps = radius(eps, positive=True)
     if not grad.any():
         return FWDirection(sigma.copy(), math.inf, 0.0)
+    g = np.linalg.eigvalsh(grad)
+    if g[0] < -1e-9 * max(-float(g[0]), float(g[-1])):
+        raise NotPSD(f"grad has eigenvalue {g[0]:.3e} below -1e-9 * scale")
+    return _direction(_psd_factor(grad), sigma, eps)
 
-    dec = SpectralDecomposition.of(grad)
-    g, V = dec.values, dec.vectors
-    if g[-1] < -1e-9 * np.abs(g).max():
-        raise NotPSD(f"grad has eigenvalue {g[-1]:.3e} below -1e-9 * scale")
-    S_t = V.T @ sigma @ V
-    gamma, inv = quadratic_multiplier(g, g**2 * np.clip(np.diag(S_t), 0.0, None), eps)
-    if gamma == g[0]:
+
+def _psd_factor(grad: np.ndarray) -> np.ndarray:
+    """Rows B with B'B = grad, for a PSD grad: Cholesky without pivoting, in
+    which a pivot of at most 1e-12 times the largest diagonal entry counts
+    as zero and gives no row.  The MMSE gradient's leading identity block
+    makes its first mx rows [I, -G] exactly, and the rest pivots on rounding.
+    """
+    rest = grad.copy()
+    floor = 1e-12 * float(np.diag(grad).max())
+    rows = []
+    for i in range(grad.shape[0]):
+        pivot = rest[i, i]
+        if pivot <= floor:
+            continue
+        row = np.zeros(grad.shape[0])
+        row[i:] = rest[i, i:] / math.sqrt(pivot)
+        rest[i:, i:] -= np.outer(row[i:], row[i:])
+        rows.append(row)
+    return np.array(rows)
+
+
+# The direction aims this share of sqrt(Tr Sigma) inside the ball: 64 ulps,
+# against about 8 ulps of rounding in the matrix square roots with which
+# ``gelbrich_distance`` checks it.  Full steps return the direction itself, so
+# without the slack the recomputed distance of the answer read outside the
+# ball about as often as inside (25 of 80 seeded runs).
+_INSIDE = 64.0 * float(np.finfo(float).eps)
+
+
+def _direction(B: np.ndarray, sigma: np.ndarray, eps: float) -> FWDirection:
+    """The Frank-Wolfe direction for the gradient B'B, from the eigenbasis of BB'.
+
+    B is r x m (r = mx in ``fw_solve``, where BB' = I + GG').  With
+    BB' = R diag(kappa) R' and the rows of P = R'B, the nonzero eigenpairs of
+    B'B are kappa_i and P_i' / sqrt(kappa_i), so by Woodbury
+    F = gamma (gamma I - B'B)^{-1} = I + P' diag(1 / (gamma - kappa)) P, the
+    multiplier's secular weights are kappa_i (P Sigma P')_ii, and
+    Tr[(F - I) Sigma (F - I)], the squared distance of D = F Sigma F from
+    Sigma, is the sum of those weights over (gamma - kappa)^2.  The
+    multiplier puts D at the radius eps less the ``_INSIDE`` slack (half of
+    eps when eps is below twice the slack).  D costs O(m^2 r) on top of one
+    r x r ``eigh``, in place of the m x m ``eigh`` of B'B.
+    """
+    kappa, R = np.linalg.eigh(B @ B.T)
+    P = R[:, ::-1].T @ B
+    kappa = kappa[::-1]
+    P_sigma = P @ sigma
+    numer = kappa * (P_sigma * P).sum(axis=1).clip(0.0)
+    slack = _INSIDE * math.sqrt(float(sigma.trace()))
+    gamma, inv = quadratic_multiplier(kappa, numer, eps - slack if eps > 2.0 * slack else 0.5 * eps)
+    if gamma == kappa[0]:
         raise NoBracket("nominal_cov is singular along the top eigenvector of grad")
-
-    factor = 1.0 + g * inv
-    D = V @ (S_t * factor[:, None] * factor[None, :]) @ V.T
-    D = 0.5 * (D + D.T)
-    residual = abs(float((g * inv) ** 2 @ np.diag(S_t)) - eps**2)
-    return FWDirection(D, float(gamma), residual)
+    F_sigma = sigma + P.T @ (inv[:, None] * P_sigma)
+    D = F_sigma + (F_sigma @ P.T) @ (inv[:, None] * P)
+    residual = abs(float(numer @ (inv * inv)) - eps**2)
+    return FWDirection(0.5 * (D + D.T), float(gamma), residual)
 
 
 def fw_iterates(
@@ -256,40 +289,69 @@ def _fw_loop(cov: np.ndarray, mx: int, eps: float, iters: int, tol: Tolerance):
     stop = _gap_target(cov, tol)
     S = cov.copy()
     for k in range(iters):
-        value, G = _schur(S, mx)
-        if eps == 0.0:
-            direction = FWDirection(cov.copy(), math.inf, 0.0)
-        else:
-            direction = _direction(_gradient(G), cov, eps)
-        E = direction.D - S
-        at_S = _slope(S, E, mx)
-        gap = at_S[0]
+        value, G, W, H = _schur(S, mx)
+        B = _gradient_factor(G)
+        D = cov.copy() if eps == 0.0 else _direction(B, cov, eps).D
+        E = D - S
+        gap = float(((B @ E) * B).sum())
         yield FWState(S=S, k=k, value=value, gap=gap)
         if gap <= stop:
             return S, G
-        t = _line_search(S, E, mx, at_S)
-        S = (1.0 - t) * S + t * direction.D
+        t = _line_search(_segment(E, mx, W, H), gap)
+        S = (1.0 - t) * S + t * D
         S = 0.5 * (S + S.T)
     return S, _schur(S, mx)[1]
 
 
-def _line_search(S: np.ndarray, E: np.ndarray, mx: int, at_S: tuple[float, float]) -> float:
+def _segment(E: np.ndarray, mx: int, W: np.ndarray, H: np.ndarray):
+    """The slope of f along E at S + tE, and its derivative, as a function of t.
+
+    W and H come from ``_schur`` at S.  With W E_yy W' = U diag(lam) U',
+    A = H U and C = E_xy W' U, the gain at S + tE has the columns
+    rho_k (a_k + t c_k) in that basis, rho_k = 1 / (1 + t lam_k), so
+
+        slope(t) = Tr[E_xx] - sum_k [(2 a_k'c_k - lam_k |a_k|^2) rho_k^2
+                                     + t |c_k|^2 rho_k (1 + rho_k)],
+        slope'(t) = -2 sum_k rho_k^3 |c_k - lam_k a_k|^2,
+
+    never positive because f is concave.  One my x my ``eigh`` per segment;
+    each evaluation is then O(my).
+    """
+    lam, U = np.linalg.eigh(W @ E[mx:, mx:] @ W.T)
+    A = H @ U
+    C = E[:mx, mx:] @ W.T @ U
+    p = 2.0 * (A * C).sum(axis=0) - lam * (A * A).sum(axis=0)
+    c2 = (C * C).sum(axis=0)
+    R = C - A * lam
+    r2 = (R * R).sum(axis=0)
+    trace = float(E[:mx, :mx].trace())
+
+    def slope(t: float) -> tuple[float, float]:
+        rho = 1.0 / (1.0 + t * lam)
+        rho2 = rho * rho
+        return trace - float(p @ rho2) - t * float(c2 @ (rho + rho2)), -2.0 * float(r2 @ (rho2 * rho))
+
+    return slope
+
+
+def _line_search(slope, gap: float) -> float:
     """The maximizer of f(S + t E) over t in [0, 1], f concave.
 
-    ``at_S`` is ``_slope(S, E, mx)``, the slope and curvature at t = 0; the
-    slope there is the gap, positive whenever this runs, so the negated
-    slope changes sign on [0, 1] unless the slope at 1 is still
-    nonnegative, and then t = 1.  Neither end is evaluated twice.
+    ``slope`` is the ``_segment`` of E; the slope at t = 0 is the gap,
+    positive whenever this runs, so the negated slope changes sign on
+    [0, 1] unless the slope at 1 is still nonnegative, and then t = 1.
+    The gap is handed over as the value at 0 (with the curvature there
+    written down, not evaluated), so each point is evaluated once.
     """
 
     def neg_slope(t: float) -> tuple[float, float]:
-        slope, curvature = _slope(S + t * E, E, mx)
-        return -slope, -curvature
+        value, curvature = slope(t)
+        return -value, -curvature
 
     at_D = neg_slope(1.0)
     if at_D[0] <= 0.0:
         return 1.0
-    return monotone_root(neg_slope, 0.0, 1.0, f_lo=(-at_S[0], -at_S[1]), f_hi=at_D)
+    return monotone_root(neg_slope, 0.0, 1.0, f_lo=(-gap, math.nan), f_hi=at_D)
 
 
 def fw_solve(
@@ -311,6 +373,15 @@ def fw_solve(
     reaches in about ten steps, so ``iters`` is a cap rather than a count.
     ``target_met`` is False when the cap came first; the last gap is then
     still a bound, only a looser one.
+
+    An iteration works on small blocks only: one ``eigh`` of S_yy gives
+    f(S_k), the gain G and the whitening of S_yy (``_schur``); the gradient
+    is B'B with B = [I, -G], of rank mx, so the direction takes one mx x mx
+    ``eigh`` (``_direction``); the gap is Tr[B E B'] for E = D_k - S_k; and
+    the line search takes one my x my ``eigh`` of the whitened E_yy, after
+    which each slope costs O(my) (``_segment``).  The radius must leave the
+    multiplier a bracket of positive, finite width in floating point;
+    otherwise NoBracket names eps.
     """
     eps, cov, lift = _lifted_nominal(nominal, eps, iters)
     iterates = _fw_loop(cov, nominal.mx, eps, iters, tol)

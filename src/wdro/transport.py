@@ -28,10 +28,10 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ._validation import as_matrix, as_samples, as_vector, check_weights
+from ._validation import as_samples, as_vector, check_weights
 from .convex_analysis import NormSpec, norm_eval
 from .errors import DimensionMismatch, MaxIterExceeded, NumericalFailure
-from .numerics import DEFAULT_TOL, SpectralDecomposition, Tolerance, psd_eig
+from .numerics import DEFAULT_TOL, SpectralDecomposition, Tolerance, psd_eig, psd_spectrum
 
 __all__ = [
     "DiscreteDistribution",
@@ -170,14 +170,31 @@ class MomentPair:
 
     def __post_init__(self):
         mu = as_vector(self.mu, "mu")
-        sigma, spectrum = psd_eig(as_matrix(self.sigma, "sigma"), rel=1e-10, name="sigma")
+        sigma, spectrum = psd_eig(self.sigma, rel=1e-10, name="sigma")
         if sigma.shape[0] != mu.size:
             raise DimensionMismatch(
                 f"sigma is {sigma.shape[0]}x{sigma.shape[1]} but mu has size {mu.size}"
             )
+        self._set(mu, sigma, spectrum)
+
+    def _set(self, mu: np.ndarray, sigma: np.ndarray, spectrum: SpectralDecomposition) -> None:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "spectrum", spectrum)
+
+    @classmethod
+    def _of_samples(cls, mu: np.ndarray, sigma: np.ndarray) -> "MomentPair":
+        """The pair of a checked sample set's mean and symmetrized covariance.
+
+        Both are symmetric and of matching sizes by construction, and finite
+        unless a sum overflowed, which makes sigma non-finite; so only that
+        and the PSD check of the spectrum run here.
+        """
+        if not np.isfinite(sigma).all():
+            raise ValueError("sigma contains non-finite entries")
+        pair = cls.__new__(cls)
+        pair._set(mu, sigma, psd_spectrum(sigma, rel=1e-10, name="sigma"))
+        return pair
 
     @property
     def dim(self) -> int:
@@ -617,26 +634,19 @@ def gelbrich_distance(m1: MomentPair, m2: MomentPair) -> float:
 
     Equals sqrt(||mu - mu'||^2 + Tr[S + S' - 2 (S^{1/2} S' S^{1/2})^{1/2}])
     and lower-bounds the type-2 Wasserstein distance between any two
-    distributions carrying these moments.  The inner trace is clipped at
-    zero when eigen-roundoff drives it slightly negative.
+    distributions carrying these moments.  The trace term is the least
+    ||S^{1/2} - S'^{1/2} U||_F^2 over orthogonal U, attained at the polar
+    factor U = Q P' of S^{1/2} S'^{1/2} = P diag(s) Q' (one SVD), and it is
+    computed as that sum of squares: no difference of traces cancels, so
+    the distance keeps its relative accuracy when the pairs nearly agree.
     """
     if m1.dim != m2.dim:
         raise DimensionMismatch(f"moment dimensions differ: {m1.dim} vs {m2.dim}")
-    # Tr[(S^{1/2} S' S^{1/2})^{1/2}] equals the nuclear norm of
-    # S^{1/2} S'^{1/2}, which avoids a second nested matrix square root
     r1 = m1.spectrum.sqrt()
     r2 = m2.spectrum.sqrt()
-    cross = float(np.sum(np.linalg.svd(r1 @ r2, compute_uv=False)))
-    trace_term = float(np.trace(m1.sigma) + np.trace(m2.sigma)) - 2.0 * cross
-    scale = float(np.trace(m1.sigma) + np.trace(m2.sigma))
-    if trace_term < 0.0:
-        if trace_term < -1e-8 * scale:
-            raise NumericalFailure(
-                f"covariance trace term {trace_term:.3e} is negative beyond roundoff"
-            )
-        trace_term = 0.0
-    mean_term = float(np.sum((m1.mu - m2.mu) ** 2))
-    return math.sqrt(mean_term + trace_term)
+    P, _, Qt = np.linalg.svd(r1 @ r2)
+    gap = r1 - r2 @ (Qt.T @ P.T)
+    return math.hypot(float(np.linalg.norm(m1.mu - m2.mu)), float(np.sqrt((gap * gap).sum())))
 
 
 def moments(Q: DiscreteDistribution) -> MomentPair:

@@ -451,6 +451,21 @@ def test_mmse_run(tmp_path):
     assert certs["feasibility_residual"] == 0.0, certs
 
 
+def test_mmse_feasibility_residual_at_small_radii(tmp_path):
+    # seeded 4 x 4 joints: the extremal lies on the ball's edge, and the
+    # difference of traces once read it up to 40% of eps outside at eps
+    # 1e-7; the residual is now 0 or at most 1e-9 eps
+    for seed in range(4):
+        B = np.random.default_rng(seed).normal(size=(4, 4))
+        cov = (B @ B.T / 4 + 0.5 * np.eye(4)).tolist()
+        joint = write_json(tmp_path / f"j{seed}.json", {"mean": [0.0] * 4, "cov": cov})
+        for eps in ("1e-2", "1e-4", "1e-6", "1e-7"):
+            code, report = run_cli(["mmse", "--moments", joint, "--mx", "2", "--eps", eps], tmp_path)
+            certs = report["certificates"]
+            assert code == 0 and certs["target_met"] is True, (seed, eps, certs)
+            assert certs["feasibility_residual"] <= 1e-9 * float(eps), (seed, eps, certs)
+
+
 def test_mmse_report_says_when_the_gap_target_was_missed(tmp_path):
     # a rank-deficient joint covariance: Frank-Wolfe zigzags near a face and
     # uses all 200 default iterations with the gap far above its target

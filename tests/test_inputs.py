@@ -102,17 +102,27 @@ def test_a_radius_must_be_finite_and_nonnegative(entry):
         assert np.array_equal(call(-0.0), call(0.0))
 
 
+# entries whose errors at the extreme radii name the radius
+NAMED_AT_EXTREMES = ("wasserstein_shrinkage", "fw_solve")
+
+
 @pytest.mark.parametrize("entry", RADIUS_ENTRIES)
 def test_no_radius_is_priced_as_nan(entry):
     """At the smallest and largest radii an entry answers a number or raises;
-    the errors that 1e+-300 may raise are misleading (a failed bracket, an
-    overflow), but none of them is a NaN answer."""
-    call, _, positive = RADIUS_ENTRIES[entry]
+    none of them is a NaN answer.  The entries in NAMED_AT_EXTREMES raise a
+    ToolkitError or ValueError that names eps; the others may still raise
+    misleading errors (a failed bracket, an overflow)."""
+    call, name, positive = RADIUS_ENTRIES[entry]
+    named = entry in NAMED_AT_EXTREMES
     for r in [1e-300, 1e300] + [0.0] * (not positive):
         try:
             with np.errstate(all="ignore"):
                 answer = call(r)
-        except (ToolkitError, ArithmeticError):
+        except (ToolkitError, ValueError) as exc:
+            assert not named or name in str(exc), (entry, r, exc)
+            continue
+        except ArithmeticError:
+            assert not named, (entry, r)
             continue
         assert not np.isnan(answer).any(), (entry, r, answer)
 

@@ -79,14 +79,14 @@ def recording_monotone_root(calls):
     """A monotone_root that records each call: its ends, the end values it
     was handed and every point it evaluated."""
 
-    def recorded(f, lo, hi, f_lo=None, f_hi=None):
+    def recorded(f, lo, hi, f_lo=None, f_hi=None, **options):
         points = []
 
         def g(x):
             points.append(x)
             return f(x)
 
-        root = monotone_root(g, lo, hi, f_lo=f_lo, f_hi=f_hi)
+        root = monotone_root(g, lo, hi, f_lo=f_lo, f_hi=f_hi, **options)
         calls.append((f, lo, hi, f_lo, f_hi, points))
         return root
 
@@ -121,13 +121,18 @@ def test_line_search_evaluates_each_point_once(monkeypatch):
     calls = []
     monkeypatch.setattr(mmse_module, "monotone_root", recording_monotone_root(calls))
     evaluations = []
-    slope = mmse_module._slope
+    segment = mmse_module._segment
 
-    def counted(T, E, mx):
-        evaluations.append(T)
-        return slope(T, E, mx)
+    def counted(*args):
+        slope = segment(*args)
 
-    monkeypatch.setattr(mmse_module, "_slope", counted)
+        def at(t):
+            evaluations.append(t)
+            return slope(t)
+
+        return at
+
+    monkeypatch.setattr(mmse_module, "_segment", counted)
     rng = np.random.default_rng(8)
     for m in (3, 4, 6):
         R = rng.normal(size=(m, m))
@@ -138,10 +143,12 @@ def test_line_search_evaluates_each_point_once(monkeypatch):
         assert res.target_met
         searches = len(res.gaps) - 1
         assert len(calls) >= 2
-        # one slope at each iterate (its gap, and the slope at t = 0), one
-        # at each direction (t = 1), and the root adds only interior points
+        # the slope at t = 0 is the gap, handed over; each search evaluates
+        # the slope at the direction (t = 1), and the root adds only
+        # interior points
         interior = [t for *_, points in calls for t in points]
-        assert len(evaluations) == len(res.gaps) + searches + len(interior)
+        assert len(evaluations) == searches + len(interior)
+        assert evaluations.count(1.0) == searches
         for f, lo, hi, f_lo, f_hi, points in calls:
             assert f_lo is not None and f_hi is not None
             assert len(set(points)) == len(points)

@@ -84,13 +84,17 @@ def test_frank_wolfe_decomposes_one_gradient_per_iterate(decomposed):
         decomposed["eigh"].clear()
         decomposed["eigvalsh"].clear()
         res = fw_solve(nominal, 0.3, iters=40)
-        # one eigh per iterate, of the gradient; the only other spectra are
-        # the observation blocks the objective checks for singularity: one
-        # per iterate when the gap target ends the run, whose last gain the
-        # estimator reuses, and one more for the step past a cap
-        assert len(decomposed["eigh"]) == len(res.gaps)
-        assert all(g.shape == (5, 5) and np.array_equal(g[:2, :2], np.eye(2)) for g in decomposed["eigh"])
-        assert all(s.shape == (3, 3) for s in decomposed["eigvalsh"])
-        assert len(decomposed["eigvalsh"]) == len(res.gaps) + (not res.target_met)
+        # per iterate one eigh of the observation block S_yy, which gives the
+        # objective, the gain and the whitening, and one of the gradient's
+        # mx x mx factor I + GG'; per step one of the whitened E_yy for the
+        # line search; past a cap one more S_yy for the last gain
+        iterates = len(res.gaps)
+        steps = iterates - res.target_met
+        assert decomposed["eigvalsh"] == []
+        assert len(decomposed["eigh"]) == 2 * iterates + steps + (not res.target_met)
+        assert all(a.shape in ((2, 2), (3, 3)) for a in decomposed["eigh"])
+        small = [a for a in decomposed["eigh"] if a.shape == (2, 2)]
+        assert len(small) == iterates
+        assert all(np.linalg.eigvalsh(k).min() >= 1.0 - 1e-12 for k in small)  # I + GG' >= I
         met.append(res.target_met)
     assert met == [True, False]

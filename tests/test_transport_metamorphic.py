@@ -14,10 +14,11 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from wdro.convex_analysis import NormSpec
 from wdro.transport import DiscreteDistribution, kr_verify, wasserstein_p
+
+from oracles import highs_value
 
 NORMS = {"2-norm": NormSpec.p_norm(2), "1-norm": NormSpec.p_norm(1)}
 
@@ -134,14 +135,6 @@ def far_family(seed, L):
     b *= (1.0 - 0.3 / L) / b.sum()
     Qp = DiscreteDistribution(np.vstack([Y, [[L, 0.0]]]), np.append(b, 1.0 - b.sum()))
     return DiscreteDistribution(X, a / a.sum()), Qp
-
-
-def highs_value(C, a, b):
-    N, M = C.shape
-    A_eq = np.vstack([np.kron(np.eye(N), np.ones(M)), np.kron(np.ones(N), np.eye(M))])
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
-    assert res.status == 0
-    return float(res.fun)
 
 
 @pytest.mark.parametrize("q", [1, np.inf], ids=["1-norm", "inf-norm"])
