@@ -1,9 +1,8 @@
-"""The small dense kernels of the estimators: how many decompositions and
-root evaluations they take, and that the cheap forms give the answers of
-the plain ones.
+"""The small dense kernels of the estimators: how many root evaluations
+they take, and that the cheap forms give the answers of the plain ones.
 
-The Frank-Wolfe iteration's decomposition count is checked next to the
-other spectra, in ``test_spectrum.py``.
+The decomposition counts of a shrinkage fit and of a Frank-Wolfe iteration
+are checked next to the other spectra, in ``test_spectrum.py``.
 """
 
 import math
@@ -16,35 +15,8 @@ import wdro.numerics as numerics
 from wdro.calibrate import cv_radius, fold_assignments
 from wdro.mmse import JointMoments, fw_direction, fw_solve
 from wdro.numerics import monotone_root
-from wdro.shrinkage import sample_moments, shrinkage_from_samples, wasserstein_shrinkage
+from wdro.shrinkage import sample_moments, wasserstein_shrinkage
 from wdro.transport import MomentPair, gelbrich_distance
-
-
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """The shapes of the matrices passed to np.linalg.eigh and eigvalsh."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-
-        def counting(a, *args, _real=real, **kwargs):
-            calls.append(np.shape(a))
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
-
-
-def test_one_shrinkage_fit_runs_one_eigh(eigh_calls):
-    rng = np.random.default_rng(4)
-    for n, m in ((40, 5), (7, 12)):  # full rank, and fewer samples than dimensions
-        x = rng.normal(size=(n, m))
-        eigh_calls.clear()
-        shrinkage_from_samples(x, 0.3)
-        assert eigh_calls == [(m, m)]
-        eigh_calls.clear()
-        wasserstein_shrinkage(sample_moments(x), 0.3)
-        assert eigh_calls == [(m, m)]
 
 
 def test_line_search_stays_within_its_evaluation_budget(monkeypatch):

@@ -13,7 +13,7 @@ from wdro.empirical_risk import QuadraticLoss
 from wdro.mmse import JointMoments, fw_solve
 from wdro.moment_risk import gelbrich_risk_quadratic
 from wdro.numerics import sym_eig
-from wdro.shrinkage import wasserstein_shrinkage
+from wdro.shrinkage import sample_moments, shrinkage_from_samples, wasserstein_shrinkage
 from wdro.transport import MomentPair, gelbrich_distance
 
 
@@ -57,6 +57,20 @@ def test_shrinkage_and_gelbrich_distance_decompose_nothing(decomposed):
     wasserstein_shrinkage(b, 0.3)
     gelbrich_distance(a, b)
     assert decomposed == {"eigh": [], "eigvalsh": []}
+
+
+def test_one_shrinkage_fit_decomposes_one_covariance(decomposed):
+    # sample_moments checks the samples and decomposes their covariance once;
+    # the shrinkage reads that spectrum
+    rng = np.random.default_rng(4)
+    for n, m in ((40, 5), (7, 12)):  # full rank, and fewer samples than dimensions
+        x = rng.normal(size=(n, m))
+        for fit in (lambda: shrinkage_from_samples(x, 0.3), lambda: wasserstein_shrinkage(sample_moments(x), 0.3)):
+            decomposed["eigh"].clear()
+            decomposed["eigvalsh"].clear()
+            fit()
+            assert [a.shape for a in decomposed["eigh"]] == [(m, m)]
+            assert decomposed["eigvalsh"] == []
 
 
 def test_gelbrich_risk_decomposes_the_loss_not_the_center(decomposed):
