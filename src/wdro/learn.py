@@ -175,7 +175,7 @@ class UnivariateLoss:
         if self.kind in _PIECEWISE:
             v = self._pieces_at(z)[1].max(axis=0)
         elif self.kind == "smooth_hinge":
-            v = np.where(z <= 0.0, 0.5 - z, 0.5 * np.clip(1.0 - z, 0.0, None) ** 2)
+            v = np.where(z <= 0.0, 0.5 - z, 0.5 * (1.0 - z).clip(0.0) ** 2)
         elif self.kind == "logloss":
             # exp(-z) rounds to zero for large margins; the branch not taken
             # is evaluated at a clipped argument so it cannot overflow
@@ -195,7 +195,7 @@ class UnivariateLoss:
             slopes, table = self._pieces_at(z)
             g = slopes[table.argmax(axis=0)]
         elif self.kind == "smooth_hinge":
-            g = np.clip(z - 1.0, -1.0, 0.0)
+            g = (z - 1.0).clip(-1.0, 0.0)
         elif self.kind == "logloss":
             with np.errstate(under="ignore"):
                 g = np.where(
@@ -206,7 +206,7 @@ class UnivariateLoss:
         elif self.kind == "squared":
             g = 2.0 * z
         else:
-            g = np.clip(z, -self.delta, self.delta)
+            g = z.clip(-self.delta, self.delta)
         return float(g) if g.ndim == 0 else g
 
     @property
@@ -226,7 +226,7 @@ class UnivariateLoss:
         """L*(alpha) = sup_z alpha z - L(z) elementwise; +inf off the dual domain."""
         alpha = np.asarray(alpha, dtype=float)
         lo, hi = self.dual_domain
-        a = np.clip(alpha, lo, hi)
+        a = alpha.clip(lo, hi)
         if self.kind in _PIECEWISE:
             v = np.interp(a, self._slopes, self._conj)
         elif self.kind == "smooth_hinge":
@@ -692,7 +692,7 @@ def _newton(problem, w: np.ndarray, mu: float, budget: int):
         weights, poles = gv * gv, -lam
         while True:
             tau = secular_root(weights, poles, radius)
-            step = -V @ (gv / (lam + tau))
+            step = -(V @ (gv / (lam + tau)))
             decrement = -float(g @ step)
             if not decrement > _NEWTON_STOP * abs(f):
                 return w, k
