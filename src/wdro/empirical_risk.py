@@ -231,7 +231,7 @@ class AsymptoticFamily:
         return DiscreteDistribution(np.vstack(atoms), np.concatenate([weights, extra]))
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
 class ExtremalReport:
     """Worst-case distribution: attained exactly or as an escaping family.
 

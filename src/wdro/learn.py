@@ -287,7 +287,7 @@ class UnivariateLoss:
         return slopes, np.multiply.outer(slopes, z) + intercepts.reshape((-1,) + (1,) * z.ndim)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
 class TrainedModel:
     """Weights plus solver diagnostics for a robust training run.
 

@@ -91,7 +91,7 @@ class FWState:
     gap: float
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
 class AffineEstimator:
     """Affine map y -> gain @ y + offset."""
 

@@ -240,7 +240,7 @@ def quadratic_multiplier(lam: np.ndarray, numer: np.ndarray, eps: float) -> tupl
     return gamma, np.divide(1.0, gamma - lam, out=np.zeros_like(lam), where=~dead)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralDecomposition:
     """Eigenvalues (descending) and matching orthonormal eigenvectors (columns)."""
 

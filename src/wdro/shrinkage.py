@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
 class ShrinkageResult:
     """Robust mean and precision estimate with the spectral map that built it."""
 

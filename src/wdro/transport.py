@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
 class DiscreteDistribution:
     """Finitely supported distribution: atoms (N, m) with a weight vector.
 
@@ -107,7 +107,7 @@ class DiscreteDistribution:
         return DiscreteDistribution(reps[:n].copy(), wts[:n].copy())
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
 class TransportPlan:
     """Coupling between two atom sets, kept as its cells of positive mass.
 
@@ -135,7 +135,7 @@ class TransportPlan:
         return self.marginal_error
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
 class DualPotentials:
     """Kantorovich potentials over the two atom sets."""
 
@@ -160,7 +160,7 @@ class KRResult(NamedTuple):
     violation: float
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
 class MomentPair:
     """Mean vector and positive semidefinite covariance matrix, and its spectrum."""
 
