@@ -73,16 +73,6 @@ class _Parser(argparse.ArgumentParser):
 # Input readers.
 
 
-def _read_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-
-
 def _read_csv(path: str) -> np.ndarray:
     """Samples as rows; first line is a header and is skipped.  Every field
     must be a finite number."""
@@ -115,96 +105,79 @@ def _read_csv(path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _descriptor(obj, path: str, key: str):
+def _load(path: str, what: str, build):
+    """``build`` applied to the JSON object in the file at ``path``.
+
+    The one place where a JSON input's errors become usage errors: an
+    unreadable file, invalid JSON, a value that is not an object, a missing
+    field, a field of the wrong JSON type, an unknown kind and a library
+    refusal each raise one UsageError that names the file once.
+    """
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    try:
+        return build(_object(obj, what))
+    except KeyError as exc:
+        raise UsageError(f"{path}: {what} descriptor is missing field {exc}") from exc
+    except TypeError as exc:
+        raise UsageError(f"{path}: {what} descriptor has a field of the wrong JSON type ({exc})") from exc
+    except (ToolkitError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _object(obj, what: str) -> dict:
     if not isinstance(obj, dict):
-        raise UsageError(f"{path}: {key} must be a JSON dict")
+        raise UsageError(f"{what} must be a JSON object")
     return obj
 
 
-def _parse_distribution(path: str) -> DiscreteDistribution:
+def _by_kind(what: str, table: dict):
+    """A builder that dispatches a descriptor object on its ``kind`` field."""
+
+    def build(obj):
+        kind = _object(obj, what).get("kind")
+        if not isinstance(kind, str) or kind not in table:
+            raise UsageError(f"unknown {what} kind {kind!r}")
+        return table[kind](obj)
+
+    return build
+
+
+def _pwa(obj) -> PiecewiseAffineLoss:
+    slopes, intercepts = np.array(obj["slopes"], dtype=float), np.array(obj["intercepts"], dtype=float)
+    if slopes.ndim != 2 or intercepts.ndim != 1 or slopes.shape[0] != intercepts.size:
+        raise UsageError("slopes must be JxM and intercepts length J")
+    return PiecewiseAffineLoss(list(zip(slopes, intercepts)))
+
+
+# The library constructors convert the JSON arrays and sizes themselves.
+_norm = _by_kind("norm", {
+    "p": lambda o: NormSpec.p_norm(float(o["p"])),
+    "scaled": lambda o: NormSpec.scaled(float(o["alpha"]), float(o["p"])),
+    "weighted": lambda o: NormSpec.weighted(o["matrix"], float(o["p"])),
+    "block_sum": lambda o: NormSpec.block_sum([_norm(b) for b in o["blocks"]], o["sizes"]),
+    "block_max": lambda o: NormSpec.block_max([_norm(b) for b in o["blocks"]], o["sizes"]),
+})
+_support = _by_kind("support", {
+    "whole": lambda o: SetSpec.whole(o["dim"]),
+    "polyhedron": lambda o: SetSpec.polyhedron(o["C"], o["d"]),
+})
+_loss = _by_kind("loss", {"pwa": _pwa, "quadratic": lambda o: QuadraticLoss(o["Q"], o["q"])})
+
+
+def _distribution(path: str) -> DiscreteDistribution:
     if path.endswith(".csv"):
         return DiscreteDistribution(_read_csv(path))
-    obj = _descriptor(_read_json(path), path, "distribution")
-    if "atoms" not in obj:
-        raise UsageError(f"{path}: distribution needs an 'atoms' field")
-    try:
-        return DiscreteDistribution(np.array(obj["atoms"], dtype=float), obj.get("weights"))
-    except (ToolkitError, ValueError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+    return _load(path, "distribution", lambda o: DiscreteDistribution(o["atoms"], o.get("weights")))
 
 
-def _parse_moments(path: str) -> MomentPair:
-    obj = _descriptor(_read_json(path), path, "moment pair")
-    for field in ("mean", "cov"):
-        if field not in obj:
-            raise UsageError(f"{path}: moment pair needs a '{field}' field")
-    try:
-        return MomentPair(np.array(obj["mean"], dtype=float), np.array(obj["cov"], dtype=float))
-    except (ToolkitError, ValueError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-
-
-def _parse_norm_obj(obj, path: str) -> NormSpec:
-    kind = obj.get("kind")
-    try:
-        if kind == "p":
-            return NormSpec.p_norm(float(obj["p"]))
-        if kind == "scaled":
-            return NormSpec.scaled(float(obj["alpha"]), float(obj["p"]))
-        if kind == "weighted":
-            return NormSpec.weighted(np.array(obj["matrix"], dtype=float), float(obj["p"]))
-        if kind in ("block_sum", "block_max"):
-            blocks = [_parse_norm_obj(b, path) for b in obj["blocks"]]
-            sizes = [int(s) for s in obj["sizes"]]
-            maker = NormSpec.block_sum if kind == "block_sum" else NormSpec.block_max
-            return maker(blocks, sizes)
-    except KeyError as exc:
-        raise UsageError(f"{path}: norm descriptor is missing field {exc}") from exc
-    except (ToolkitError, ValueError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-    raise UsageError(f"{path}: unknown norm kind {kind!r}")
-
-
-def _parse_norm(path: str) -> NormSpec:
-    return _parse_norm_obj(_descriptor(_read_json(path), path, "norm"), path)
-
-
-def _parse_support(path: str) -> SetSpec:
-    obj = _descriptor(_read_json(path), path, "support")
-    kind = obj.get("kind")
-    try:
-        if kind == "whole":
-            return SetSpec.whole(int(obj["dim"]))
-        if kind == "polyhedron":
-            return SetSpec.polyhedron(np.array(obj["C"], dtype=float), np.array(obj["d"], dtype=float))
-        if kind == "ball":
-            return SetSpec.ball(
-                _parse_norm_obj(obj["norm"], path), float(obj["radius"]), int(obj["dim"])
-            )
-    except KeyError as exc:
-        raise UsageError(f"{path}: support descriptor is missing field {exc}") from exc
-    except (ToolkitError, ValueError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-    raise UsageError(f"{path}: unknown support kind {kind!r}")
-
-
-def _parse_loss(path: str):
-    obj = _descriptor(_read_json(path), path, "loss")
-    kind = obj.get("kind")
-    try:
-        if kind == "pwa":
-            slopes = np.array(obj["slopes"], dtype=float)
-            intercepts = np.array(obj["intercepts"], dtype=float)
-            if slopes.ndim != 2 or intercepts.ndim != 1 or slopes.shape[0] != intercepts.size:
-                raise UsageError(f"{path}: slopes must be JxM and intercepts length J")
-            return PiecewiseAffineLoss(list(zip(slopes, intercepts)))
-        if kind == "quadratic":
-            return QuadraticLoss(np.array(obj["Q"], dtype=float), np.array(obj["q"], dtype=float))
-    except KeyError as exc:
-        raise UsageError(f"{path}: loss descriptor is missing field {exc}") from exc
-    except (ToolkitError, ValueError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-    raise UsageError(f"{path}: unknown loss kind {kind!r}")
+def _moments(path: str) -> MomentPair:
+    return _load(path, "moment pair", lambda o: MomentPair(o["mean"], o["cov"]))
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +257,12 @@ def _config_flags(argv: list[str]) -> list[str]:
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return []
-    obj = _read_json(path)
-    if not isinstance(obj, dict):
-        raise UsageError(f"{path}: config file must hold a JSON object")
+    return _load(path, "config file", _flags)
+
+
+def _flags(obj: dict) -> list[str]:
     if "config" in obj:
-        raise UsageError(f"{path}: 'config' cannot be set from a config file")
+        raise UsageError("'config' cannot be set from a config file")
     return [
         f"--{k}" if v is True else f"--{k}={v}" for k, v in obj.items() if v is not False and v is not None
     ]
@@ -329,16 +303,16 @@ def parse_config(argv=None) -> RunConfig:
                 raise UsageError("--eps does not apply to gelbrich distance mode (--other)")
             opts["eps"] = radius(opts["eps"], positive=command in ("gelbrich", "shrink"), name="--eps")
         if command == "transport":
-            payload["q"] = _parse_distribution(opts["q"])
-            payload["qp"] = _parse_distribution(opts["qp"])
-            payload["norm"] = _parse_norm(opts["norm"]) if opts["norm"] else None
+            payload["q"] = _distribution(opts["q"])
+            payload["qp"] = _distribution(opts["qp"])
+            payload["norm"] = _load(opts["norm"], "norm", _norm) if opts["norm"] else None
             if not (opts["p"] >= 1.0 and math.isfinite(opts["p"])):
                 raise UsageError("--p must be finite and >= 1")
         elif command == "wc-risk":
-            payload["samples"] = _parse_distribution(opts["samples"])
-            payload["loss"] = _parse_loss(opts["loss"])
-            payload["norm"] = _parse_norm(opts["norm"]) if opts["norm"] else None
-            payload["support"] = _parse_support(opts["support"]) if opts["support"] else None
+            payload["samples"] = _distribution(opts["samples"])
+            payload["loss"] = _load(opts["loss"], "loss", _loss)
+            payload["norm"] = _load(opts["norm"], "norm", _norm) if opts["norm"] else None
+            payload["support"] = _load(opts["support"], "support", _support) if opts["support"] else None
             if isinstance(payload["loss"], QuadraticLoss):
                 if opts["p"] != 2.0:
                     raise UsageError("quadratic losses need --p 2")
@@ -351,11 +325,11 @@ def parse_config(argv=None) -> RunConfig:
                 opts["eps"], opts["p"], norm=payload["norm"], support=payload["support"]
             )
         elif command == "gelbrich":
-            payload["moments"] = _parse_moments(opts["moments"])
+            payload["moments"] = _moments(opts["moments"])
             if opts["other"] is not None:
-                payload["other"] = _parse_moments(opts["other"])
+                payload["other"] = _moments(opts["other"])
             else:
-                payload["loss"] = _parse_loss(opts["loss"])
+                payload["loss"] = _load(opts["loss"], "loss", _loss)
                 if not isinstance(payload["loss"], QuadraticLoss):
                     raise UsageError("gelbrich risk mode needs a quadratic loss descriptor")
                 _require(opts, ["eps"], command)
@@ -363,9 +337,9 @@ def parse_config(argv=None) -> RunConfig:
             if opts["input"] is not None:
                 payload["moments"] = sample_moments(_read_csv(opts["input"]))
             else:
-                payload["moments"] = _parse_moments(opts["moments"])
+                payload["moments"] = _moments(opts["moments"])
         elif command == "mmse":
-            pair = _parse_moments(opts["moments"])
+            pair = _moments(opts["moments"])
             payload["joint"] = JointMoments(opts["mx"], pair.dim - opts["mx"], pair.mu, pair.sigma)
             if opts["iters"] is not None and opts["iters"] < 1:
                 raise UsageError("--iters must be at least 1")
@@ -375,19 +349,15 @@ def parse_config(argv=None) -> RunConfig:
                 raise UsageError(f"{opts['input']}: need at least one feature column plus a label")
             payload["X"], payload["y"] = data[:, :-1], data[:, -1]
             payload["loss"] = UnivariateLoss(opts["loss"], delta=opts["delta"])
-            payload["norm"] = _parse_norm(opts["norm"]) if opts["norm"] else None
+            payload["norm"] = _load(opts["norm"], "norm", _norm) if opts["norm"] else None
         elif command == "calibrate":
             if opts["mode"] == "empirical":
                 _require(opts, ["p", "alpha", "bound", "dim"], command)
-                payload["model"] = TailModel(
-                    alpha=opts["alpha"],
-                    A=opts["bound"],
-                    m=opts["dim"],
-                    c1=math.e if opts["c1"] is None else opts["c1"],
-                    c2=1.0 if opts["c2"] is None else opts["c2"],
-                )
+                given = {k: opts[k] for k in ("c1", "c2") if opts[k] is not None}
+                payload["model"] = TailModel(alpha=opts["alpha"], A=opts["bound"], m=opts["dim"], **given)
             else:
-                payload["model"] = MomentTailModel(c=math.e if opts["c"] is None else opts["c"])
+                given = {} if opts["c"] is None else {"c": opts["c"]}
+                payload["model"] = MomentTailModel(**given)
     except UsageError:
         raise
     except (ToolkitError, ValueError) as exc:

@@ -136,15 +136,20 @@ def projection_check(
     If W_p(Q, reference) <= eps (and p >= 2, so the type-2 distance is no
     larger) then the moments of Q must lie in the Gelbrich ball around the
     moments of the reference.  Returns the truth of that implication; the
-    ball center must carry the reference moments.  Premise and conclusion
+    ball center must carry the reference moments, to 1e-8 of the larger of
+    the reference's largest |mean| and its root largest |covariance| for the
+    mean, and of its largest |covariance| for the covariance, so the test
+    reads the same at every scale of the data.  Premise and conclusion
     allow eps the same slack, tol.rel_tol * (1 + eps).
     """
     if p < 2.0:
         raise ValueError("the moment projection needs order p >= 2")
     ref_moments = moments(reference)
+    cov_scale = float(np.abs(ref_moments.sigma).max())
+    mean_scale = max(float(np.abs(ref_moments.mu).max()), math.sqrt(cov_scale))
     if (
-        np.max(np.abs(ref_moments.mu - ball.center.mu)) > 1e-8
-        or np.max(np.abs(ref_moments.sigma - ball.center.sigma)) > 1e-8
+        np.abs(ref_moments.mu - ball.center.mu).max() > 1e-8 * mean_scale
+        or np.abs(ref_moments.sigma - ball.center.sigma).max() > 1e-8 * cov_scale
     ):
         raise ValueError("ball center must equal the reference distribution's moments")
     dist = wasserstein_p(Q, reference, p).distance

@@ -55,7 +55,6 @@ __all__ = [
     "secular_root",
     "quadratic_multiplier",
     "SpectralDecomposition",
-    "sym_eig",
     "psd_eig",
     "psd_spectrum",
     "lift_singular",
@@ -227,8 +226,12 @@ def quadratic_multiplier(lam: np.ndarray, numer: np.ndarray, eps: float) -> tupl
     eigenvalues ``lam`` (descending).  The top eigenspace, within 1e-12 max
     |lam| of x0 = max(0, lam_max), loses its weight when that is at most
     1e-13 of the total, so rounding cannot force an interior root; when
-    gamma = x0, inv is 0 on each top direction without weight.
+    gamma = x0, inv is 0 on each top direction without weight.  A radius
+    whose square overflows raises ValueError naming eps: every caller prices
+    gamma eps^2.
     """
+    if not eps * eps < math.inf:
+        raise ValueError(f"eps={eps!r} is out of range: eps^2 overflows a float")
     x0 = max(0.0, float(lam[0]))
     top = x0 - lam <= 1e-12 * max(abs(float(lam[0])), abs(float(lam[-1])))
     if numer[top].sum() <= 1e-13 * numer.sum():
@@ -268,11 +271,6 @@ class SpectralDecomposition:
         """Symmetric square root, negative eigenvalues clipped to zero."""
         r = (self.vectors * np.sqrt(np.clip(self.values, 0.0, None))) @ self.vectors.T
         return 0.5 * (r + r.T)
-
-
-def sym_eig(a) -> SpectralDecomposition:
-    """``SpectralDecomposition.of`` a matrix, symmetrized after a symmetry check."""
-    return SpectralDecomposition.of(_validation.check_symmetric(a))
 
 
 def psd_eig(a, rel: float = 1e-9, name: str = "A") -> tuple[np.ndarray, SpectralDecomposition]:

@@ -9,7 +9,8 @@ import pytest
 
 from wdro import __version__
 from wdro.cli import main, parse_config
-from wdro.empirical_risk import QuadraticLoss
+from wdro.convex_analysis import NormSpec, SetSpec
+from wdro.empirical_risk import BallSpec, PiecewiseAffineLoss, QuadraticLoss, wc_risk_pwa, wc_risk_quadratic
 from wdro.errors import UsageError
 from wdro.moment_risk import gelbrich_risk_quadratic
 from wdro.transport import DiscreteDistribution, MomentPair, gelbrich_distance, wasserstein_p
@@ -166,6 +167,132 @@ def test_bad_radius_or_nonfinite_csv_field_is_usage_error(tmp_path, capsys, case
     code, report = run_cli(line.format(dir=tmp_path).split(), tmp_path)
     assert (code, report) == (2, None)
     assert named in capsys.readouterr().err
+
+
+# Inputs the descriptor table below reads besides the descriptor under test.
+SAMPLES = {"atoms": [[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]], "weights": [0.2, 0.3, 0.5]}
+OTHER = {"atoms": [[0.5, 0.0], [0.0, -1.0]]}
+PWA = {"kind": "pwa", "slopes": [[1.0, 0.0], [-0.5, 1.0]], "intercepts": [0.0, 0.5]}
+QUADRATIC = {"kind": "quadratic", "Q": [[1.0, 0.2], [0.2, -0.5]], "q": [0.5, -0.5]}
+MOMENTS = {"mean": [1.0, -1.0], "cov": [[2.0, 0.8], [0.8, 1.5]]}
+BOX = {"kind": "polyhedron", "C": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], "d": [2.0] * 4}
+P1, P2 = {"kind": "p", "p": 1}, {"kind": "p", "p": 2}
+
+# the command line that reads a descriptor of each role from {file}
+ROLE_LINES = {
+    "norm": "transport --q {dir}/samples.json --qp {dir}/other.json --p 1 --norm {file}",
+    "distribution": "transport --q {file} --qp {dir}/other.json --p 2",
+    "support": "wc-risk --samples {dir}/samples.json --loss {dir}/pwa.json --eps 0.3 --p 1 --norm {dir}/l1.json "
+    "--support {file}",
+    "loss": "wc-risk --samples {dir}/samples.json --loss {file} --eps 0.3 --p 2",
+    "moment pair": "gelbrich --moments {file} --other {dir}/moments.json",
+}
+
+
+def _dist(obj):
+    return DiscreteDistribution(obj["atoms"], obj.get("weights"))
+
+
+def _transport(norm=None, q=SAMPLES, p=1.0):
+    return wasserstein_p(_dist(q), _dist(OTHER), p, norm).distance
+
+
+def _wc_pwa(support):
+    loss = PiecewiseAffineLoss(list(zip(np.array(PWA["slopes"]), PWA["intercepts"])))
+    if support is None:  # the loss role's line: p = 2, the Euclidean norm, the whole space
+        return wc_risk_pwa(loss, _dist(SAMPLES), BallSpec(0.3, 2.0))
+    return wc_risk_pwa(loss, _dist(SAMPLES), BallSpec(0.3, 1.0, norm=NormSpec.p_norm(1), support=support))
+
+
+# (role, descriptor, report field, the library's value on the same objects)
+VALID_DESCRIPTORS = {
+    "norm-p": ("norm", {"kind": "p", "p": 3}, "distance", lambda: _transport(NormSpec.p_norm(3))),
+    "norm-scaled": (
+        "norm", {"kind": "scaled", "alpha": 2, "p": 1}, "distance", lambda: _transport(NormSpec.scaled(2, 1))),
+    "norm-weighted": (
+        "norm", {"kind": "weighted", "matrix": [[2.0, 0.5], [0.5, 1.0]], "p": 2}, "distance",
+        lambda: _transport(NormSpec.weighted([[2.0, 0.5], [0.5, 1.0]], 2))),
+    "norm-block_sum-nested": (
+        "norm", {"kind": "block_sum", "sizes": [1, 1],
+                 "blocks": [P1, {"kind": "block_max", "blocks": [P2], "sizes": [1]}]}, "distance",
+        lambda: _transport(NormSpec.block_sum(
+            [NormSpec.p_norm(1), NormSpec.block_max([NormSpec.p_norm(2)], [1])], [1, 1]))),
+    "norm-block_max-nested": (
+        "norm", {"kind": "block_max", "sizes": [1, 1],
+                 "blocks": [{"kind": "block_sum", "blocks": [P1], "sizes": [1]}, P2]}, "distance",
+        lambda: _transport(NormSpec.block_max(
+            [NormSpec.block_sum([NormSpec.p_norm(1)], [1]), NormSpec.p_norm(2)], [1, 1]))),
+    "support-whole": ("support", {"kind": "whole", "dim": 2}, "value", lambda: _wc_pwa(SetSpec.whole(2))),
+    "support-polyhedron": ("support", BOX, "value", lambda: _wc_pwa(SetSpec.polyhedron(BOX["C"], BOX["d"]))),
+    "loss-pwa": ("loss", PWA, "value", lambda: _wc_pwa(None)),
+    "loss-quadratic": (
+        "loss", QUADRATIC, "value",
+        lambda: wc_risk_quadratic(QuadraticLoss(QUADRATIC["Q"], QUADRATIC["q"]), _dist(SAMPLES), 0.3)),
+    "distribution-weighted": ("distribution", SAMPLES, "distance", lambda: _transport(q=SAMPLES, p=2.0)),
+    "distribution-uniform": (
+        "distribution", {"atoms": SAMPLES["atoms"]}, "distance",
+        lambda: _transport(q={"atoms": SAMPLES["atoms"]}, p=2.0)),
+    "moment pair": (
+        "moment pair", {"mean": [0.0, 0.5], "cov": [[1.0, 0.0], [0.0, 0.5]]}, "distance",
+        lambda: gelbrich_distance(MomentPair([0.0, 0.5], [[1.0, 0.0], [0.0, 0.5]]),
+                                  MomentPair(MOMENTS["mean"], MOMENTS["cov"]))),
+}
+
+# (role, the file's JSON text)
+MALFORMED_DESCRIPTORS = {
+    "norm-not-an-object": ("norm", "[1, 2]"),
+    "distribution-not-an-object": ("distribution", '"atoms"'),
+    "moment-pair-not-an-object": ("moment pair", "3"),
+    "norm-missing-field": ("norm", '{"kind": "scaled", "p": 2}'),
+    "support-missing-field": ("support", '{"kind": "polyhedron", "C": [[1.0, 0.0]]}'),
+    "distribution-missing-field": ("distribution", '{"weights": [1.0]}'),
+    "moment-pair-missing-field": ("moment pair", '{"mean": [0.0, 0.0]}'),
+    "norm-p-list": ("norm", '{"kind": "p", "p": [1]}'),
+    "norm-blocks-number": ("norm", '{"kind": "block_sum", "blocks": 5, "sizes": [1, 1]}'),
+    "norm-blocks-numbers": ("norm", '{"kind": "block_sum", "blocks": [1, 2], "sizes": [1, 1]}'),
+    "norm-sizes-object": ("norm", '{"kind": "block_max", "blocks": [{"kind": "p", "p": 1}], "sizes": {"a": 1}}'),
+    "support-dim-list": ("support", '{"kind": "whole", "dim": [2]}'),
+    "loss-Q-object": ("loss", '{"kind": "quadratic", "Q": {"a": 1}, "q": [0.0, 0.0]}'),
+    "norm-unknown-kind": ("norm", '{"kind": "q", "p": 2}'),
+    "norm-nested-unknown-kind": ("norm", '{"kind": "block_sum", "blocks": [{"p": 1}, {"kind": "p", "p": 1}], "sizes": [1, 1]}'),
+    "norm-kind-list": ("norm", '{"kind": ["p"], "p": 2}'),
+    "support-ball": ("support", '{"kind": "ball", "norm": {"kind": "p", "p": 2}, "radius": 1.0, "dim": 2}'),
+    "loss-unknown-kind": ("loss", '{"kind": "hinge"}'),
+    "norm-refused": ("norm", '{"kind": "p", "p": 0.5}'),
+    "loss-pwa-shapes": ("loss", '{"kind": "pwa", "slopes": [[1.0, 0.0]], "intercepts": [0.0, 1.0]}'),
+    "distribution-weights": ("distribution", '{"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.6]}'),
+    "moment-pair-not-psd": ("moment pair", '{"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, -1.0]]}'),
+}
+
+
+def _descriptor_inputs(tmp_path):
+    for name, obj in [("samples", SAMPLES), ("other", OTHER), ("pwa", PWA), ("moments", MOMENTS), ("l1", P1)]:
+        write_json(tmp_path / f"{name}.json", obj)
+
+
+@pytest.mark.parametrize("case", VALID_DESCRIPTORS)
+def test_every_descriptor_kind_gives_the_librarys_value(tmp_path, case):
+    role, descriptor, field, direct = VALID_DESCRIPTORS[case]
+    _descriptor_inputs(tmp_path)
+    path = write_json(tmp_path / "descriptor.json", descriptor)
+    code, report = run_cli(ROLE_LINES[role].format(dir=tmp_path, file=path).split(), tmp_path)
+    assert code == 0, report
+    assert report["results"][field] == direct()
+
+
+@pytest.mark.parametrize("case", MALFORMED_DESCRIPTORS)
+def test_a_malformed_descriptor_is_a_usage_error_naming_its_file_once(tmp_path, capsys, case):
+    """Not an object, a missing field, a field of the wrong JSON type, an
+    unknown kind and a library refusal each stop the run with exit 2 and no
+    report, and the message names the file once."""
+    role, text = MALFORMED_DESCRIPTORS[case]
+    _descriptor_inputs(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, report = run_cli(ROLE_LINES[role].format(dir=tmp_path, file=bad).split(), tmp_path)
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count(str(bad)) == 1, err
 
 
 def test_shrink_run_end_to_end(tmp_path):

@@ -259,6 +259,44 @@ def test_projection_check_random_instances():
         projection_check(ball, far, ref, p=1.0)
 
 
+PROJECTION_ATOMS = np.array([[1.0, 2.0], [3.0, 1.0], [0.5, -1.0], [2.0, 0.0]])
+
+
+def test_projection_check_refuses_a_center_off_at_small_scale():
+    """At data scale 1e-9 a center whose mean is 3x off or whose covariance
+    is 2x off is refused, as it is at unit scale."""
+    ref = DiscreteDistribution(1e-9 * PROJECTION_ATOMS)
+    center = moments(ref)
+    for off in (MomentPair(3.0 * center.mu, center.sigma), MomentPair(center.mu, 2.0 * center.sigma)):
+        with pytest.raises(ValueError, match="center"):
+            projection_check(GelbrichBall(off, 1e-9), ref, ref)
+
+
+def test_projection_check_accepts_a_center_one_ulp_off_at_large_scale():
+    ref = DiscreteDistribution(1e6 * PROJECTION_ATOMS)
+    center = moments(ref)
+    sigma = center.sigma.copy()
+    sigma[0, 0] = np.nextafter(sigma[0, 0], math.inf)
+    assert projection_check(GelbrichBall(MomentPair(center.mu, sigma), 1e6), ref, ref)
+
+
+@pytest.mark.parametrize("scale", [10.0**k for k in range(-9, 7)])
+def test_projection_check_reads_the_same_at_every_scale(scale):
+    """The reference's own moments, or its covariance one ulp off, are
+    accepted and the implication holds; a mean or a covariance 1e-6
+    relative off is refused."""
+    ref = DiscreteDistribution(scale * PROJECTION_ATOMS)
+    Q = DiscreteDistribution(scale * (PROJECTION_ATOMS + 0.1))
+    center = moments(ref)
+    ulp = center.sigma.copy()
+    ulp[1, 1] = np.nextafter(ulp[1, 1], -math.inf)
+    for good in (center, MomentPair(center.mu, ulp)):
+        assert projection_check(GelbrichBall(good, 0.5 * scale), Q, ref)
+    for bad in (MomentPair(center.mu * (1.0 + 1e-6), center.sigma), MomentPair(center.mu, center.sigma * (1.0 + 1e-6))):
+        with pytest.raises(ValueError, match="center"):
+            projection_check(GelbrichBall(bad, 0.5 * scale), Q, ref)
+
+
 def test_moment_ball_dominates_empirical_ball():
     rng = np.random.RandomState(13)
     for _ in range(8):

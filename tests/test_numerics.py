@@ -8,7 +8,7 @@ import pytest
 
 import wdro
 from wdro.errors import NoBracket, NotPSD, NotSymmetric
-from wdro.numerics import Tolerance, monotone_root, psd_eig, secular_root, sym_eig
+from wdro.numerics import Tolerance, monotone_root, psd_eig, secular_root
 
 
 def test_monotone_root_simple():
@@ -58,7 +58,7 @@ def test_sym_eig_reconstructs():
     for m in (1, 2, 5, 20, 50):
         B = rng.randn(m, m)
         A = B @ B.T
-        dec = sym_eig(A)
+        _, dec = psd_eig(A)
         assert np.all(np.diff(dec.values) <= 1e-12)
         assert np.linalg.norm(dec.reconstruct() - A) <= 1e-9 * (1 + np.linalg.norm(A))
         assert np.linalg.norm(dec.vectors.T @ dec.vectors - np.eye(m)) <= 1e-10
@@ -66,13 +66,13 @@ def test_sym_eig_reconstructs():
 
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        psd_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_sym_eig_deterministic_signs():
     A = np.diag([3.0, 1.0])
-    d1 = sym_eig(A)
-    d2 = sym_eig(A)
+    _, d1 = psd_eig(A)
+    _, d2 = psd_eig(A)
     assert np.array_equal(d1.vectors, d2.vectors)
     assert d1.vectors[0, 0] > 0 and d1.vectors[1, 1] > 0
 
