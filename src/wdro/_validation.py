@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -15,6 +16,7 @@ __all__ = [
     "check_symmetric",
     "check_weights",
     "radius",
+    "integer",
     "ParamsMixin",
 ]
 
@@ -68,6 +70,17 @@ def check_weights(w, tol: float = 1e-12, name: str = "weights") -> np.ndarray:
     if abs(total - 1.0) > max(tol, 1e-12 * len(w)):
         raise ValueError(f"{name} must sum to one, got {total!r}")
     return w.clip(0.0)
+
+
+def integer(n, name: str) -> int:
+    """n as an int; TypeError naming ``name`` unless it is a real number of
+    integral value: 2.9 is not cut to 2, and a bool is not a number."""
+    if not isinstance(n, bool):
+        if isinstance(n, numbers.Integral):
+            return int(n)
+        if isinstance(n, numbers.Real) and float(n).is_integer():
+            return int(n)
+    raise TypeError(f"{name} must be an integer, got {n!r}")
 
 
 def radius(eps, positive: bool = False, name: str = "eps") -> float:

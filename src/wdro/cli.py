@@ -155,11 +155,18 @@ def _pwa(obj) -> PiecewiseAffineLoss:
     return PiecewiseAffineLoss(list(zip(slopes, intercepts)))
 
 
+def _number(obj: dict, key: str) -> float:
+    """A number field; float() alone would read a JSON boolean as 0 or 1."""
+    if isinstance(obj[key], bool):
+        raise TypeError(f"{key} must be a number, got {json.dumps(obj[key])}")
+    return float(obj[key])
+
+
 # The library constructors convert the JSON arrays and sizes themselves.
 _norm = _by_kind("norm", {
-    "p": lambda o: NormSpec.p_norm(float(o["p"])),
-    "scaled": lambda o: NormSpec.scaled(float(o["alpha"]), float(o["p"])),
-    "weighted": lambda o: NormSpec.weighted(o["matrix"], float(o["p"])),
+    "p": lambda o: NormSpec.p_norm(_number(o, "p")),
+    "scaled": lambda o: NormSpec.scaled(_number(o, "alpha"), _number(o, "p")),
+    "weighted": lambda o: NormSpec.weighted(o["matrix"], _number(o, "p")),
     "block_sum": lambda o: NormSpec.block_sum([_norm(b) for b in o["blocks"]], o["sizes"]),
     "block_max": lambda o: NormSpec.block_max([_norm(b) for b in o["blocks"]], o["sizes"]),
 })

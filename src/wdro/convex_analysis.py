@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._validation import as_matrix, as_vector, radius as _radius
+from ._validation import as_matrix, as_vector, integer, radius as _radius
 from .errors import (
     DimensionMismatch,
     InfeasibleSet,
@@ -89,7 +89,7 @@ class NormSpec:
     @staticmethod
     def block_sum(blocks: Iterable["NormSpec"], sizes: Iterable[int]) -> "NormSpec":
         blocks = tuple(blocks)
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(integer(s, "block size") for s in sizes)
         if len(blocks) != len(sizes) or any(s < 1 for s in sizes):
             raise ValueError("one positive size per block required")
         return NormSpec(kind="blocks", blocks=blocks, sizes=sizes)
@@ -295,12 +295,12 @@ class SetSpec:
 
     @staticmethod
     def whole(dim: int) -> "SetSpec":
-        return SetSpec(kind="whole", dim=int(dim))
+        return SetSpec(kind="whole", dim=integer(dim, "dim"))
 
     @staticmethod
     def ball(norm: NormSpec, radius: float, dim: int) -> "SetSpec":
         """The norm ball of a finite, nonnegative radius about the origin."""
-        return SetSpec(kind="ball", dim=int(dim), norm=norm, radius=_radius(radius, name="radius"))
+        return SetSpec(kind="ball", dim=integer(dim, "dim"), norm=norm, radius=_radius(radius, name="radius"))
 
     @staticmethod
     def polyhedron(C, d) -> "SetSpec":

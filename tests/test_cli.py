@@ -252,6 +252,12 @@ MALFORMED_DESCRIPTORS = {
     "norm-blocks-numbers": ("norm", '{"kind": "block_sum", "blocks": [1, 2], "sizes": [1, 1]}'),
     "norm-sizes-object": ("norm", '{"kind": "block_max", "blocks": [{"kind": "p", "p": 1}], "sizes": {"a": 1}}'),
     "support-dim-list": ("support", '{"kind": "whole", "dim": [2]}'),
+    "support-dim-fraction": ("support", '{"kind": "whole", "dim": 2.9}'),
+    "support-dim-boolean": ("support", '{"kind": "whole", "dim": true}'),
+    "norm-sizes-fractions": (
+        "norm", '{"kind": "block_sum", "blocks": [{"kind": "p", "p": 2}, {"kind": "p", "p": 1}], "sizes": [1.9, 1.2]}'),
+    "norm-p-boolean": ("norm", '{"kind": "p", "p": true}'),
+    "norm-alpha-boolean": ("norm", '{"kind": "scaled", "alpha": true, "p": 2}'),
     "loss-Q-object": ("loss", '{"kind": "quadratic", "Q": {"a": 1}, "q": [0.0, 0.0]}'),
     "norm-unknown-kind": ("norm", '{"kind": "q", "p": 2}'),
     "norm-nested-unknown-kind": ("norm", '{"kind": "block_sum", "blocks": [{"p": 1}, {"kind": "p", "p": 1}], "sizes": [1, 1]}'),

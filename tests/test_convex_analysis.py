@@ -156,6 +156,25 @@ def test_polyhedron_without_faces_is_refused():
         SetSpec.polyhedron(np.zeros((0, 2)), np.zeros(0))
 
 
+@pytest.mark.parametrize("n", [2.9, True, "2", [2], math.inf, math.nan])
+def test_sizes_and_dimensions_must_be_integers(n):
+    # int() would cut 2.9 to 2 and read True as 1
+    p2 = NormSpec.p_norm(2)
+    for make in (
+        lambda: SetSpec.whole(n),
+        lambda: SetSpec.ball(p2, 1.0, n),
+        lambda: NormSpec.block_sum([p2, p2], [1, n]),
+        lambda: NormSpec.block_max([p2, p2], [n, 1]),
+    ):
+        with pytest.raises(TypeError, match="integer"):
+            make()
+
+
+def test_integral_sizes_of_any_numeric_type_are_taken():
+    assert SetSpec.whole(2.0).dim == 2 and type(SetSpec.whole(np.int64(3)).dim) is int
+    assert NormSpec.block_sum([NormSpec.p_norm(2)] * 2, np.array([1.0, 2.0])).sizes == (1, 2)
+
+
 def test_support_intersection_box_and_halfplane():
     box = SetSpec.polyhedron(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
     half = SetSpec.polyhedron([[1.0, 0.0]], [0.25])

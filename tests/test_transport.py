@@ -337,8 +337,8 @@ def test_wasserstein_p_rejects_potentials_off_far_below_max_cost(monkeypatch):
     solve = transport._transport_simplex
 
     def faulty(*args):
-        plan, u, v = solve(*args)
-        return plan, u, v + np.array([1e-7, -1e-7, 0.0])
+        plan, u, v, pivots = solve(*args)
+        return plan, u, v + np.array([1e-7, -1e-7, 0.0]), pivots
 
     monkeypatch.setattr(transport, "_transport_simplex", faulty)
     with pytest.raises(NumericalFailure, match="violate"):

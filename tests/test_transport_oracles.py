@@ -147,7 +147,9 @@ def test_near_cluster_beside_a_shared_far_atom():
     # Both sets share an atom at distance 1000, so max C is ~1e6 at p = 2 and
     # the tree potentials are ~1e6, while the improving swap inside the near
     # cluster is worth ~2e-8.  Sorted by first coordinate, the northwest
-    # corner couples x1-y1 and x2-y2, which costs ~330 times the optimum.
+    # corner would couple x1-y1 and x2-y2, ~330 times the optimum; the
+    # reduced-cost start couples x1-y2 and x2-y1, and the exact pass must
+    # still see that no cell improves on it.
     X = np.array([[0.0, 0.0], [1e-5, 1e-4], [1000.0, 0.0]])
     Y = np.array([[5e-6, 1e-4], [6e-6, 0.0], [1000.0, 0.0]])
     w = np.full(3, 1.0 / 3.0)
@@ -204,9 +206,11 @@ def test_block_pricing_edge_matches_highs(N, m, p):
 
 @pytest.mark.parametrize("streak", [transport._DEGENERATE_STREAK, 0])
 def test_lattice_across_the_block_edge_matches_highs_under_blands_rule(monkeypatch, streak):
-    # uniform weights on a 5 x 5 lattice: runs of degenerate pivots long
-    # enough to switch the pricing to Bland's rule, at once where the streak
-    # limit is 0; N = M = 91 prices one block and 92 two
+    # uniform weights on a 5 x 5 lattice: runs of degenerate pivots, which
+    # switch the pricing to Bland's rule at once where the streak limit is 0
+    # (from the reduced-cost start, none outlasts the default limit here;
+    # the next test has lattices where one does); N = M = 91 prices one
+    # block and 92 two
     monkeypatch.setattr(transport, "_DEGENERATE_STREAK", streak)
     for n in (91, 92):
         rng = np.random.default_rng([n, 5, 1])
@@ -218,3 +222,30 @@ def test_lattice_across_the_block_edge_matches_highs_under_blands_rule(monkeypat
             res = wasserstein_p(Q, Qp, 1.0, NormSpec.p_norm(q))
             assert abs(res.distance - ref) <= 1e-10 * ref
             assert kr_verify(Q, Qp, NormSpec.p_norm(q), res.duals).is_feasible
+
+
+@pytest.mark.parametrize("n", [91, 92], ids=["one block", "two blocks"])
+def test_lattice_reaches_blands_rule_at_the_default_streak_limit(monkeypatch, n):
+    # uniform weights on a 4 x 4 lattice where a degenerate run outlasts
+    # _DEGENERATE_STREAK from the reduced-cost start: the run takes another
+    # number of pivots than one in which Bland's rule never starts
+    pivots = []
+    solve = transport._transport_simplex
+
+    def counting(*args):
+        out = solve(*args)
+        pivots.append(out[3])
+        return out
+
+    monkeypatch.setattr(transport, "_transport_simplex", counting)
+    rng = np.random.default_rng([n, 4, 3])
+    X = rng.integers(0, 4, size=(n, 2)).astype(float)
+    Y = rng.integers(0, 4, size=(n, 2)).astype(float)
+    Q, Qp = DiscreteDistribution.from_samples(X), DiscreteDistribution.from_samples(Y)
+    ref = highs_value(costs(X, Y, 1.0, 2), Q.weights, Qp.weights)
+    res = wasserstein_p(Q, Qp, 1.0)
+    assert abs(res.distance - ref) <= 1e-10 * ref
+    assert kr_verify(Q, Qp, NormSpec.p_norm(2), res.duals).is_feasible
+    monkeypatch.setattr(transport, "_DEGENERATE_STREAK", 10**9)
+    wasserstein_p(Q, Qp, 1.0)
+    assert pivots[0] != pivots[1], pivots
